@@ -17,12 +17,14 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import hashlib
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
-from . import cache, fock, stable, verify
+from . import __version__, cache, fock, stable, verify
 from .partitions import enumerate_partitions
 from .scalars import Scalar, zero
 from .symfunc import Ht_
@@ -48,6 +50,23 @@ def _side_arg(text: str) -> str:
     raise argparse.ArgumentTypeError("side must be + or -")
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _jobs_arg(text: str) -> int:
+    """At least 1; more workers than CPUs are capped at the CPU count."""
+    return min(_at_least(1)(text), os.cpu_count() or 1)
+
+
 def _partition_arg(text: str):
     text = text.strip()
     if not text:
@@ -67,40 +86,40 @@ def build_parser() -> argparse.ArgumentParser:
                         default="json")
     common.add_argument("--cache-dir", default=None)
     common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=_jobs_arg, default=1)
 
     p = argparse.ArgumentParser(prog="wallcross", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("macdonald", parents=[common],
                         help="modified Macdonald basis in Schur coordinates")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
 
     sp = sub.add_parser("fock-bar", parents=[common],
                         help="bar involution matrix on the degree-n piece")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
+    sp.add_argument("--b", type=_at_least(1), required=True)
 
     sp = sub.add_parser("canonical", parents=[common],
                         help="canonical basis transition matrix")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
+    sp.add_argument("--b", type=_at_least(1), required=True)
     sp.add_argument("--side", type=_side_arg, default="+")
 
     sp = sub.add_parser("stable", parents=[common],
                         help="stable basis table at a slope")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--slope", type=_slope_arg, required=True)
     sp.add_argument("--side", type=_side_arg, default="+")
 
     sp = sub.add_parser("wallcross", parents=[common],
                         help="transition matrix from slope 0 to just past --slope")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--slope", type=_slope_arg, required=True)
 
     sp = sub.add_parser("conjecture-check", parents=[common],
                         help="renormalized crossings against bar matrices")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--slope", type=_slope_arg, default=None,
                     help="check one wall instead of all detected walls")
 
@@ -109,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("positivity", parents=[common],
                         help="series positivity of Schur coefficients")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--slope", type=_slope_arg, required=True)
     sp.add_argument("--side", type=_side_arg, default="+")
-    sp.add_argument("--order", type=int, default=8)
+    sp.add_argument("--order", type=_at_least(0), default=8)
 
     sp = sub.add_parser("characters", parents=[common],
                         help="graded characters at slope a/b")
@@ -417,6 +436,16 @@ HANDLERS = {
 }
 
 
+def _source_digest() -> str:
+    """sha256 over the package's .py sources, so other code never shares a key."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def _cache_key(args) -> dict:
     params = {}
     for name in ("n", "b", "order", "side", "verma"):
@@ -425,7 +454,8 @@ def _cache_key(args) -> dict:
             params[name] = list(v) if isinstance(v, tuple) else v
     if getattr(args, "slope", None) is not None:
         params["slope"] = [args.slope.numerator, args.slope.denominator]
-    return {"command": args.command, "params": params, "format": args.format}
+    return {"command": args.command, "params": params, "format": args.format,
+            "version": __version__, "source": _source_digest()}
 
 
 def main(argv=None) -> int:
@@ -433,9 +463,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     use_cache = args.command in CACHEABLE and not args.no_cache
-    root = args.cache_dir or cache.default_dir()
-    key = _cache_key(args)
     if use_cache:
+        root = args.cache_dir or cache.default_dir()
+        key = _cache_key(args)
         hit = cache.load(root, key)
         if hit is not None:
             sys.stdout.write(hit["text"])

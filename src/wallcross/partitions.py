@@ -219,7 +219,8 @@ def ribbon_decomposition(la: Partition, b: int, *, reverse: bool = False) -> lis
         mu, rb = cands[-1] if reverse else cands[0]
         out.append(rb)
         cur = mu
-    assert cur == b_core(la, b), (la, b, cur)
+    if cur != b_core(la, b):
+        raise ArithmeticError(f"peeling {b}-ribbons off {la} stops at {cur}, not the core")
     return out
 
 
@@ -277,7 +278,7 @@ def horizontal_strip_spin(la: Partition, mu: Partition, k: int, b: int):
 
     Returns sum of ribbon heights, or None when la/mu is not such a strip.
     The tiling, when the horizontality condition holds, must be unique --
-    asserted, since the coefficient would otherwise be ambiguous.
+    checked, since the coefficient would otherwise be ambiguous.
     """
     bl, bm = set(boxes(la)), set(boxes(mu))
     if not (bm <= bl) or len(bl) - len(bm) != k * b:
@@ -298,7 +299,8 @@ def horizontal_strip_spin(la: Partition, mu: Partition, k: int, b: int):
             good.append(tiling)
     if not good:
         return None
-    assert len(good) == 1, (la, mu, k, b, good)
+    if len(good) != 1:
+        raise ArithmeticError(f"{len(good)} horizontal {b}-ribbon tilings of {la}/{mu}")
     return sum(ribbon_height(chain) for chain in good[0])
 
 

@@ -18,6 +18,14 @@ requiring every out-of-window t-power of the combined restrictions to
 vanish on the target side of the wall.  Windows follow the degree_window
 rounding rule below; the solver demands existence and uniqueness and treats
 anything else as a falsified axiom, not a soft failure.
+
+One chamber sweep per n serves every slope: seed slope 0, cross the
+candidate walls in (0, 1) in increasing order, keep (w, I + B, table above
+w) for each wall with B != 0, and check nabla-periodicity, that the last
+table is nabla_shift(seed, 1): F G0 = D^-1 G0 D with G0 the seed table,
+D = diag(chi) and F the ordered product of all factors I + B.  So the
+table at k + r (k an integer, 0 <= r < 1) is D^-k L_r G0 D^k, L_r the
+product of the factors below r, and no restriction table is inverted.
 """
 
 from __future__ import annotations
@@ -25,11 +33,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import mat_inverse, mat_mul, solve_rational
+from .linalg import identity, mat_inverse, mat_mul, solve_rational
 from .partitions import (
     Partition,
     arm,
-    b_core,
     boxes,
     chi,
     conjugate,
@@ -40,7 +47,7 @@ from .partitions import (
     ribbon_decomposition,
     ribbon_walk,
 )
-from .scalars import Monomial, Scalar, monomial, one, q1, q2, rational, zero
+from .scalars import Monomial, Scalar, monomial, one, q1, q2, zero
 from .symfunc import from_restrictions, omega, restrict, restrictions, s_, scale_powersums
 
 __all__ = [
@@ -120,12 +127,6 @@ def seed_normalizer(la: Partition) -> Scalar:
     return c
 
 
-def t_degree_range(x: Scalar) -> tuple:
-    assert x.is_laurent() and x, "t-range needs a nonzero Laurent entry"
-    es = [m.exp_t for m in x.num.terms()]
-    return (min(es), max(es))
-
-
 def degree_window(n: int, la, mu, slope) -> tuple:
     """Allowed closed t-degree range [lower, upper] for gamma_la^mu.
 
@@ -145,7 +146,7 @@ def degree_window(n: int, la, mu, slope) -> tuple:
     """
     m, side = _slope(slope)
     dc = content_sum(mu) - content_sum(la)
-    d_min, d_max = t_degree_range(diagonal_value(mu))
+    d_min, d_max = diagonal_value(mu).t_degree_range()
     shift = -dc + m * dc
     lo, up = d_min + shift, d_max + shift
     if lo.denominator == 1:
@@ -163,7 +164,7 @@ def _check_windows(table: StableTable, slope) -> None:
     for la, row in table.gamma.items():
         for mu, val in row.items():
             lo, hi = degree_window(table.n, la, mu, slope)
-            tmin, tmax = t_degree_range(val)
+            tmin, tmax = val.t_degree_range()
             if tmin < lo or tmax > hi:
                 raise ArithmeticError(
                     f"window violation at {la}|{mu}: t-range [{tmin},{tmax}] "
@@ -214,16 +215,6 @@ def candidate_walls(n: int, lo, hi) -> list:
                 walls.add(Fraction(a, b))
             a += 1
     return sorted(walls)
-
-
-def _q_range(table: StableTable) -> tuple:
-    es = [
-        m.exp_q
-        for row in table.gamma.values()
-        for val in row.values()
-        for m in val.num.terms()
-    ]
-    return (min(es), max(es))
 
 
 def _solve_row(table, la, partners, target, qlo, qhi):
@@ -293,7 +284,8 @@ def cross_wall(table: StableTable, w) -> tuple:
     upward = m < w or (m == w and side == -1)
     target = (w, 1 if upward else -1)
     order = enumerate_partitions(table.n)
-    qlo0, qhi0 = _q_range(table)
+    qs = [val.q_degree_range() for row in table.gamma.values() for val in row.values()]
+    qlo0, qhi0 = min(q[0] for q in qs), max(q[1] for q in qs)
     b = w.denominator
     brows = {}
     for la in order:
@@ -333,64 +325,70 @@ def cross_wall(table: StableTable, w) -> tuple:
                 else:
                     new_row.pop(nu, None)
         for nu, val in new_row.items():
-            assert val.is_laurent(), (la, nu, val)
+            if not val.is_laurent():
+                raise ArithmeticError(f"crossing {w} leaves {la}|{nu} non-Laurent: {val}")
         gamma[la] = new_row
     return StableTable(table.n, target, gamma), brows
-
-
-def is_wall(n: int, w) -> bool:
-    below = stable_basis(n, (Fraction(w), -1))
-    _, brows = cross_wall(below, w)
-    return any(brows[la] for la in brows)
 
 
 def nabla_shift(table: StableTable, direction: int) -> StableTable:
     """Slope shift by +-1: rows scale entrywise by (chi_mu/chi_la)^direction."""
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    gamma = {}
-    for la, row in table.gamma.items():
-        cl = chi(la)
-        out = {}
-        for mu, val in row.items():
-            ratio = chi(mu) / cl if direction == 1 else cl / chi(mu)
-            out[mu] = val * ratio
-        gamma[la] = out
+    gamma = {
+        la: {mu: val * (chi(mu) / chi(la)) ** direction for mu, val in row.items()}
+        for la, row in table.gamma.items()
+    }
     m, side = table.slope
     return StableTable(table.n, (m + direction, side), gamma)
 
 
-_CHAMBER_CACHE: dict = {}
+_SWEEPS: dict = {}
+
+
+def _sweep(n: int) -> tuple:
+    """(seed, [(w, I + B, table above w) for each wall in (0, 1)]), once per n."""
+    if n not in _SWEEPS:
+        order = enumerate_partitions(n)
+        seed = tbl = seed_slope0(n)
+        walls = []
+        for w in candidate_walls(n, 0, 1):
+            tbl, B = cross_wall(tbl, w)
+            if any(B.values()):
+                factor = [[B[la].get(mu, one() if mu == la else zero()) for mu in order]
+                          for la in order]
+                walls.append((w, factor, tbl))
+        if tbl != nabla_shift(seed, 1):
+            raise ArithmeticError(f"nabla-periodicity fails at n={n}")
+        _SWEEPS[n] = (seed, walls)
+    return _SWEEPS[n]
+
+
+def _factor_product(n: int, r: Fraction, side: int) -> list:
+    """L_r: the ordered product of the factors I + B of the walls below (r, side)."""
+    seed, walls = _sweep(n)
+    out = identity(len(seed.gamma), one(), zero())
+    for w, factor, _ in walls:
+        if w < r or (w == r and side == 1):
+            out = mat_mul(factor, out)
+    return out
+
+
+def is_wall(n: int, w) -> bool:
+    """Whether crossing w has B != 0: w mod 1 is among the swept walls."""
+    return any(x[0] == Fraction(w) % 1 for x in _sweep(n)[1])
 
 
 def stable_basis(n: int, slope) -> StableTable:
-    """The table at any slope point, by seed + integer shifts + crossings."""
+    """The table at any slope point: its chamber in the sweep, shifted by nabla."""
     m, side = _slope(slope)
-    key = (n, m, side)
-    hit = _CHAMBER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if m.denominator == 1 and m != 0:
-        step = 1 if m > 0 else -1
-        out = nabla_shift(stable_basis(n, (m - step, side)), step)
-    elif m.denominator == 1:  # m == 0: no wall at integers, sides agree
-        out = seed_slope0(n)
-        out = StableTable(n, (m, side), out.gamma)
-    else:
-        k = math.floor(m)
-        if k != 0:
-            step = 1 if k > 0 else -1
-            out = nabla_shift(stable_basis(n, (m - step, side)), step)
-        else:
-            r = m  # in (0, 1)
-            tbl = seed_slope0(n)
-            for wall in candidate_walls(n, 0, 1):
-                if wall < r or (wall == r and side == 1):
-                    tbl, _ = cross_wall(tbl, wall)
-            out = StableTable(n, (m, side), tbl.gamma)
-    out = StableTable(n, (m, side), out.gamma)
-    _CHAMBER_CACHE[key] = out
-    return out
+    tbl, walls = _sweep(n)
+    for w, _, above in walls:
+        if w < m % 1 or (w == m % 1 and side == 1):
+            tbl = above
+    for _ in range(abs(math.floor(m))):
+        tbl = nabla_shift(tbl, 1 if m > 0 else -1)
+    return StableTable(n, (m, side), tbl.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +396,13 @@ def stable_basis(n: int, slope) -> StableTable:
 # ---------------------------------------------------------------------------
 
 
-def _ribbon_power(la, m: Fraction) -> Fraction:
+def _ribbon_power(la, m: Fraction, reverse: bool = False) -> Fraction:
     b = m.denominator
     total = Fraction(0)
-    for ribbon in ribbon_decomposition(la, b):
+    for ribbon in ribbon_decomposition(la, b, reverse=reverse):
         walk = ribbon_walk(ribbon)
-        assert len(walk) == b - 1
+        if len(walk) != b - 1:
+            raise ArithmeticError(f"a {b}-ribbon of {la} walks {len(walk)} steps")
         for j, step in enumerate(walk, start=1):
             mj = m * j
             total += mj - math.floor(mj) if step == "R" else math.ceil(mj) - mj
@@ -426,7 +425,7 @@ def renorm_factor(la, m) -> Scalar:
         rib = Fraction(0)
     else:
         rib = _ribbon_power(la, m)
-        alt = _alt_ribbon_power(la, m)
+        alt = _ribbon_power(la, m, reverse=True)
         if alt != rib:
             raise ArithmeticError(
                 f"renormalization at {la}, m={m} depends on the ribbon set: "
@@ -437,17 +436,6 @@ def renorm_factor(la, m) -> Scalar:
     return monomial(1, m * eq + rib, m * et)
 
 
-def _alt_ribbon_power(la, m: Fraction) -> Fraction:
-    b = m.denominator
-    total = Fraction(0)
-    for ribbon in ribbon_decomposition(la, b, reverse=True):
-        walk = ribbon_walk(ribbon)
-        for j, step in enumerate(walk, start=1):
-            mj = m * j
-            total += mj - math.floor(mj) if step == "R" else math.ceil(mj) - mj
-    return total
-
-
 def transition_matrix(n: int, slope1, slope2, renormalized: bool = False):
     """Printed-frame matrix: column la expands basis(slope1)_la in basis(slope2).
 
@@ -455,13 +443,25 @@ def transition_matrix(n: int, slope1, slope2, renormalized: bool = False):
     renormalized=True both slopes must sit at the same wall m and the entry
     picks up fac_la/fac_nu, turning the crossing into the renormalized form
     whose entries are conjecturally Laurent in q alone.
+
+    Internally it is G1 G2^-1 for the tables G, computed with slope_i = k_i + r_i
+    as D^-k1 L_r1 (D F)^(k1-k2) L_r2^-1 D^k2; see the module docstring.
     """
     slope1, slope2 = _slope(slope1), _slope(slope2)
-    t1, t2 = stable_basis(n, slope1), stable_basis(n, slope2)
     order = enumerate_partitions(n)
-    g1 = [[t1.entry(la, mu) for mu in order] for la in order]
-    g2 = [[t2.entry(la, mu) for mu in order] for la in order]
-    M = mat_mul(g1, mat_inverse(g2, one(), zero()))
+    k1, k2 = math.floor(slope1[0]), math.floor(slope2[0])
+    chis = [chi(la) for la in order]
+    M = _factor_product(n, slope1[0] - k1, slope1[1])
+    if k1 != k2:
+        F = _factor_product(n, Fraction(1), -1)  # every wall in (0, 1)
+        DF = [[c * x for x in row] for c, row in zip(chis, F)]
+        step = DF if k1 > k2 else mat_inverse(DF, one(), zero())
+        for _ in range(abs(k1 - k2)):
+            M = mat_mul(M, step)
+    L2 = _factor_product(n, slope2[0] - k2, slope2[1])
+    M = mat_mul(M, mat_inverse(L2, one(), zero()))
+    M = [[x * chis[j] ** k2 / chis[i] ** k1 for j, x in enumerate(row)]
+         for i, row in enumerate(M)]
     cs = [seed_normalizer(la) for la in order]
     if renormalized:
         if slope1[0] != slope2[0]:

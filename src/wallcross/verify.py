@@ -23,7 +23,6 @@ from .symfunc import SymFunc, s_, scale_powersums
 
 __all__ = [
     "conjecture_check",
-    "conjecture_check_all",
     "appendix_check",
     "positivity_report",
     "verma_character",
@@ -99,15 +98,6 @@ def conjecture_check(n: int, wall) -> dict:
                 }
                 return _report("conjecture", params, "mismatch", witness, t0)
     return _report("conjecture", params, "match", None, t0)
-
-
-def conjecture_check_all(n: int) -> list:
-    """One report per solver-detected wall in (0, 1)."""
-    out = []
-    for w in stable.candidate_walls(n, 0, 1):
-        if stable.is_wall(n, w):
-            out.append(conjecture_check(n, w))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +185,7 @@ def appendix_check() -> dict:
     checks.append(("n2 factorization 3/2", _ser_matrix(mat_mul(f32, f12), o2),
                    _ser_matrix(g["n2 matrix 3/2"], o2)))
 
-    seed2 = stable.seed_slope0(2)
+    seed2 = stable.stable_basis(2, (F2(0), 1))
     up12 = stable.stable_basis(2, (F2(1, 2), 1))
     up32 = stable.stable_basis(2, (F2(3, 2), 1))
     for label, tbl, la in [

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from wallcross import cache
+from wallcross import cache, cli
 
 
 def run_cli(*args, cache_dir=None, env_cache=None, check=True):
@@ -115,6 +115,40 @@ def test_usage_errors_exit_two(tmp_path):
                    cache_dir=tmp_path, check=False).returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("stable", "--n", "-1", "--slope", "1/2"),
+    ("conjecture-check", "--n", "-2"),
+    ("fock-bar", "--n", "2", "--b", "0"),
+    ("fock-bar", "--n", "2", "--b", "-2"),
+    ("positivity", "--n", "2", "--slope", "1/2", "--order", "-3"),
+    ("fock-bar", "--n", "2", "--b", "2", "--jobs", "0"),
+])
+def test_out_of_range_arguments_exit_two(tmp_path, argv):
+    p = run_cli(*argv, cache_dir=tmp_path, check=False)
+    assert p.returncode == 2
+    assert "must be at least" in p.stderr and "Traceback" not in p.stderr
+
+
+def test_jobs_capped_at_cpu_count(tmp_path):
+    args = cli.build_parser().parse_args(["conjecture-check", "--n", "2",
+                                          "--jobs", "100000"])
+    assert args.jobs == (os.cpu_count() or 1)
+    # n = 2 has a single wall, so no worker pool is ever started
+    a = run_cli("conjecture-check", "--n", "2", "--jobs", "100000", cache_dir=tmp_path)
+    b = run_cli("conjecture-check", "--n", "2", cache_dir=tmp_path)
+    assert a.stdout == b.stdout
+
+
+def test_invariants_survive_optimized_mode():
+    # the mathematical guards are explicit errors, not asserts that -O strips
+    argv = ["-m", "wallcross.cli", "conjecture-check", "--n", "3", "--no-cache"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True,
+                               text=True)
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+
+
 def test_computation_errors_exit_one(tmp_path):
     p = run_cli("wallcross", "--n", "2", "--slope=-1/2", cache_dir=tmp_path,
                 check=False)
@@ -166,6 +200,18 @@ def test_stale_schema_silently_recomputed(tmp_path):
     entry.write_text(json.dumps(doc))
     b = run_cli("wallcross", "--n", "2", "--slope", "1/2", cache_dir=tmp_path)
     assert "recomputing" not in b.stderr  # stale is not corrupt: no warning
+
+
+def test_entry_from_other_code_is_a_miss(tmp_path):
+    args = cli.build_parser().parse_args(["fock-bar", "--n", "2", "--b", "2"])
+    key = cli._cache_key(args)
+    assert key["source"] and key["version"]
+    cache.store(str(tmp_path), dict(key, source="0" * 64), {"text": "old\n", "code": 0})
+    p = run_cli("fock-bar", "--n", "2", "--b", "2", cache_dir=tmp_path)
+    assert json.loads(p.stdout)["b"] == 2
+    # the same entry under this code's own key is served
+    cache.store(str(tmp_path), key, {"text": "old\n", "code": 0})
+    assert run_cli("fock-bar", "--n", "2", "--b", "2", cache_dir=tmp_path).stdout == "old\n"
 
 
 def test_env_var_sets_default_cache_dir(tmp_path):

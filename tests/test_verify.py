@@ -1,10 +1,11 @@
 """Reports: conjecture runs, golden-table comparison, positivity, characters."""
 
+import json
 from fractions import Fraction as F2
 
 import pytest
 
-from wallcross import verify
+from wallcross import cli, verify
 from wallcross.scalars import monomial, one, q1, q2, rational
 from wallcross.symfunc import SymFunc, p_, s_
 
@@ -46,8 +47,9 @@ def test_conjecture_same_b_all_numerators():
     assert r1["status"] == r2["status"] == "match"
 
 
-def test_conjecture_check_all_n3():
-    reports = verify.conjecture_check_all(3)
+def test_conjecture_check_all_n3(capsys):
+    assert cli.main(["conjecture-check", "--n", "3"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
     assert [r["params"]["m"] for r in reports] == ["1/3", "1/2", "2/3"]
     assert all(r["status"] == "match" for r in reports)
 
