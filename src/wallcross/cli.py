@@ -98,12 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fock-bar", parents=[common],
                         help="bar involution matrix on the degree-n piece")
     sp.add_argument("--n", type=_at_least(0), required=True)
-    sp.add_argument("--b", type=_at_least(1), required=True)
+    sp.add_argument("--b", type=_at_least(2), required=True)
 
     sp = sub.add_parser("canonical", parents=[common],
                         help="canonical basis transition matrix")
     sp.add_argument("--n", type=_at_least(0), required=True)
-    sp.add_argument("--b", type=_at_least(1), required=True)
+    sp.add_argument("--b", type=_at_least(2), required=True)
     sp.add_argument("--side", type=_side_arg, default="+")
 
     sp = sub.add_parser("stable", parents=[common],

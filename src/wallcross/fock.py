@@ -300,6 +300,8 @@ def bar_matrix(n: int, b: int, *, priority=None) -> list:
     vectors; the involution is unique, so the choice of words is immaterial
     (and `priority` exists so tests can prove that by permuting it).
     """
+    if b < 2:
+        raise ValueError(f"the level b must be at least 2, got {b}")
     if n == 0:
         return [[one()]]
     T = _spanning_matrix(n, b, priority)

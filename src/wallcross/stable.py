@@ -44,11 +44,12 @@ from .partitions import (
     dominates,
     enumerate_partitions,
     leg,
+    n_stat,
     ribbon_decomposition,
     ribbon_walk,
 )
 from .scalars import Monomial, Scalar, monomial, one, q1, q2, zero
-from .symfunc import from_restrictions, omega, restrict, restrictions, s_, scale_powersums
+from .symfunc import from_restrictions, omega, restrictions, s_, scale_powersums
 
 __all__ = [
     "StableTable",
@@ -109,22 +110,10 @@ def _phi_prime(f):
     return scale_powersums(f, lambda k: one() / (one() - q2(k)))
 
 
-_NORMALIZER_CACHE: dict = {}
-
-
 def seed_normalizer(la: Partition) -> Scalar:
-    """The monomial c_la making the seed restriction at la equal the diagonal."""
+    """c_la = q1^n(la') q2^n(la): the seed row's scale, checked by seed_slope0."""
     la = tuple(la)
-    c = _NORMALIZER_CACHE.get(la)
-    if c is None:
-        base = restrict(_phi_prime(s_(conjugate(la))), la)
-        if not base:
-            raise ArithmeticError(f"seed restriction vanishes at {la}")
-        c = diagonal_value(la) / base
-        if not c.is_term():
-            raise ArithmeticError(f"seed normalization at {la} is not a monomial: {c}")
-        _NORMALIZER_CACHE[la] = c
-    return c
+    return q1(n_stat(conjugate(la))) * q2(n_stat(la))
 
 
 def degree_window(n: int, la, mu, slope) -> tuple:
@@ -178,6 +167,11 @@ def seed_slope0(n: int) -> StableTable:
     for la in enumerate_partitions(n):
         rows = restrictions(_phi_prime(s_(conjugate(la))), n)
         c = seed_normalizer(la)
+        if c * rows[la] != diagonal_value(la):
+            raise ArithmeticError(
+                f"seed normalization at {la}: c_la times the restriction "
+                f"{rows[la]} is not the diagonal {diagonal_value(la)}"
+            )
         out = {}
         for mu, val in rows.items():
             if not val:
@@ -488,4 +482,4 @@ def printed_expansion(table: StableTable, la):
     la = tuple(la)
     f = from_restrictions(table.gamma[la])
     rho = seed_normalizer(la) / (one() - q2(1))
-    return omega(f).scale(one() / rho).to_basis("s")
+    return omega(f.to_basis("p")).scale(one() / rho).to_basis("s")

@@ -4,9 +4,12 @@ Internally everything is stored in the power-sum basis, where products are
 concatenation and the classical pairings are diagonal.  Conversions to and
 from {m, e, s, P, Htilde} are cached per degree; s uses the symmetric-group
 character table (ribbon recursion), m uses the multiplication rule for
-m_nu * p_k, e uses Newton's identity, P is Gram-Schmidt against dominance
-in the q-deformed pairing, and Htilde is the integral form of P with the
-power sums rescaled by 1/(1 - q2^(-k)).
+m_nu * p_k, e uses Newton's identity.  Htilde comes from the
+Haglund-Haiman-Loehr filling formula (J. AMS 18 (2005)): its m_nu
+coefficient is the sum of q1^inv q2^maj over the fillings of content nu, so
+every coefficient is an integer polynomial.  P is Htilde with that formula's
+plethystic twist p_k -> p_k/(1 - q2^(-k)) undone and the integral factor
+divided out; the way into P and Htilde is triangular back-substitution in m.
 
 Pairings.  inner_plain is the deformed Hall pairing
     <p_k, p_k> = k (1 - q1^k)/(1 - q2^(-k));
@@ -19,23 +22,26 @@ products over fixed points against 1/[T].
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import mat_inverse
 from .partitions import (
     Partition,
+    arm,
     boxes,
     bracket,
     chi,
     conjugate,
-    dominates,
     enumerate_partitions,
+    leg,
+    n_stat,
     removable_ribbons,
     ribbon_height,
     tangent_character,
 )
-from .scalars import Scalar, monomial, one, q1, q2, rational, zero
+from .scalars import LaurentPoly, Scalar, one, q1, q2, rational, zero
 
 BASES = ("m", "e", "p", "s", "P", "Htilde")
 
@@ -238,28 +244,58 @@ def _newton_e_in_p(k: int) -> tuple:
     return tuple(sorted(acc.items()))
 
 
+def _multiset_permutations(counts: list):
+    """Distinct words with counts[v] letters v, lexicographically, one at a time."""
+    if not any(counts):
+        yield ()
+    for v, c in enumerate(counts):
+        if c:
+            counts[v] -= 1
+            for rest in _multiset_permutations(counts):
+                yield (v,) + rest
+            counts[v] += 1
+
+
 @lru_cache(maxsize=None)
-def _macdonald_P_in_p(n: int) -> dict:
-    """Gram-Schmidt in the plain pairing against dominance order."""
-    order = enumerate_partitions(n)
-    done: dict = {}
-    norms: dict = {}
-    for la in reversed(order):  # ascending lex: dominance-smaller mu come first
-        v = {mu: rational(c) for mu, c in _m_in_p(la).items() if c}
-        for mu in done:
-            if dominates(la, mu) and mu != la:
-                num = _inner_p_plain(v, done[mu])
-                if num:
-                    f = num / norms[mu]
-                    for rho, c in done[mu].items():
-                        acc = v.get(rho, zero()) - f * c
-                        if acc:
-                            v[rho] = acc
-                        else:
-                            v.pop(rho, None)
-        done[la] = v
-        norms[la] = _inner_p_plain(v, v)
-    return done
+def _Htilde_in_m(mu: Partition) -> dict:
+    """HHL: the m_nu coefficient of Htilde_mu is sum q1^inv q2^maj over fillings.
+
+    A filling writes a word of content nu into mu's boxes in reading order
+    (rows from the top down, each left to right).  Boxes attack when they
+    share a row, or when the upper one sits in the next row strictly to the
+    right; an inversion is an attacking pair read in decreasing order.  A
+    descent is a box larger than the box below it, and adds leg + 1 to maj
+    and -arm to inv.
+    """
+    cells = sorted(boxes(mu), key=lambda c: (-c[1], c[0]))
+    pos = {c: i for i, c in enumerate(cells)}
+    attacks = [
+        (pos[u], pos[v])
+        for u in cells
+        for v in cells
+        if pos[u] < pos[v] and (u[1] == v[1] or (u[1] == v[1] + 1 and u[0] > v[0]))
+    ]
+    descents = [
+        (pos[(x, y)], pos[(x, y - 1)], arm(mu, x, y), leg(mu, x, y) + 1)
+        for x, y in cells
+        if y > 0
+    ]
+    out = {}
+    for nu in enumerate_partitions(sum(mu)):
+        stats: Counter = Counter()
+        for w in _multiset_permutations(list(nu)):
+            inv = sum(1 for i, j in attacks if w[i] > w[j])
+            maj = 0
+            for i, j, a, l1 in descents:
+                if w[i] > w[j]:
+                    inv -= a
+                    maj += l1
+            stats[inv, maj] += 1
+        # q1^inv q2^maj in the (q, t) frame
+        out[nu] = Scalar.from_laurent(
+            LaurentPoly({(a + b, a - b): c for (a, b), c in stats.items()})
+        )
+    return out
 
 
 def _m_in_p(la: Partition) -> dict:
@@ -269,22 +305,9 @@ def _m_in_p(la: Partition) -> dict:
     return {mu: c for mu, c in zip(order, row) if c}
 
 
-def _inner_p_plain(a: dict, b: dict) -> Scalar:
-    """Plain pairing of raw p-coefficient dicts (used during Gram-Schmidt)."""
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    acc = zero()
-    for mu, c in small.items():
-        d = big.get(mu)
-        if d is not None:
-            acc = acc + c * d * _plain_weight(mu)
-    return acc
-
-
 @lru_cache(maxsize=None)
 def _integral_factor(la: Partition) -> Scalar:
     """q2^(-|la|) prod (q2^(l+1) - q1^a): turns P into its integral form."""
-    from .partitions import arm, leg
-
     out = q2(-sum(la))
     for x, y in boxes(la):
         out = out * (q2(leg(la, x, y) + 1) - q1(arm(la, x, y)))
@@ -312,16 +335,20 @@ def _to_p(basis: str, la: Partition) -> dict:
             acc = acc * SymFunc("p", {mu: rational(c) for mu, c in _newton_e_in_p(k)})
         return acc.coeffs
     if basis == "P":
-        return dict(_macdonald_P_in_p(n)[la])
-    if basis == "Htilde":
+        # Htilde_la = _integral_factor(la) * P_la with p_k -> p_k/(1 - q2^(-k))
         c = _integral_factor(la)
         out = {}
-        for mu, v in _macdonald_P_in_p(n)[la].items():
-            f = c
+        for mu, v in _to_p("Htilde", la).items():
             for k in mu:
-                f = f / (one() - q2(-k))
-            out[mu] = v * f
+                v = v * (one() - q2(-k))
+            out[mu] = v / c
         return out
+    if basis == "Htilde":
+        out = {}
+        for nu, c in _Htilde_in_m(la).items():
+            for mu, d in _m_in_p(nu).items():
+                out[mu] = out.get(mu, zero()) + c * rational(d)
+        return {mu: c for mu, c in out.items() if c}
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -366,7 +393,7 @@ def _m_in_P(n: int) -> dict:
     P_in_m = {}
     for la in order:
         md: dict = {}
-        for mu, c in _macdonald_P_in_p(n)[la].items():
+        for mu, c in _to_p("P", la).items():
             for rho, d in _p_in_m(mu).items():
                 acc = md.get(rho, zero()) + c * rational(d)
                 if acc:
@@ -491,14 +518,17 @@ def omega(f: SymFunc) -> SymFunc:
 
 
 def scale_powersums(f: SymFunc, factor) -> SymFunc:
-    """Diagonal operator p_k -> factor(k) * p_k, multiplicative over parts."""
+    """Diagonal operator p_k -> factor(k) * p_k, multiplicative over parts.
+
+    The result stays in the p basis, where the operator acts.
+    """
     p = f.to_basis("p")
     out = {}
     for mu, c in p.coeffs.items():
         for k in mu:
             c = c * factor(k)
         out[mu] = c
-    return SymFunc("p", out).to_basis(f.basis)
+    return SymFunc("p", out)
 
 
 def torus_factor(la) -> Scalar:
@@ -511,26 +541,42 @@ def _torus_factor(la: Partition) -> Scalar:
     return bracket(tangent_character(la))
 
 
-@lru_cache(maxsize=None)
-def _Ht_norm(la: Partition) -> Scalar:
-    f = Ht_(la)
-    return inner_mod(f, f)
+def _mod_weighted(f: SymFunc, n: int) -> dict:
+    """f's degree-n p-coefficients times the inner_mod weight."""
+    return {
+        mu: c * _mod_weight(mu) for mu, c in f.to_basis("p").coeffs.items() if sum(mu) == n
+    }
+
+
+def _restrict_weighted(weighted: dict, la: Partition) -> Scalar:
+    acc = zero()
+    for mu, d in _to_p("Htilde", la).items():
+        c = weighted.get(mu)
+        if c is not None:
+            acc = acc + c * d
+    # prod over boxes of q1^-arm q2^-leg
+    return acc * q1(-n_stat(conjugate(la))) * q2(-n_stat(la))
 
 
 def restrict(f: SymFunc, la) -> Scalar:
     """Restriction of f to the torus fixed point la."""
     la = tuple(la)
-    n = sum(la)
-    if n not in f.degrees():
-        return zero()
-    if f.degrees() != {n}:
-        p = f.to_basis("p")
-        f = SymFunc("p", {mu: c for mu, c in p.coeffs.items() if sum(mu) == n})
-    return torus_factor(la) * inner_mod(f, Ht_(la)) / _Ht_norm(la)
+    return _restrict_weighted(_mod_weighted(f, sum(la)), la)
 
 
 def restrictions(f: SymFunc, n: int) -> dict:
-    return {la: restrict(f, la) for la in enumerate_partitions(n)}
+    """Restrictions of f's degree-n part to every fixed point of Hilb_n.
+
+    f|_la = [T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod, and the
+    ratio [T_la] / <Htilde_la, Htilde_la>_mod is the monomial
+    prod over boxes of q1^-arm q2^-leg.  So each restriction is one dot
+    product of the weighted p-coefficients of f with those of Htilde_la,
+    times that monomial, and nothing is divided.  When the weighted
+    coefficients are Laurent (as for s_la[X/(1-q2)], whose 1/(1 - q2^k)
+    cancel against the weight), so is every restriction.
+    """
+    weighted = _mod_weighted(f, n)
+    return {la: _restrict_weighted(weighted, la) for la in enumerate_partitions(n)}
 
 
 def from_restrictions(values: dict) -> SymFunc:

@@ -122,6 +122,8 @@ def test_usage_errors_exit_two(tmp_path):
     ("fock-bar", "--n", "2", "--b", "-2"),
     ("positivity", "--n", "2", "--slope", "1/2", "--order", "-3"),
     ("fock-bar", "--n", "2", "--b", "2", "--jobs", "0"),
+    ("fock-bar", "--n", "3", "--b", "1"),
+    ("canonical", "--n", "3", "--b", "1"),
 ])
 def test_out_of_range_arguments_exit_two(tmp_path, argv):
     p = run_cli(*argv, cache_dir=tmp_path, check=False)

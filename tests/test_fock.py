@@ -294,6 +294,14 @@ def test_canonical_sign_validation():
         F.canonical_basis(2, 2, "plus")
 
 
+@pytest.mark.parametrize("b", [1, 0])
+def test_level_below_two_rejected(b):
+    with pytest.raises(ValueError, match="at least 2"):
+        F.bar_matrix(3, b)
+    with pytest.raises(ValueError, match="at least 2"):
+        F.canonical_basis(3, b, "+")
+
+
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("n,b", [(4, 2), (5, 2), (4, 3)])
 def test_canonical_columns_bar_invariant(n, b, sign):

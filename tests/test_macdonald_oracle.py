@@ -1,0 +1,195 @@
+"""Gram-Schmidt Macdonald polynomials as the reference for the HHL layer.
+
+The library builds Htilde from the Haglund-Haiman-Loehr filling formula,
+derives P from it, and restricts to fixed points with one polynomial dot
+product per point.  The route it replaced is kept here: P by Gram-Schmidt
+against dominance order in the deformed Hall pairing, Htilde as the
+p-twisted integral form of P, and restriction as
+[T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod.  New and old must
+agree exactly at n <= 4.  At n = 6, where the reference is too slow,
+properties that need no reference stand in.
+"""
+
+import math
+import random
+import time
+from functools import lru_cache
+
+import pytest
+
+from wallcross import stable as S
+from wallcross.partitions import conjugate, dominates, enumerate_partitions
+from wallcross.scalars import Monomial, Scalar, one, q1, q2, rational, zero
+from wallcross.symfunc import (
+    Ht_,
+    SymFunc,
+    _Htilde_in_m,
+    _integral_factor,
+    _m_in_p,
+    _plain_weight,
+    _to_p,
+    inner_mod,
+    restrict,
+    restrictions,
+    s_,
+    scale_powersums,
+    torus_factor,
+)
+
+from test_symfunc import mod_pair_formula, random_symfunc
+
+# ---------------------------------------------------------------------------
+# the reference route
+# ---------------------------------------------------------------------------
+
+
+def _inner_p_plain(a: dict, b: dict) -> Scalar:
+    """Plain pairing of raw p-coefficient dicts."""
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    acc = zero()
+    for mu, c in small.items():
+        d = big.get(mu)
+        if d is not None:
+            acc = acc + c * d * _plain_weight(mu)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _macdonald_P_in_p(n: int) -> dict:
+    """Gram-Schmidt in the plain pairing against dominance order."""
+    order = enumerate_partitions(n)
+    done: dict = {}
+    norms: dict = {}
+    for la in reversed(order):  # ascending lex: dominance-smaller mu come first
+        v = {mu: rational(c) for mu, c in _m_in_p(la).items() if c}
+        for mu in done:
+            if dominates(la, mu) and mu != la:
+                num = _inner_p_plain(v, done[mu])
+                if num:
+                    f = num / norms[mu]
+                    for rho, c in done[mu].items():
+                        acc = v.get(rho, zero()) - f * c
+                        if acc:
+                            v[rho] = acc
+                        else:
+                            v.pop(rho, None)
+        done[la] = v
+        norms[la] = _inner_p_plain(v, v)
+    return done
+
+
+@lru_cache(maxsize=None)
+def old_Htilde(la) -> SymFunc:
+    c = _integral_factor(la)
+    out = {}
+    for mu, v in _macdonald_P_in_p(sum(la))[la].items():
+        f = c
+        for k in mu:
+            f = f / (one() - q2(-k))
+        out[mu] = v * f
+    return SymFunc("p", out)
+
+
+def old_restrict(f: SymFunc, la) -> Scalar:
+    n = sum(la)
+    f = SymFunc("p", {mu: c for mu, c in f.to_basis("p").coeffs.items() if sum(mu) == n})
+    H = old_Htilde(la)
+    return torus_factor(la) * inner_mod(f, H) / inner_mod(H, H)
+
+
+def old_seed(n: int) -> dict:
+    gamma = {}
+    for la in enumerate_partitions(n):
+        f = scale_powersums(s_(conjugate(la)), lambda k: one() / (one() - q2(k)))
+        rows = {mu: old_restrict(f, mu) for mu in enumerate_partitions(n)}
+        c = S.diagonal_value(la) / rows[la]
+        assert c.is_term(), la
+        gamma[la] = {mu: c * v for mu, v in rows.items() if v}
+    return gamma
+
+
+# ---------------------------------------------------------------------------
+# new against old, n <= 4
+# ---------------------------------------------------------------------------
+
+SMALL = [la for n in range(1, 5) for la in enumerate_partitions(n)]
+
+
+@pytest.mark.parametrize("mu", SMALL, ids=str)
+def test_Htilde_matches_gram_schmidt(mu):
+    old = old_Htilde(mu)
+    assert _to_p("Htilde", mu) == old.coeffs
+    assert _Htilde_in_m(mu) == old.to_basis("m").coeffs
+
+
+@pytest.mark.parametrize("mu", SMALL, ids=str)
+def test_P_matches_gram_schmidt(mu):
+    assert _to_p("P", mu) == _macdonald_P_in_p(sum(mu))[mu]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_restrictions_match_old_route(n):
+    rng = random.Random(100 + n)
+    den = one() - q1(1) * q2(2)
+    for _ in range(3):
+        f = random_symfunc(n, rng)
+        # a coefficient with a denominator, and a part of another degree
+        g = f + random_symfunc(n, rng).scale(one() / den) + random_symfunc(n + 1, rng)
+        for h in (f, g):
+            got = restrictions(h, n)
+            for la in enumerate_partitions(n):
+                want = old_restrict(h, la)
+                assert got[la] == want, (n, la)
+                assert restrict(h, la) == want, (n, la)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_seed_matches_old_route(n):
+    assert S.seed_slope0(n).gamma == old_seed(n)
+
+
+# ---------------------------------------------------------------------------
+# properties at n = 6, where the reference is too slow
+# ---------------------------------------------------------------------------
+
+N6 = enumerate_partitions(6)
+
+
+def _swap_q1_q2(c: Scalar) -> Scalar:
+    # q1 = q t and q2 = q/t, so swapping them inverts t
+    return Scalar.from_laurent(c.num.map_exponents(lambda m: Monomial(m.exp_q, -m.exp_t)))
+
+
+def test_Htilde_conjugation_symmetry_n6():
+    for mu in N6:
+        got = {nu: _swap_q1_q2(c) for nu, c in Ht_(mu).to_basis("m").coeffs.items()}
+        assert got == Ht_(conjugate(mu)).to_basis("m").coeffs, mu
+
+
+def test_Htilde_at_q1_q2_one_n6():
+    # at q1 = q2 = 1 every filling counts once: m_nu has n!/prod nu_i! of them
+    for mu in N6:
+        coeffs = Ht_(mu).to_basis("m").coeffs
+        assert set(coeffs) == set(N6), mu
+        for nu, c in coeffs.items():
+            assert c.is_laurent(), (mu, nu)
+            want = math.factorial(6) // math.prod(math.factorial(k) for k in nu)
+            assert sum(c.num.terms().values()) == want, (mu, nu)
+
+
+def test_Htilde_mod_norm_n6():
+    for mu in N6:
+        H = Ht_(mu)
+        assert inner_mod(H, H) == mod_pair_formula(mu), mu
+
+
+def test_seed_n6_within_budget():
+    # seed_slope0 raises on a dominance, Laurent, diagonal or window failure
+    t0 = time.perf_counter()
+    tbl = S.seed_slope0(6)
+    elapsed = time.perf_counter() - t0
+    for la, row in tbl.gamma.items():
+        assert row[la] == S.diagonal_value(la), la
+        for mu, val in row.items():
+            assert dominates(la, mu) and val.is_laurent(), (la, mu)
+    assert elapsed < 15, f"seed_slope0(6) took {elapsed:.1f} s"
