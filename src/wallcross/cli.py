@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import __version__, cache, fock, stable, verify
 from .partitions import enumerate_partitions
-from .scalars import Scalar, zero
+from .scalars import Scalar, q1q2_exponents, zero
 from .symfunc import Ht_
 
 CACHEABLE = {"macdonald", "fock-bar", "canonical", "stable", "wallcross"}
@@ -197,8 +197,7 @@ def _emit_csv_flat(doc: dict) -> str:
 
 
 def _latex_monomial(m) -> str:
-    a = Fraction(m.exp_q + m.exp_t, 2)
-    b = Fraction(m.exp_q - m.exp_t, 2)
+    a, b = q1q2_exponents(m)
     if a.denominator == 1 and b.denominator == 1:
         pairs = [("q_1", int(a)), ("q_2", int(b))]
     else:

@@ -14,15 +14,14 @@ The sign on e's exponent is forced: with +N^l the quantum sl_2 relation
 piece at b = 2, while the flipped sign satisfies it everywhere we test.  The
 bar involution never sees e, so nothing downstream depends on the choice.
 
-bar_matrix generates bar-invariant vectors (words in the f_i and V_k applied
-to the vacuum) breadth-first until they span the degree-n piece, writes them
-in a matrix T, and returns A = T(q) T(1/q)^(-1); canonical_basis runs the
-triangular recursion producing the global canonical bases G^+/G^-.
+bar_matrix spans each degree by bar-invariant vectors (the f_i and V_k
+applied to the vectors kept at the degrees below, starting from the vacuum),
+writes the degree-n ones in a matrix T, and returns A = T(q) T(1/q)^(-1);
+canonical_basis runs the triangular recursion producing the global
+canonical bases G^+/G^-.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .linalg import RankAccumulator, mat_inverse, mat_mul
 from .partitions import (
@@ -42,15 +41,11 @@ from .scalars import Scalar, monomial, one, zero
 
 __all__ = [
     "vacuum",
-    "apply_standard",
     "apply_f",
     "apply_e",
     "apply_h",
-    "apply_D",
     "apply_V",
     "apply_B",
-    "apply_f_costandard",
-    "apply_V_costandard",
     "bar_matrix",
     "canonical_basis",
     "lt_property_check",
@@ -83,26 +78,12 @@ def _i_removable(la: Partition, i: int, b: int) -> list:
     return [(x, y) for x, y in removable_boxes(la) if (x - y) % b == i % b]
 
 
-def apply_standard(gen, v: dict, b: int) -> dict:
-    """Dispatch on gen = ('e'|'f'|'h', i); 'h' means the Cartan weight q^(h_i)."""
-    kind, i = gen
-    if kind == "f":
-        return apply_f(i, v, b)
-    if kind == "e":
-        return apply_e(i, v, b)
-    if kind == "h":
-        return apply_h(i, v, b)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def apply_f(i: int, v: dict, b: int, nmax: int | None = None) -> dict:
+def apply_f(i: int, v: dict, b: int) -> dict:
     """f_i: add an i-node with coefficient q^(indent - removable, to the right)."""
     if not 0 <= i < b:
         raise ValueError(f"generator index {i} out of range for b={b}")
     out: dict = {}
     for mu, c in v.items():
-        if nmax is not None and size(mu) + 1 > nmax:
-            continue
         ind = _i_addable(mu, i, b)
         rem = _i_removable(mu, i, b)
         for x, y in ind:
@@ -136,16 +117,6 @@ def apply_h(i: int, v: dict, b: int) -> dict:
     return out
 
 
-def apply_D(v: dict, b: int) -> dict:
-    # implemented exactly as printed (q^D eigenvalue q^(-N_0)); kept out of
-    # the property suites, which that sign would break
-    out: dict = {}
-    for la, c in v.items():
-        n = len(_i_addable(la, 0, b)) - len(_i_removable(la, 0, b))
-        _add_term(out, la, c * _qpow(-n))
-    return out
-
-
 def _strip_targets_up(mu: Partition, k: int, b: int) -> list:
     """(la, spin) for all horizontal k-strips of b-ribbons added to mu."""
     out = []
@@ -167,21 +138,19 @@ def _strip_targets_down(la: Partition, k: int, b: int) -> list:
     return out
 
 
-def apply_V(k: int, v: dict, b: int, nmax: int | None = None) -> dict:
+def apply_V(k: int, v: dict, b: int) -> dict:
     """V_k (k > 0 creates, k < 0 annihilates) with coefficient (-q)^(-spin)."""
     if k == 0:
         raise ValueError("V_0 is the identity's generating-series constant; use k != 0")
     out: dict = {}
     for la, c in v.items():
-        if k > 0 and nmax is not None and size(la) + k * b > nmax:
-            continue
         pairs = _strip_targets_up(la, k, b) if k > 0 else _strip_targets_down(la, -k, b)
         for target, sp in pairs:
             _add_term(out, target, c * monomial((-1) ** sp, -sp, 0))
     return out
 
 
-def apply_B(k: int, v: dict, b: int, nmax: int | None = None) -> dict:
+def apply_B(k: int, v: dict, b: int) -> dict:
     """Heisenberg generator B_k; B_(-k) for k > 0 is built from V_1..V_k.
 
     The generating series sum V_k z^k = exp(sum B_(-k) z^k / k) inverts to
@@ -197,44 +166,15 @@ def apply_B(k: int, v: dict, b: int, nmax: int | None = None) -> dict:
     def rec(j: int, w: dict) -> dict:
         out = {
             la: c * monomial(j)
-            for la, c in apply_V(sgn * j, w, b, nmax).items()
+            for la, c in apply_V(sgn * j, w, b).items()
         }
         for i in range(1, j):
             inner = rec(j - i, w)
-            for la, c in apply_V(sgn * i, inner, b, nmax).items():
+            for la, c in apply_V(sgn * i, inner, b).items():
                 _add_term(out, la, -c)
         return out
 
     return rec(kk, v)
-
-
-def apply_f_costandard(i: int, v: dict, b: int, nmax: int | None = None) -> dict:
-    """f_i on coordinates in the costandard basis: exponents conjugated."""
-    if not 0 <= i < b:
-        raise ValueError(f"generator index {i} out of range for b={b}")
-    out: dict = {}
-    for mu, c in v.items():
-        if nmax is not None and size(mu) + 1 > nmax:
-            continue
-        ind = _i_addable(mu, i, b)
-        rem = _i_removable(mu, i, b)
-        for x, y in ind:
-            n = sum(1 for u, _ in ind if u > x) - sum(1 for u, _ in rem if u > x)
-            _add_term(out, add_box(mu, x, y), c * _qpow(-n))
-    return out
-
-
-def apply_V_costandard(k: int, v: dict, b: int, nmax: int | None = None) -> dict:
-    if k == 0:
-        raise ValueError("V_0 is the identity's generating-series constant; use k != 0")
-    out: dict = {}
-    for la, c in v.items():
-        if k > 0 and nmax is not None and size(la) + k * b > nmax:
-            continue
-        pairs = _strip_targets_up(la, k, b) if k > 0 else _strip_targets_down(la, -k, b)
-        for target, sp in pairs:
-            _add_term(out, target, c * monomial((-1) ** sp, sp, 0))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,53 +198,49 @@ def _apply_gen(gen, v: dict, b: int) -> dict:
     return apply_f(i, v, b) if kind == "f" else apply_V(i, v, b)
 
 
-def _spanning_matrix(n: int, b: int, priority=None) -> list:
-    """Columns: bar-invariant vectors spanning degree n, by BFS over words.
+def _spanning_matrix(n: int, b: int) -> list:
+    """Columns: bar-invariant vectors spanning degree n, closed degree by degree.
 
-    Words are application sequences (leftmost letter hits the vacuum first);
-    shorter words first, ties in generator order.  A vector enters T only if
-    it enlarges the span, tracked by incremental elimination over the exact
-    scalar field.
+    Degree d is spanned by each generator applied to the vectors kept at
+    degree d - deg(gen), in generator order; the generators are linear, so
+    every word of degree d lands in that span.  A vector is kept only if it
+    enlarges its degree's span, tracked by incremental elimination over the
+    exact scalar field.
     """
-    order = enumerate_partitions(n)
-    idx = {la: j for j, la in enumerate(order)}
-    target = len(order)
     gens = _generators(b, n)
-    if priority is not None:
-        gens = [gens[j] for j in priority]
-    acc = RankAccumulator()
-    cols = []
-    queue = deque([(0, vacuum())])
-    while queue and len(cols) < target:
-        deg, vec = queue.popleft()
-        if deg == n:
-            row = {idx[la]: c for la, c in vec.items()}
-            if acc.add(row):
-                cols.append([vec.get(la, zero()) for la in order])
-            continue
-        for gen, d in gens:
-            if deg + d <= n:
-                queue.append((deg + d, _apply_gen(gen, vec, b)))
-    if len(cols) < target:
+    kept = [[vacuum()]]
+    for d in range(1, n + 1):
+        order = enumerate_partitions(d)
+        idx = {la: j for j, la in enumerate(order)}
+        acc = RankAccumulator()
+        cols = []
+        images = (_apply_gen(gen, v, b) for gen, g in gens if g <= d for v in kept[d - g])
+        for w in images:
+            if acc.add({idx[la]: c for la, c in w.items()}):
+                cols.append(w)
+                if len(cols) == len(order):
+                    break
+        kept.append(cols)
+    if len(cols) < len(order):
         raise ArithmeticError(
-            f"bar-invariant words span only {len(cols)} of {target} dimensions "
+            f"bar-invariant words span only {len(cols)} of {len(order)} dimensions "
             f"at n={n}, b={b}"
         )
-    return [[cols[j][i] for j in range(target)] for i in range(target)]  # transpose
+    return [[w.get(la, zero()) for w in cols] for la in order]
 
 
-def bar_matrix(n: int, b: int, *, priority=None) -> list:
+def bar_matrix(n: int, b: int) -> list:
     """A(q) with entry [row mu][col la] = coefficient of |mu> in bar(|la>).
 
     Computed as T(q) T(1/q)^(-1) from any spanning set of bar-invariant
-    vectors; the involution is unique, so the choice of words is immaterial
-    (and `priority` exists so tests can prove that by permuting it).
+    vectors; the involution is unique, so the choice of vectors is
+    immaterial.
     """
     if b < 2:
         raise ValueError(f"the level b must be at least 2, got {b}")
     if n == 0:
         return [[one()]]
-    T = _spanning_matrix(n, b, priority)
+    T = _spanning_matrix(n, b)
     Tbar = [[_bar_scalar(c) for c in row] for row in T]
     A = mat_mul(T, mat_inverse(Tbar, one(), zero()))
     bad = lt_property_check(A, n, b)

@@ -125,7 +125,8 @@ class RankAccumulator:
     """Incremental rank of sparse vectors (dict key -> field element).
 
     Keys must sort; reduction always eliminates the largest key first, so
-    membership answers don't depend on insertion order beyond the span.
+    whether `add` grows the rank depends only on the span so far, not on
+    the order it was built in.
     """
 
     def __init__(self):
@@ -154,10 +155,6 @@ class RankAccumulator:
                     else:
                         del vec[k]
         return None, None
-
-    def contains(self, vec) -> bool:
-        red, _ = self._reduce(dict(vec))
-        return red is None
 
     def add(self, vec) -> bool:
         """Insert vec into the span; True if the rank grew."""

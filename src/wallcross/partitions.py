@@ -22,13 +22,6 @@ from .scalars import LaurentPoly, Monomial, Scalar, monomial, one
 Partition = tuple  # tuple[int, ...], weakly decreasing, no zeros
 
 
-def check_partition(la) -> Partition:
-    la = tuple(la)
-    assert all(isinstance(p, int) and p > 0 for p in la), la
-    assert all(la[i] >= la[i + 1] for i in range(len(la) - 1)), la
-    return la
-
-
 def size(la: Partition) -> int:
     return sum(la)
 

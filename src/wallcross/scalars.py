@@ -54,6 +54,7 @@ __all__ = [
     "rational",
     "monomial",
     "change_coordinates",
+    "q1q2_exponents",
 ]
 
 
@@ -319,12 +320,6 @@ class LaurentPoly:
             raise ValueError("q_degree_range of zero polynomial")
         degs = [m.exp_q for m in self._terms]
         return min(degs), max(degs)
-
-    def truncate_q(self, order) -> "LaurentPoly":
-        order = _fr(order)
-        return LaurentPoly(
-            {m: c for m, c in self._terms.items() if m.exp_q <= order}
-        )
 
     # -- identity ----------------------------------------------------------
 
@@ -975,53 +970,6 @@ class Scalar:
             f = lambda m: Monomial(m.exp_q, -m.exp_t)
         return Scalar(self.num.map_exponents(f), self.den.map_exponents(f))
 
-    def series_expand(self, order) -> LaurentPoly:
-        """Power-series expansion, kept to monomials of q-degree <= order.
-
-        The denominator must have a unique term of minimal q-exponent; the
-        expansion is the geometric series in E = 1 - den/(that term), whose
-        terms then all carry positive q-exponent.
-        """
-        order = _fr(order)
-        if not self:
-            return LaurentPoly()
-        if self.den.is_one():
-            return self.num.truncate_q(order)
-        terms = self.den.terms()
-        qmin = min(m.exp_q for m in terms)
-        anchors = [m for m in terms if m.exp_q == qmin]
-        if len(anchors) > 1:
-            bad = " and ".join(
-                LaurentPoly({m: terms[m]}).dumps() for m in sorted(anchors, reverse=True)
-            )
-            raise ValueError(
-                f"series_expand: denominator not expandable, minimal q-exponent shared by {bad}"
-            )
-        u = anchors[0]
-        cu = terms[u]
-        e_terms = {}
-        for m, c in terms.items():
-            if m == u:
-                continue
-            e_terms[Monomial(m.exp_q - u.exp_q, m.exp_t - u.exp_t)] = -c / cu
-        E = LaurentPoly(e_terms)
-        P = self.num.mul_term(Fraction(1) / cu, u.inv())
-        if E.is_zero():
-            return P.truncate_q(order)
-        delta = min(m.exp_q for m in E.terms())
-        assert delta > 0
-        bound = order - min(m.exp_q for m in P.terms())
-        acc = LaurentPoly.one()
-        power = LaurentPoly.one()
-        k = 0
-        while (k + 1) * delta <= bound:
-            power = (power * E).truncate_q(bound)
-            if power.is_zero():
-                break
-            acc = acc + power
-            k += 1
-        return (P * acc).truncate_q(order)
-
     # -- serialization -----------------------------------------------------
 
     def dumps(self) -> str:
@@ -1072,12 +1020,15 @@ def change_coordinates(x: Scalar, direction: str) -> Scalar:
     if direction == "q1q2_to_qt":
         f = lambda m: Monomial(_ex(m.exp_q + m.exp_t), _ex(m.exp_q - m.exp_t))
     elif direction == "qt_to_q1q2":
-        f = lambda m: Monomial(
-            _ex(Fraction(m.exp_q + m.exp_t, 2)), _ex(Fraction(m.exp_q - m.exp_t, 2))
-        )
+        f = lambda m: Monomial(*map(_ex, q1q2_exponents(m)))
     else:
         raise ValueError("direction must be 'q1q2_to_qt' or 'qt_to_q1q2'")
     return Scalar(x.num.map_exponents(f), x.den.map_exponents(f))
+
+
+def q1q2_exponents(m: Monomial) -> tuple[Fraction, Fraction]:
+    """(a, b) with q^e_q t^e_t = q1^a q2^b: a = (e_q+e_t)/2, b = (e_q-e_t)/2."""
+    return Fraction(m.exp_q + m.exp_t, 2), Fraction(m.exp_q - m.exp_t, 2)
 
 
 def monomial(coeff, exp_q=0, exp_t=0) -> Scalar:

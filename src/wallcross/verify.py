@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import fock, stable
 from .linalg import mat_mul
 from .partitions import content_sum, enumerate_partitions, hook_partitions
-from .scalars import Scalar, monomial, one, q1, q2, zero
+from .scalars import Scalar, monomial, one, q1, q1q2_exponents, q2, zero
 from .symfunc import SymFunc, s_, scale_powersums
 
 __all__ = [
@@ -231,8 +231,7 @@ def appendix_check() -> dict:
 def _q1q2_dict(terms: dict) -> dict:
     out = {}
     for mono, coef in terms.items():
-        a = Fraction(mono.exp_q + mono.exp_t, 2)
-        b = Fraction(mono.exp_q - mono.exp_t, 2)
+        a, b = q1q2_exponents(mono)
         if a.denominator != 1 or b.denominator != 1:
             raise ValueError("fractional exponent")
         out[(int(a), int(b))] = out.get((int(a), int(b)), 0) + coef
@@ -353,8 +352,7 @@ def _normalize_top(f: SymFunc) -> SymFunc:
     if not coef.den.is_one():
         return f.scale(one() / coef)
     terms = coef.num.terms()
-    amin = min(Fraction(m.exp_q + m.exp_t, 2) for m in terms)
-    bmin = min(Fraction(m.exp_q - m.exp_t, 2) for m in terms)
+    amin, bmin = map(min, zip(*map(q1q2_exponents, terms)))
     cs = sorted(terms.values())
     content = Fraction(
         math.gcd(*(c.numerator for c in cs)) if len(cs) > 1 else abs(cs[0].numerator),

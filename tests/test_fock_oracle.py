@@ -1,0 +1,53 @@
+"""Differential oracle for the Fock bar matrix.
+
+The reference below is the breadth-first word search that `bar_matrix`
+used before it spanned each degree from the degrees below: words in the
+f_i and V_k applied to the vacuum, shorter words first and ties in
+generator order, each degree-n image kept only if it enlarges the span.
+It never prunes, so it is exponential in n and lives here only to pin the
+closure to the same involution.
+"""
+
+from collections import deque
+
+import pytest
+
+from wallcross import fock as F
+from wallcross.linalg import RankAccumulator, mat_inverse, mat_mul
+from wallcross.partitions import enumerate_partitions
+from wallcross.scalars import one, zero
+
+
+def bfs_spanning_matrix(n, b):
+    order = enumerate_partitions(n)
+    idx = {la: j for j, la in enumerate(order)}
+    target = len(order)
+    gens = F._generators(b, n)
+    acc = RankAccumulator()
+    cols = []
+    queue = deque([(0, F.vacuum())])
+    while queue and len(cols) < target:
+        deg, vec = queue.popleft()
+        if deg == n:
+            if acc.add({idx[la]: c for la, c in vec.items()}):
+                cols.append([vec.get(la, zero()) for la in order])
+            continue
+        for gen, d in gens:
+            if deg + d <= n:
+                queue.append((deg + d, F._apply_gen(gen, vec, b)))
+    assert len(cols) == target, (n, b, len(cols))
+    return [[cols[j][i] for j in range(target)] for i in range(target)]
+
+
+def bfs_bar_matrix(n, b):
+    if n == 0:
+        return [[one()]]
+    T = bfs_spanning_matrix(n, b)
+    Tbar = [[c.bar_substitute("q") for c in row] for row in T]
+    return mat_mul(T, mat_inverse(Tbar, one(), zero()))
+
+
+@pytest.mark.parametrize("b", [2, 3, 4])
+@pytest.mark.parametrize("n", range(7))
+def test_bar_matrix_matches_breadth_first_reference(n, b):
+    assert F.bar_matrix(n, b) == bfs_bar_matrix(n, b)

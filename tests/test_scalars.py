@@ -200,47 +200,6 @@ def test_bar_substitute_example():
 
 
 # ---------------------------------------------------------------------------
-# series expansion
-# ---------------------------------------------------------------------------
-
-
-def test_series_geometric():
-    s = (one() / (one() - q(2) * t(-2))).series_expand(5)
-    assert s == (one() + q(2) * t(-2) + q(4) * t(-4)).num
-
-
-def test_series_laurent_truncation():
-    s = (q(-1) + q(3) + q(7)).series_expand(4)
-    assert s == (q(-1) + q(3)).num
-
-
-def test_series_with_numerator_shift():
-    # q^(-2)/(1-q) to order 0 needs series terms past the naive order
-    s = (q(-2) / (one() - q())).series_expand(0)
-    assert s == (q(-2) + q(-1) + one()).num
-
-
-def test_series_matches_sympy():
-    import sympy
-
-    qs = sympy.symbols("q")
-    x = (one() + q()) / (one() - q() - q(2))
-    got = x.series_expand(6)
-    ref = sympy.series((1 + qs) / (1 - qs - qs**2), qs, 0, 7).removeO().expand()
-    mine = sum(
-        sympy.Rational(c.numerator, c.denominator) * qs ** int(m.exp_q)
-        for m, c in got.terms().items()
-    )
-    assert sympy.expand(mine - ref) == 0
-
-
-def test_series_rejects_tied_minimal_q_exponent():
-    x = one() / (one() + t() + q())
-    with pytest.raises(ValueError, match="minimal q-exponent"):
-        x.series_expand(3)
-
-
-# ---------------------------------------------------------------------------
 # degree ranges
 # ---------------------------------------------------------------------------
 

@@ -102,6 +102,21 @@ def test_series_laurent_prefactor():
     assert got == {(-1, k): F2(1) for k in range(4)}
 
 
+def test_series_matches_sympy():
+    # q1 = s*x, q2 = s*y, so total degree in (q1, q2) is the order in s
+    import sympy
+
+    s, x, y = sympy.symbols("s x y")
+    val = (one() + q1(1)) / (one() - q1(1) - q2(2))
+    got = verify._series_coefficients(val, 6)
+    ref = sympy.series((1 + s * x) / (1 - s * x - s**2 * y**2), s, 0, 7).removeO()
+    mine = sum(
+        sympy.Rational(c.numerator, c.denominator) * (s * x) ** a * (s * y) ** b
+        for (a, b), c in got.items()
+    )
+    assert sympy.expand(mine - ref) == 0
+
+
 def test_positivity_small_slopes():
     for n, m in [(2, F2(1, 2)), (2, F2(3, 2)), (3, F2(1, 3))]:
         r = verify.positivity_report(n, (m, 1), 6)
