@@ -172,7 +172,8 @@ def removable_ribbons(la: Partition, b: int) -> list:
         if v - b >= 0 and v - b not in bset:
             mu = _from_beta([w if w != v else v - b for w in beta])
             rb = sorted(set(boxes(la)) - set(boxes(mu)))
-            assert len(rb) == b
+            if len(rb) != b:
+                raise ArithmeticError(f"{la} minus {mu} is {len(rb)} boxes, not a {b}-ribbon")
             out.append((mu, rb))
     return out
 
@@ -182,13 +183,14 @@ def ribbon_walk(ribbon: list) -> str:
     rb = sorted(ribbon, key=lambda xy: xy[0] - xy[1])
     steps = []
     for (x0, y0), (x1, y1) in zip(rb, rb[1:]):
-        assert (x1 - y1) == (x0 - y0) + 1, "contents must be consecutive"
+        if (x1 - y1) != (x0 - y0) + 1:
+            raise ValueError(f"contents of {(x0, y0)} and {(x1, y1)} are not consecutive")
         if y1 == y0 and x1 == x0 + 1:
             steps.append("R")
         elif x1 == x0 and y1 == y0 - 1:
             steps.append("D")
         else:
-            raise AssertionError(f"not a ribbon step: {(x0, y0)} -> {(x1, y1)}")
+            raise ValueError(f"not a ribbon step: {(x0, y0)} -> {(x1, y1)}")
     return "".join(steps)
 
 
@@ -326,7 +328,8 @@ def bracket(char: LaurentPoly) -> Scalar:
     for m, c in char.terms().items():
         if m == Monomial(Fraction(0), Fraction(0)):
             raise ValueError("bracket of a character containing the trivial weight")
-        assert c.denominator == 1, "character multiplicities must be integers"
+        if c.denominator != 1:
+            raise ValueError(f"character multiplicity {c} of {m} is not an integer")
         factor = one() - monomial(1, -m.exp_q, -m.exp_t)
         out = out * factor ** int(c)
     return out

@@ -1,15 +1,14 @@
 """Symmetric functions over exact (q, t) scalars.
 
-Internally everything is stored in the power-sum basis, where products are
-concatenation and the classical pairings are diagonal.  Conversions to and
-from {m, e, s, P, Htilde} are cached per degree; s uses the symmetric-group
-character table (ribbon recursion), m uses the multiplication rule for
-m_nu * p_k, e uses Newton's identity.  Htilde comes from the
-Haglund-Haiman-Loehr filling formula (J. AMS 18 (2005)): its m_nu
+Internally everything is stored in the power-sum basis, where the classical
+pairings are diagonal, and every conversion between {m, p, s, Htilde} goes
+through p.  s uses the symmetric-group character table (ribbon recursion), m
+the multiplication rule for m_nu * p_k, both cached per degree.  Htilde comes
+from the Haglund-Haiman-Loehr filling formula (J. AMS 18 (2005)): its m_nu
 coefficient is the sum of q1^inv q2^maj over the fillings of content nu, so
-every coefficient is an integer polynomial.  P is Htilde with that formula's
-plethystic twist p_k -> p_k/(1 - q2^(-k)) undone and the integral factor
-divided out; the way into P and Htilde is triangular back-substitution in m.
+every coefficient is an integer polynomial.  The Htilde are the fixed-point
+classes of Hilb_n, so the way into Htilde is localization: the Htilde_la
+coordinate of f is f|_la / [T_la].
 
 Pairings.  inner_plain is the deformed Hall pairing
     <p_k, p_k> = k (1 - q1^k)/(1 - q2^(-k));
@@ -43,7 +42,7 @@ from .partitions import (
 )
 from .scalars import LaurentPoly, Scalar, one, q1, q2, rational, zero
 
-BASES = ("m", "e", "p", "s", "P", "Htilde")
+BASES = ("m", "p", "s", "Htilde")
 
 
 def z_stat(mu: Partition) -> int:
@@ -69,7 +68,8 @@ class SymFunc:
     __slots__ = ("basis", "coeffs")
 
     def __init__(self, basis: str, coeffs: dict):
-        assert basis in BASES, basis
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
         self.coeffs = {tuple(la): c for la, c in coeffs.items() if c}
 
@@ -108,23 +108,11 @@ class SymFunc:
     def scale(self, c: Scalar):
         return SymFunc(self.basis, {la: v * c for la, v in self.coeffs.items()})
 
-    def __mul__(self, other):
-        a, b = self.to_basis("p").coeffs, other.to_basis("p").coeffs
-        out: dict = {}
-        for la, ca in a.items():
-            for mu, cb in b.items():
-                nu = tuple(sorted(la + mu, reverse=True))
-                c = ca * cb
-                out[nu] = out.get(nu, zero()) + c
-        return SymFunc("p", out).to_basis(self.basis)
-
     def to_basis(self, basis: str) -> "SymFunc":
         if basis == self.basis:
             return self
         if self.basis != "p":
             return self._p_form().to_basis(basis)
-        if basis == "p":
-            return self
         out: dict = {}
         for mu, c in self.coeffs.items():
             for la, d in _p_in_basis(basis, mu).items():
@@ -155,20 +143,12 @@ def m_(la):
     return basis_element("m", la)
 
 
-def e_(la):
-    return basis_element("e", la)
-
-
 def p_(la):
     return basis_element("p", la)
 
 
 def s_(la):
     return basis_element("s", la)
-
-
-def P_(la):
-    return basis_element("P", la)
 
 
 def Ht_(la):
@@ -229,19 +209,6 @@ def _m_to_p_matrix(n: int) -> tuple:
     rows = _p_to_m_matrix(n)
     inv = mat_inverse([list(r) for r in rows], Fraction(1), Fraction(0))
     return tuple(tuple(r) for r in inv)
-
-
-@lru_cache(maxsize=None)
-def _newton_e_in_p(k: int) -> tuple:
-    """e_k expanded in p, as a tuple of (mu, Fraction)."""
-    if k == 0:
-        return (((), Fraction(1)),)
-    acc: dict = {}
-    for i in range(1, k + 1):
-        for mu, c in _newton_e_in_p(k - i):
-            nu = tuple(sorted(mu + (i,), reverse=True))
-            acc[nu] = acc.get(nu, Fraction(0)) + Fraction((-1) ** (i - 1), k) * c
-    return tuple(sorted(acc.items()))
 
 
 def _multiset_permutations(counts: list):
@@ -306,21 +273,10 @@ def _m_in_p(la: Partition) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _integral_factor(la: Partition) -> Scalar:
-    """q2^(-|la|) prod (q2^(l+1) - q1^a): turns P into its integral form."""
-    out = q2(-sum(la))
-    for x, y in boxes(la):
-        out = out * (q2(leg(la, x, y) + 1) - q1(arm(la, x, y)))
-    return out
-
-
-@lru_cache(maxsize=None)
 def _to_p(basis: str, la: Partition) -> dict:
     """Expansion of the basis element indexed by la in power sums."""
     la = tuple(la)
     n = sum(la)
-    if basis == "p":
-        return {la: one()}
     if basis == "m":
         return {mu: rational(c) for mu, c in _m_in_p(la).items()}
     if basis == "s":
@@ -329,20 +285,6 @@ def _to_p(basis: str, la: Partition) -> dict:
             for mu in enumerate_partitions(n)
             if _character(la, mu)
         }
-    if basis == "e":
-        acc = SymFunc("p", {(): one()})
-        for k in la:
-            acc = acc * SymFunc("p", {mu: rational(c) for mu, c in _newton_e_in_p(k)})
-        return acc.coeffs
-    if basis == "P":
-        # Htilde_la = _integral_factor(la) * P_la with p_k -> p_k/(1 - q2^(-k))
-        c = _integral_factor(la)
-        out = {}
-        for mu, v in _to_p("Htilde", la).items():
-            for k in mu:
-                v = v * (one() - q2(-k))
-            out[mu] = v / c
-        return out
     if basis == "Htilde":
         out = {}
         for nu, c in _Htilde_in_m(la).items():
@@ -352,33 +294,6 @@ def _to_p(basis: str, la: Partition) -> dict:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-@lru_cache(maxsize=None)
-def _e_in_p(la: Partition) -> tuple:
-    acc = {(): Fraction(1)}
-    for k in la:
-        nxt: dict = {}
-        for mu, c in acc.items():
-            for rho, d in _newton_e_in_p(k):
-                nu = tuple(sorted(mu + rho, reverse=True))
-                nxt[nu] = nxt.get(nu, Fraction(0)) + c * d
-        acc = {mu: c for mu, c in nxt.items() if c}
-    return tuple(sorted(acc.items()))
-
-
-@lru_cache(maxsize=None)
-def _p_in_e_matrix(n: int) -> dict:
-    order = enumerate_partitions(n)
-    M = [[Fraction(0)] * len(order) for _ in order]
-    for i, la in enumerate(order):
-        for mu, c in _e_in_p(la):
-            M[i][order.index(mu)] = c
-    inv = mat_inverse(M, Fraction(1), Fraction(0))
-    return {
-        mu: {la: inv[i][j] for j, la in enumerate(order) if inv[i][j]}
-        for i, mu in enumerate(order)
-    }
-
-
 def _p_in_m(mu: Partition) -> dict:
     n = sum(mu)
     order = enumerate_partitions(n)
@@ -386,54 +301,7 @@ def _p_in_m(mu: Partition) -> dict:
     return {la: c for la, c in zip(order, row) if c}
 
 
-@lru_cache(maxsize=None)
-def _m_in_P(n: int) -> dict:
-    """Triangular back-substitution: P_la = m_la + dominance-smaller terms."""
-    order = enumerate_partitions(n)
-    P_in_m = {}
-    for la in order:
-        md: dict = {}
-        for mu, c in _to_p("P", la).items():
-            for rho, d in _p_in_m(mu).items():
-                acc = md.get(rho, zero()) + c * rational(d)
-                if acc:
-                    md[rho] = acc
-                else:
-                    md.pop(rho, None)
-        P_in_m[la] = md
-    out: dict = {}
-    for la in reversed(order):  # ascending: smaller partitions resolved first
-        expr = {la: one()}
-        for nu, c in P_in_m[la].items():
-            if nu != la:
-                for rho, d in out[nu].items():
-                    acc = expr.get(rho, zero()) - c * d
-                    if acc:
-                        expr[rho] = acc
-                    else:
-                        expr.pop(rho, None)
-        out[la] = expr
-    return out
-
-
-@lru_cache(maxsize=None)
-def _p_in_P(mu: Partition) -> dict:
-    n = sum(mu)
-    m_in_P = _m_in_P(n)
-    out: dict = {}
-    for la, c in _p_in_m(mu).items():
-        for rho, d in m_in_P[la].items():
-            acc = out.get(rho, zero()) + rational(c) * d
-            if acc:
-                out[rho] = acc
-            else:
-                out.pop(rho, None)
-    return out
-
-
 def _p_in_basis(basis: str, mu: Partition) -> dict:
-    if basis == "p":
-        return {mu: one()}
     n = sum(mu)
     if basis == "m":
         return {la: rational(c) for la, c in _p_in_m(mu).items()}
@@ -443,19 +311,8 @@ def _p_in_basis(basis: str, mu: Partition) -> dict:
             for la in enumerate_partitions(n)
             if _character(la, mu)
         }
-    if basis == "e":
-        return {la: rational(c) for la, c in _p_in_e_matrix(n)[mu].items()}
-    if basis == "P":
-        return _p_in_P(mu)
     if basis == "Htilde":
-        # Htilde_la = c_la * phi(P_la) with phi diagonal on p, so pull the
-        # phi twist off p_mu and rescale the P coordinates
-        f = one()
-        for k in mu:
-            f = f * (one() - q2(-k))
-        return {
-            la: c * f / _integral_factor(la) for la, c in _p_in_P(mu).items()
-        }
+        return from_restrictions(restrictions(p_(mu), n)).coeffs
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -611,6 +468,5 @@ def nabla(f: SymFunc) -> SymFunc:
 
 
 def integral_form(la) -> SymFunc:
-    """The integral Macdonald form: P_la times its clearing factor."""
-    la = tuple(la)
-    return P_(la).scale(_integral_factor(la))
+    """The integral Macdonald form J_la: Htilde_la with p_k -> (1 - q2^(-k)) p_k."""
+    return scale_powersums(Ht_(la), lambda k: one() - q2(-k))

@@ -4,6 +4,7 @@ Everything runs through subprocess so the tests see exactly what a user
 sees, including stderr diagnostics and exit codes.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -169,6 +170,23 @@ def test_byte_identical_across_runs_and_jobs(tmp_path):
     b = run_cli("conjecture-check", "--n", "2", "--jobs", "2",
                 cache_dir=tmp_path)
     assert a.stdout == b.stdout
+
+
+# stdout of two commands that run through the symmetric-function layer
+# (Htilde -> s, and Verma characters p -> s), pinned byte for byte
+SYMFUNC_STDOUT_SHA256 = {
+    ("macdonald", "--n", "4"):
+        "7a7858e52cdd827286683bd4cffd4cd4c84c12442ca6524f0409dc4821ec4ec7",
+    ("characters", "--slope", "3/2", "--verma", "2,1"):
+        "c3fab9a0525626c40a5e4c00d69e6cd21bd0521621d33190c6d64daac3b3c959",
+}
+
+
+@pytest.mark.parametrize("argv", list(SYMFUNC_STDOUT_SHA256), ids=" ".join)
+def test_symfunc_commands_stdout_pinned(argv):
+    p = run_cli(*argv, "--no-cache")
+    digest = hashlib.sha256(p.stdout.encode()).hexdigest()
+    assert digest == SYMFUNC_STDOUT_SHA256[argv]
 
 
 def test_cache_round_trip(tmp_path):

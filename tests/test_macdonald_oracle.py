@@ -1,13 +1,14 @@
 """Gram-Schmidt Macdonald polynomials as the reference for the HHL layer.
 
 The library builds Htilde from the Haglund-Haiman-Loehr filling formula,
-derives P from it, and restricts to fixed points with one polynomial dot
-product per point.  The route it replaced is kept here: P by Gram-Schmidt
-against dominance order in the deformed Hall pairing, Htilde as the
-p-twisted integral form of P, and restriction as
-[T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod.  New and old must
-agree exactly at n <= 4.  At n = 6, where the reference is too slow,
-properties that need no reference stand in.
+restricts to fixed points with one polynomial dot product per point, and
+reads Htilde coordinates off those restrictions.  The routes it replaced
+are kept here: P by Gram-Schmidt against dominance order in the deformed
+Hall pairing, Htilde as the p-twisted integral form of P, restriction as
+[T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod, and Htilde
+coordinates by triangular back-substitution of m into P.  New and old must
+agree exactly at n <= 4 (n <= 5 for the coordinates).  At n = 6, where the
+reference is too slow, properties that need no reference stand in.
 """
 
 import math
@@ -24,8 +25,8 @@ from wallcross.symfunc import (
     Ht_,
     SymFunc,
     _Htilde_in_m,
-    _integral_factor,
     _m_in_p,
+    _p_in_m,
     _plain_weight,
     _to_p,
     inner_mod,
@@ -36,7 +37,7 @@ from wallcross.symfunc import (
     torus_factor,
 )
 
-from test_symfunc import mod_pair_formula, random_symfunc
+from test_symfunc import P_, integral_factor, mod_pair_formula, random_symfunc
 
 # ---------------------------------------------------------------------------
 # the reference route
@@ -80,7 +81,7 @@ def _macdonald_P_in_p(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def old_Htilde(la) -> SymFunc:
-    c = _integral_factor(la)
+    c = integral_factor(la)
     out = {}
     for mu, v in _macdonald_P_in_p(sum(la))[la].items():
         f = c
@@ -95,6 +96,44 @@ def old_restrict(f: SymFunc, la) -> Scalar:
     f = SymFunc("p", {mu: c for mu, c in f.to_basis("p").coeffs.items() if sum(mu) == n})
     H = old_Htilde(la)
     return torus_factor(la) * inner_mod(f, H) / inner_mod(H, H)
+
+
+@lru_cache(maxsize=None)
+def _m_in_P(n: int) -> dict:
+    """Triangular back-substitution: P_la = m_la + dominance-smaller terms."""
+    order = enumerate_partitions(n)
+    P_in_m = {la: P_(la).to_basis("m").coeffs for la in order}
+    out: dict = {}
+    for la in reversed(order):  # ascending: smaller partitions resolved first
+        expr = {la: one()}
+        for nu, c in P_in_m[la].items():
+            if nu != la:
+                for rho, d in out[nu].items():
+                    acc = expr.get(rho, zero()) - c * d
+                    if acc:
+                        expr[rho] = acc
+                    else:
+                        expr.pop(rho, None)
+        out[la] = expr
+    return out
+
+
+def old_p_in_Htilde(mu) -> dict:
+    """p_mu in P by back-substitution, then P_la -> Htilde_la untwisted."""
+    m_in_P = _m_in_P(sum(mu))
+    in_P: dict = {}
+    for la, c in _p_in_m(mu).items():
+        for rho, d in m_in_P[la].items():
+            acc = in_P.get(rho, zero()) + rational(c) * d
+            if acc:
+                in_P[rho] = acc
+            else:
+                in_P.pop(rho, None)
+    # Htilde_la = integral_factor(la) * P_la with p_k -> p_k/(1 - q2^(-k))
+    f = one()
+    for k in mu:
+        f = f * (one() - q2(-k))
+    return {la: c * f / integral_factor(la) for la, c in in_P.items()}
 
 
 def old_seed(n: int) -> dict:
@@ -124,7 +163,15 @@ def test_Htilde_matches_gram_schmidt(mu):
 
 @pytest.mark.parametrize("mu", SMALL, ids=str)
 def test_P_matches_gram_schmidt(mu):
-    assert _to_p("P", mu) == _macdonald_P_in_p(sum(mu))[mu]
+    assert P_(mu).to_basis("p").coeffs == _macdonald_P_in_p(sum(mu))[mu]
+
+
+@pytest.mark.parametrize(
+    "mu", [mu for n in range(6) for mu in enumerate_partitions(n)], ids=str
+)
+def test_Htilde_coordinates_match_back_substitution(mu):
+    got = SymFunc("p", {mu: one()}).to_basis("Htilde")
+    assert got.coeffs == old_p_in_Htilde(mu)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

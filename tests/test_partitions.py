@@ -1,8 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wallcross import partitions
 from wallcross.partitions import (
     add_box,
     addable_boxes,
@@ -158,6 +160,24 @@ def test_ribbon_walk_and_height():
     assert ribbon_height([(0, 3), (0, 2), (0, 1), (0, 0)]) == 3
 
 
+def test_removable_ribbons_checks_ribbon_size(monkeypatch):
+    # a beta-number slide that loses boxes must not pass as a b-ribbon
+    monkeypatch.setattr(partitions, "_from_beta", lambda beta: ())
+    with pytest.raises(ArithmeticError, match="not a 2-ribbon"):
+        removable_ribbons((3, 1), 2)
+
+
+def test_ribbon_walk_rejects_content_gap():
+    with pytest.raises(ValueError, match="not consecutive"):
+        ribbon_walk([(0, 0), (2, 0)])
+
+
+def test_ribbon_walk_rejects_non_adjacent_step():
+    # contents 0 and 1, but the boxes do not touch
+    with pytest.raises(ValueError, match="not a ribbon step"):
+        ribbon_walk([(0, 0), (2, 1)])
+
+
 def _cores_by_exhaustive_removal(la, b):
     """Oracle: all results of greedily removing ribbons in every order."""
     out = set()
@@ -284,6 +304,11 @@ def test_bracket_goldens():
 def test_bracket_rejects_trivial_weight():
     with pytest.raises(ValueError):
         bracket(LaurentPoly({(0, 0): 1, (1, 0): 1}))
+
+
+def test_bracket_rejects_fractional_multiplicity():
+    with pytest.raises(ValueError, match="not an integer"):
+        bracket(LaurentPoly({(1, 0): Fraction(1, 2)}))
 
 
 def test_bracket_negative_multiplicity():
