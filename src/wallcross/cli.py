@@ -15,7 +15,6 @@ exponents permit).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import io
@@ -63,7 +62,8 @@ def _at_least(low: int):
 
 
 def _jobs_arg(text: str) -> int:
-    """At least 1; more workers than CPUs are capped at the CPU count."""
+    """At least 1, capped at the CPU count.  Accepted, and changes nothing:
+    every command runs in one process."""
     return min(_at_least(1)(text), os.cpu_count() or 1)
 
 
@@ -329,11 +329,6 @@ def cmd_wallcross(args) -> tuple:
     return _emit(doc, args), 0
 
 
-def _conjecture_job(task):
-    n, wall = task
-    return verify.conjecture_check(n, wall)
-
-
 def cmd_conjecture_check(args) -> tuple:
     if args.format == "latex":
         raise _Usage("latex output is not defined for report commands")
@@ -342,12 +337,7 @@ def cmd_conjecture_check(args) -> tuple:
     else:
         walls = [w for w in stable.candidate_walls(args.n, 0, 1)
                  if stable.is_wall(args.n, w)]
-    tasks = [(args.n, w) for w in walls]
-    if args.jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            reports = list(ex.map(_conjecture_job, tasks))
-    else:
-        reports = [_conjecture_job(t) for t in tasks]
+    reports = [verify.conjecture_check(args.n, w) for w in walls]
     for r in reports:
         print(f"wallcross: conjecture n={args.n} m={r['params']['m']}: "
               f"{r['status']} ({r['millis']}ms)", file=sys.stderr)

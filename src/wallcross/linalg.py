@@ -20,7 +20,8 @@ __all__ = [
 
 def mat_mul(A, B):
     n, k = len(A), len(B)
-    assert all(len(r) == k for r in A)
+    if any(len(r) != k for r in A):
+        raise ValueError(f"shape mismatch: a row of A is not {k} long")
     m = len(B[0])
     out = []
     for i in range(n):
@@ -51,7 +52,8 @@ def identity(n, one, zero):
 def mat_inverse(A, one, zero):
     """Gauss-Jordan inverse; ValueError on a singular matrix."""
     n = len(A)
-    assert all(len(r) == n for r in A)
+    if any(len(r) != n for r in A):
+        raise ValueError(f"inverse of a non-square matrix ({n} rows)")
     M = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(A)]
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col]), None)

@@ -29,7 +29,8 @@ def size(la: Partition) -> int:
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple:
     """All partitions of n, lexicographically descending; refines dominance."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"partitions of a negative number: {n}")
     out = []
 
     def rec(rest, maxpart, prefix):
@@ -50,8 +51,9 @@ def conjugate(la: Partition) -> Partition:
 
 
 def dominates(la: Partition, mu: Partition) -> bool:
-    """la >= mu in dominance order (equal sizes assumed)."""
-    assert size(la) == size(mu)
+    """la >= mu in dominance order; la and mu must have one size."""
+    if size(la) != size(mu):
+        raise ValueError(f"dominance compares partitions of one size: {la}, {mu}")
     acc_l = acc_m = 0
     for i in range(max(len(la), len(mu))):
         acc_l += la[i] if i < len(la) else 0
@@ -108,14 +110,16 @@ def removable_boxes(la: Partition) -> list:
 
 def add_box(la: Partition, x: int, y: int) -> Partition:
     rows = list(la) + [0]
-    assert rows[y] == x
+    if rows[y] != x:
+        raise ValueError(f"{(x, y)} is not an addable box of {la}")
     rows[y] += 1
     return tuple(p for p in rows if p)
 
 
 def remove_box(la: Partition, x: int, y: int) -> Partition:
     rows = list(la)
-    assert rows[y] == x + 1
+    if rows[y] != x + 1:
+        raise ValueError(f"{(x, y)} is not a removable box of {la}")
     rows[y] -= 1
     return tuple(p for p in rows if p)
 
@@ -131,7 +135,8 @@ def hook_partitions(n: int) -> list:
 
 
 def _beta(la: Partition, length: int) -> list:
-    assert length >= len(la)
+    if length < len(la):
+        raise ValueError(f"{length} beta-numbers cannot hold {la}")
     return sorted(
         ((la[i] if i < len(la) else 0) + (length - 1 - i) for i in range(length)),
         reverse=True,
@@ -146,7 +151,8 @@ def _from_beta(beta: list) -> Partition:
 
 def b_core(la: Partition, b: int) -> Partition:
     """Remove b-ribbons until none remains (abacus: slide beads down)."""
-    assert b >= 1
+    if b < 1:
+        raise ValueError(f"ribbon size must be at least 1, got {b}")
     L = len(la) + b
     beta = _beta(la, L)
     by_res: dict[int, int] = {}
@@ -249,7 +255,8 @@ def _snakes_through(S: frozenset, s0, b: int) -> list:
 def ribbon_tilings(la: Partition, mu: Partition, b: int) -> list:
     """All tilings of la/mu by b-ribbons (each as a list of ribbons)."""
     bl, bm = set(boxes(la)), set(boxes(mu))
-    assert bm <= bl, "mu must sit inside la"
+    if not bm <= bl:
+        raise ValueError(f"{mu} does not sit inside {la}")
     S = frozenset(bl - bm)
     if len(S) % b:
         return []

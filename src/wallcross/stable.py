@@ -26,10 +26,19 @@ table is nabla_shift(seed, 1): F G0 = D^-1 G0 D with G0 the seed table,
 D = diag(chi) and F the ordered product of all factors I + B.  So the
 table at k + r (k an integer, 0 <= r < 1) is D^-k L_r G0 D^k, L_r the
 product of the factors below r, and no restriction table is inverted.
+
+The tables therefore sit on one chain.  With W walls in (0, 1), slope
+k + r is at position k*W + p, p the number of walls below (r, side), and
+the factor from position k*W + p to the next is D^-k F_p D^k, F_p the
+I + B of wall p, numbered from 0.  A transition matrix G1 G2^-1 is the
+ordered product of the factors between the two positions, or of their
+inverses when slope1 lies below slope2; only single unitriangular wall
+factors are ever inverted, each once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -105,6 +114,12 @@ def diagonal_value(la: Partition) -> Scalar:
     return out
 
 
+@functools.cache
+def _diagonal_t_range(mu: Partition) -> tuple:
+    """The t-degree range of diagonal_value(mu), built once per partition."""
+    return diagonal_value(mu).t_degree_range()
+
+
 def _phi_prime(f):
     # p_k -> p_k/(1 - q2^k), the X/(1-q2) plethysm on power sums
     return scale_powersums(f, lambda k: one() / (one() - q2(k)))
@@ -135,7 +150,7 @@ def degree_window(n: int, la, mu, slope) -> tuple:
     """
     m, side = _slope(slope)
     dc = content_sum(mu) - content_sum(la)
-    d_min, d_max = diagonal_value(mu).t_degree_range()
+    d_min, d_max = _diagonal_t_range(tuple(mu))
     shift = -dc + m * dc
     lo, up = d_min + shift, d_max + shift
     if lo.denominator == 1:
@@ -358,14 +373,19 @@ def _sweep(n: int) -> tuple:
     return _SWEEPS[n]
 
 
-def _factor_product(n: int, r: Fraction, side: int) -> list:
-    """L_r: the ordered product of the factors I + B of the walls below (r, side)."""
-    seed, walls = _sweep(n)
-    out = identity(len(seed.gamma), one(), zero())
-    for w, factor, _ in walls:
-        if w < r or (w == r and side == 1):
-            out = mat_mul(factor, out)
-    return out
+@functools.cache
+def _factor_inverse(n: int, p: int) -> list:
+    """(I + B)^-1 for wall p of the sweep (numbered from 0), inverted once per process."""
+    return mat_inverse(_sweep(n)[1][p][1], one(), zero())
+
+
+def _position(n: int, slope) -> int:
+    """k*W + p: slope k + r on the chain of wall factors (see the module docstring)."""
+    m, side = slope
+    k = math.floor(m)
+    walls = _sweep(n)[1]
+    below = sum(1 for w, _, _ in walls if w < m - k or (w == m - k and side == 1))
+    return k * len(walls) + below
 
 
 def is_wall(n: int, w) -> bool:
@@ -438,24 +458,29 @@ def transition_matrix(n: int, slope1, slope2, renormalized: bool = False):
     picks up fac_la/fac_nu, turning the crossing into the renormalized form
     whose entries are conjecturally Laurent in q alone.
 
-    Internally it is G1 G2^-1 for the tables G, computed with slope_i = k_i + r_i
-    as D^-k1 L_r1 (D F)^(k1-k2) L_r2^-1 D^k2; see the module docstring.
+    Internally it is G1 G2^-1 for the tables G: the ordered product of the
+    wall factors D^-k F_p D^k between the two chain positions, or the
+    product of their inverses in reverse order when slope1 lies below
+    slope2; see the module docstring.
     """
     slope1, slope2 = _slope(slope1), _slope(slope2)
     order = enumerate_partitions(n)
-    k1, k2 = math.floor(slope1[0]), math.floor(slope2[0])
     chis = [chi(la) for la in order]
-    M = _factor_product(n, slope1[0] - k1, slope1[1])
-    if k1 != k2:
-        F = _factor_product(n, Fraction(1), -1)  # every wall in (0, 1)
-        DF = [[c * x for x in row] for c, row in zip(chis, F)]
-        step = DF if k1 > k2 else mat_inverse(DF, one(), zero())
-        for _ in range(abs(k1 - k2)):
-            M = mat_mul(M, step)
-    L2 = _factor_product(n, slope2[0] - k2, slope2[1])
-    M = mat_mul(M, mat_inverse(L2, one(), zero()))
-    M = [[x * chis[j] ** k2 / chis[i] ** k1 for j, x in enumerate(row)]
-         for i, row in enumerate(M)]
+    factors = [factor for _, factor, _ in _sweep(n)[1]]
+    pos1, pos2 = _position(n, slope1), _position(n, slope2)
+    lo, hi = sorted((pos1, pos2))
+    M = identity(len(order), one(), zero())
+    for pos in range(lo, hi):
+        k, p = divmod(pos, len(factors))
+        F = factors[p] if pos1 > pos2 else _factor_inverse(n, p)
+        if k:
+            ck = [c ** k for c in chis]
+            F = [[x * ck[j] / ck[i] if x else x for j, x in enumerate(row)]
+                 for i, row in enumerate(F)]
+        if pos == lo:
+            M = F
+        else:
+            M = mat_mul(F, M) if pos1 > pos2 else mat_mul(M, F)
     cs = [seed_normalizer(la) for la in order]
     if renormalized:
         if slope1[0] != slope2[0]:

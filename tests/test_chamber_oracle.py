@@ -1,11 +1,13 @@
-"""The chamber sweep against the per-slope replay it replaced.
+"""The chamber sweep against the routes it replaced.
 
-The reference route computes each slope on its own: seed_slope0, then
-cross_wall over every candidate wall below the slope's fractional part,
-then nabla_shift once per unit of its integer part.  Its transition
-matrix inverts the restriction table over Q(q,t): g1 * g2^-1, then the
-printed frame.  The sweep reads tables from one walk and builds matrices
-from wall factors and nabla-periodicity; both must agree exactly.
+The replay computes each slope on its own: seed_slope0, then cross_wall
+over every candidate wall below the slope's fractional part, then
+nabla_shift once per unit of its integer part.  Its transition matrix
+inverts the restriction table over Q(q,t): g1 * g2^-1, then the printed
+frame.  The product route multiplies the sweep's wall factors below each
+slope, L_r, and inverts the product: D^-k1 L_r1 (D F)^(k1-k2) L_r2^-1
+D^k2.  The sweep reads tables from one walk and builds matrices by
+telescoping single wall factors; all three must agree exactly.
 """
 
 import functools
@@ -15,8 +17,8 @@ from fractions import Fraction as F2
 import pytest
 
 from wallcross import stable as S
-from wallcross.linalg import mat_inverse, mat_mul
-from wallcross.partitions import enumerate_partitions
+from wallcross.linalg import identity, mat_inverse, mat_mul
+from wallcross.partitions import chi, enumerate_partitions
 from wallcross.scalars import one, zero
 
 WALLS = {2: [F2(1, 2)], 3: [F2(1, 3), F2(1, 2), F2(2, 3)],
@@ -106,3 +108,58 @@ def test_n4_factors_and_cumulatives_match_replay():
         assert S.transition_matrix(4, below, above) == replay_transition(4, below, above)
         start = (F2(0), 1)
         assert S.transition_matrix(4, start, above) == replay_transition(4, start, above)
+
+
+def factor_product(n, r, side):
+    """L_r: the ordered product of the factors I + B of the walls below (r, side)."""
+    seed, walls = S._sweep(n)
+    out = identity(len(seed.gamma), one(), zero())
+    for w, factor, _ in walls:
+        if w < r or (w == r and side == 1):
+            out = mat_mul(factor, out)
+    return out
+
+
+def product_transition(n, slope1, slope2, renormalized=False):
+    """The printed-frame matrix from D^-k1 L_r1 (D F)^(k1-k2) L_r2^-1 D^k2."""
+    order = enumerate_partitions(n)
+    (m1, side1), (m2, side2) = slope1, slope2
+    k1, k2 = math.floor(m1), math.floor(m2)
+    chis = [chi(la) for la in order]
+    M = factor_product(n, m1 - k1, side1)
+    if k1 != k2:
+        F = factor_product(n, F2(1), -1)
+        DF = [[c * x for x in row] for c, row in zip(chis, F)]
+        step = DF if k1 > k2 else mat_inverse(DF, one(), zero())
+        for _ in range(abs(k1 - k2)):
+            M = mat_mul(M, step)
+    M = mat_mul(M, mat_inverse(factor_product(n, m2 - k2, side2), one(), zero()))
+    M = [[x * chis[j] ** k2 / chis[i] ** k1 for j, x in enumerate(row)]
+         for i, row in enumerate(M)]
+    cs = [S.seed_normalizer(la) for la in order]
+    facs = [S.renorm_factor(la, m1) if renormalized else one() for la in order]
+    return [[M[i][j] * cs[j] / cs[i] * facs[i] / facs[j] for i in range(len(order))]
+            for j in range(len(order))]
+
+
+def chain_pairs(w):
+    """Across w, 0+ to and from w+, and w - 1 to w + 1 from either side, both ways."""
+    below, above, start = (w, -1), (w, 1), (F2(0), 1)
+    far = [((w - 1, -1), (w + 1, 1)), ((w - 1, 1), (w + 1, -1))]
+    return [(below, above), (start, above), (above, start)] + far + [(b, a) for a, b in far]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_transition_matrices_match_factor_products(n):
+    for w, _, _ in S._sweep(n)[1]:
+        for s1, s2 in chain_pairs(w):
+            assert S.transition_matrix(n, s1, s2) == product_transition(n, s1, s2), (s1, s2)
+        below, above = (w, -1), (w, 1)
+        assert (S.transition_matrix(n, below, above, renormalized=True)
+                == product_transition(n, below, above, renormalized=True)), w
+
+
+def test_diagonal_range_table():
+    for n in range(7):
+        for mu in enumerate_partitions(n):
+            assert S._diagonal_t_range(mu) == S.diagonal_value(mu).t_degree_range(), mu

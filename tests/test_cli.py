@@ -4,11 +4,13 @@ Everything runs through subprocess so the tests see exactly what a user
 sees, including stderr diagnostics and exit codes.
 """
 
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +152,16 @@ def test_invariants_survive_optimized_mode():
                                text=True)
     assert plain.returncode == optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every check must raise instead
+    package = Path(cli.__file__).parent
+    found = [f"{path.relative_to(package)}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_computation_errors_exit_one(tmp_path):

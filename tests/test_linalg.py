@@ -54,6 +54,16 @@ def test_inverse_singular_scalar_matrix():
         mat_inverse(A, one(), zero())
 
 
+def test_mat_mul_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul([[F1, F1], [F1]], [[F1], [F1]])
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(ValueError, match="non-square"):
+        mat_inverse([[F1, F0]], F1, F0)
+
+
 def test_solve_unique():
     A = [[F1, F1], [F0, F1]]
     part, null = solve_rational(A, [Fraction(3), Fraction(1)])

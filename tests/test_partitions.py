@@ -314,3 +314,19 @@ def test_bracket_rejects_fractional_multiplicity():
 def test_bracket_negative_multiplicity():
     char = LaurentPoly({(1, 0): -1})
     assert bracket(char) == one() / (one() - q1(0) * monomial(1, -1, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_partitions(-1), "negative"),
+    (lambda: dominates((3,), (1,)), "one size"),
+    (lambda: add_box((2,), 0, 0), "not an addable box"),
+    (lambda: remove_box((2,), 0, 0), "not a removable box"),
+    (lambda: partitions._beta((2, 1, 1), 2), "cannot hold"),
+    (lambda: b_core((2, 1), 0), "at least 1"),
+    (lambda: ribbon_tilings((2,), (1, 1), 1), "does not sit inside"),
+], ids=["enumerate", "dominates", "add_box", "remove_box", "beta", "b_core",
+        "ribbon_tilings"])
+def test_invalid_arguments_raise(call, message):
+    # explicit errors, so that python -O keeps them
+    with pytest.raises(ValueError, match=message):
+        call()
