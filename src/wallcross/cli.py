@@ -470,7 +470,10 @@ def main(argv=None) -> int:
 
     sys.stdout.write(text)
     if use_cache:
-        cache.store(root, key, {"text": text, "code": code})
+        try:
+            cache.store(root, key, {"text": text, "code": code})
+        except OSError as err:
+            print(f"wallcross: could not write the cache entry: {err}", file=sys.stderr)
     return code
 
 

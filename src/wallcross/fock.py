@@ -16,14 +16,17 @@ bar involution never sees e, so nothing downstream depends on the choice.
 
 bar_matrix spans each degree by bar-invariant vectors (the f_i and V_k
 applied to the vectors kept at the degrees below, starting from the vacuum),
-writes the degree-n ones in a matrix T, and returns A = T(q) T(1/q)^(-1);
-canonical_basis runs the triangular recursion producing the global
-canonical bases G^+/G^-.
+writes the degree-n ones in a matrix T, and returns A = T(q) T(1/q)^(-1).
+The inverse X = T(1/q)^(-1) is taken over Q(q), but A is Laurent, so the
+product stays in Laurent arithmetic: each column of X goes over one common
+denominator D_j, and A_ij = (sum_l T_il X_lj D_j) / D_j is one exact
+division.  canonical_basis runs the triangular recursion producing the
+global canonical bases G^+/G^-.
 """
 
 from __future__ import annotations
 
-from .linalg import RankAccumulator, mat_inverse, mat_mul
+from .linalg import RankAccumulator, mat_inverse
 from .partitions import (
     Partition,
     addable_boxes,
@@ -37,7 +40,7 @@ from .partitions import (
     removable_boxes,
     size,
 )
-from .scalars import Scalar, monomial, one, zero
+from .scalars import LaurentPoly, Scalar, laurent_gcd, monomial, one, zero
 
 __all__ = [
     "vacuum",
@@ -229,12 +232,52 @@ def _spanning_matrix(n: int, b: int) -> list:
     return [[w.get(la, zero()) for w in cols] for la in order]
 
 
+def _laurent_product(T: list, X: list, n: int, b: int) -> list:
+    """T X for Laurent T, over one common denominator per column of X.
+
+    D_j, the lcm of the denominators in column j of X, makes the numerators
+    N_lj = X_lj D_j Laurent, so A_ij = (sum_l T_il N_lj) / D_j takes
+    LaurentPoly products and sums, then one exact division.  A division
+    that is not exact means A is not Laurent, which the structure theorem
+    forbids: ArithmeticError, never a fall back to Q(q).
+    """
+    if not all(c.is_laurent() for row in T for c in row):
+        raise ArithmeticError(f"spanning vectors at n={n}, b={b} are not Laurent")
+    rows = [[c.num for c in row] for row in T]
+    A = [[] for _ in rows]
+    for j in range(len(X)):
+        col = [X[l][j] for l in range(len(X))]
+        D = LaurentPoly.one()
+        for x in col:
+            if not x.den.is_one() and x.den != D:
+                D = D * x.den.exact_div(laurent_gcd(D, x.den))
+        cofactor = {d: D.exact_div(d) for d in {x.den for x in col if x}}
+        N = [(l, x.num * cofactor[x.den]) for l, x in enumerate(col) if x]
+        for i, row in enumerate(rows):
+            acc = LaurentPoly()
+            for l, nl in N:
+                if row[l]:
+                    acc = acc + row[l] * nl
+            if acc and not D.is_one():
+                try:
+                    acc = acc.exact_div(D)
+                except ArithmeticError:
+                    order = enumerate_partitions(n)
+                    raise ArithmeticError(
+                        f"bar matrix at n={n}, b={b} is not Laurent: "
+                        f"a[{order[j]}][{order[i]}] has a denominator"
+                    ) from None
+            A[i].append(Scalar.from_laurent(acc))
+    return A
+
+
 def bar_matrix(n: int, b: int) -> list:
     """A(q) with entry [row mu][col la] = coefficient of |mu> in bar(|la>).
 
     Computed as T(q) T(1/q)^(-1) from any spanning set of bar-invariant
     vectors; the involution is unique, so the choice of vectors is
-    immaterial.
+    immaterial.  The inverse is taken over Q(q); the product runs in Laurent
+    arithmetic over one common denominator per column (_laurent_product).
     """
     if b < 2:
         raise ValueError(f"the level b must be at least 2, got {b}")
@@ -242,7 +285,7 @@ def bar_matrix(n: int, b: int) -> list:
         return [[one()]]
     T = _spanning_matrix(n, b)
     Tbar = [[_bar_scalar(c) for c in row] for row in T]
-    A = mat_mul(T, mat_inverse(Tbar, one(), zero()))
+    A = _laurent_product(T, mat_inverse(Tbar, one(), zero()), n, b)
     bad = lt_property_check(A, n, b)
     if bad:
         raise ArithmeticError(

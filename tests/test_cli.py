@@ -246,6 +246,15 @@ def test_entry_from_other_code_is_a_miss(tmp_path):
     assert run_cli("fock-bar", "--n", "2", "--b", "2", cache_dir=tmp_path).stdout == "old\n"
 
 
+def test_unusable_cache_dir_warns_after_output(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    p = run_cli("fock-bar", "--n", "2", "--b", "2", cache_dir=blocker / "sub")
+    ref = run_cli("fock-bar", "--n", "2", "--b", "2", "--no-cache")
+    assert p.stdout == ref.stdout
+    assert "could not write the cache entry" in p.stderr
+
+
 def test_env_var_sets_default_cache_dir(tmp_path):
     run_cli("fock-bar", "--n", "2", "--b", "2", env_cache=tmp_path)
     assert len(list(tmp_path.iterdir())) == 1

@@ -281,6 +281,22 @@ def test_bar_matrix_spanning_failure(monkeypatch):
         F.bar_matrix(2, 2)
 
 
+@pytest.mark.parametrize("n, b", [(2, 2), (4, 3)])
+def test_bar_matrix_rejects_non_laurent_product(monkeypatch, n, b):
+    # a column times (1 + 2q) is no longer bar-invariant, so T(q) T(1/q)^-1
+    # picks up (1 + 2q)/(1 + 2/q) and the per-column division is not exact
+    spanning = F._spanning_matrix
+
+    def doctored(n, b):
+        T = spanning(n, b)
+        return [[c * (one() + monomial(2, 1)) if j == 0 else c
+                 for j, c in enumerate(row)] for row in T]
+
+    monkeypatch.setattr(F, "_spanning_matrix", doctored)
+    with pytest.raises(ArithmeticError, match=f"n={n}, b={b} is not Laurent"):
+        F.bar_matrix(n, b)
+
+
 def test_bar_vector_roundtrip():
     n, b = 4, 2
     A = F.bar_matrix(n, b)

@@ -164,6 +164,19 @@ def test_is_wall():
     assert not S.is_wall(3, F2(5, 6))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_detected_walls_are_denominators_up_to_n(n):
+    # A recorded finding, not an assumption of the code: candidate_walls
+    # proposes every a/b with b <= n(n-1) that divides a content gap, and
+    # the sweep keeps those where B != 0.  Observed for n <= 7 so far, the
+    # kept ones are exactly the a/b in (0, 1) with 2 <= b <= n.
+    detected = [w for w, _, _ in S._sweep(n)[1]]
+    expected = sorted({F2(a, b) for b in range(2, n + 1) for a in range(1, b)})
+    assert detected == expected
+    if n > 2:
+        assert len(S.candidate_walls(n, 0, 1)) > len(detected)
+
+
 def test_crossing_rows_are_t_homogeneous():
     # each B entry is a t-monomial of degree (c_la - c_mu) + w*(c_mu - c_la)
     for n, w in [(2, F2(1, 2)), (3, F2(1, 3)), (3, F2(1, 2))]:
