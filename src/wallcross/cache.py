@@ -44,8 +44,8 @@ def load(root: str, key: dict):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        return None
+    except (FileNotFoundError, NotADirectoryError):
+        return None  # no entry, or a cache directory that cannot exist
     except (OSError, json.JSONDecodeError, UnicodeDecodeError):
         print(f"wallcross: unreadable cache entry {path}; recomputing",
               file=sys.stderr)

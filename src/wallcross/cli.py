@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("positivity", parents=[common],
                         help="series positivity of Schur coefficients")
-    sp.add_argument("--n", type=_at_least(0), required=True)
+    sp.add_argument("--n", type=_at_least(1), required=True)
     sp.add_argument("--slope", type=_slope_arg, required=True)
     sp.add_argument("--side", type=_side_arg, default="+")
     sp.add_argument("--order", type=_at_least(0), default=8)
@@ -333,6 +333,8 @@ def cmd_conjecture_check(args) -> tuple:
     if args.format == "latex":
         raise _Usage("latex output is not defined for report commands")
     if args.slope is not None:
+        if args.slope.denominator == 1:
+            raise _Usage("the slope's denominator must be at least 2, got 1")
         walls = [args.slope]
     else:
         walls = [w for w in stable.candidate_walls(args.n, 0, 1)

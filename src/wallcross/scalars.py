@@ -28,15 +28,14 @@ always have identical term dictionaries:
 >>> print((one() - q(2)) / (one() - q()))
 1*q^(1)*t^(0) + 1*q^(0)*t^(0)
 
-Serialization (:meth:`Scalar.dumps` / :meth:`Scalar.loads`) emits terms in
-descending lexicographic order of (q-exponent, t-exponent) with explicit
-rational exponents; canonical form makes string equality the same thing as
-value equality, which the cache and the golden-file tests rely on.
+Serialization (:meth:`Scalar.dumps`) emits terms in descending
+lexicographic order of (q-exponent, t-exponent) with explicit rational
+exponents; canonical form makes string equality the same thing as value
+equality, which the cache and the golden-file tests rely on.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd as _igcd
 from typing import Callable, Iterable, NamedTuple
@@ -89,22 +88,11 @@ class Monomial(NamedTuple):
     exp_q: object  # int | Fraction
     exp_t: object
 
-    def __mul__(self, other: "Monomial") -> "Monomial":  # type: ignore[override]
-        return Monomial(_ex(self.exp_q + other.exp_q), _ex(self.exp_t + other.exp_t))
-
     def inv(self) -> "Monomial":
         return Monomial(-self.exp_q, -self.exp_t)
 
-    def __pow__(self, k) -> "Monomial":  # type: ignore[override]
-        k = _fr(k)
-        return Monomial(_ex(self.exp_q * k), _ex(self.exp_t * k))
-
 
 _UNIT = Monomial(0, 0)
-
-_TERM_RE = re.compile(
-    r"^(-?\d+(?:/\d+)?)\*q\^\((-?\d+(?:/\d+)?)\)\*t\^\((-?\d+(?:/\d+)?)\)$"
-)
 
 
 class LaurentPoly:
@@ -127,10 +115,6 @@ class LaurentPoly:
         self._hash = None
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -160,9 +144,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def coeff(self, exp_q, exp_t) -> Fraction:
-        return self._terms.get(Monomial(_ex(exp_q), _ex(exp_t)), Fraction(0))
-
     def leading(self) -> tuple[Monomial, Fraction]:
         """Lex-largest term; errors on zero."""
         if not self._terms:
@@ -188,16 +169,10 @@ class LaurentPoly:
                     out[m] = s
                 else:
                     del out[m]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._terms = out
-        r._hash = None
-        return r
+        return _poly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._terms = {m: -c for m, c in self._terms.items()}
-        r._hash = None
-        return r
+        return _poly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -218,43 +193,22 @@ class LaurentPoly:
                         out[m] = s
                     else:
                         del out[m]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._terms = out
-        r._hash = None
-        return r
+        return _poly(out)
 
     def scale(self, c) -> "LaurentPoly":
         c = _fr(c)
         if not c:
             return LaurentPoly()
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._terms = {m: cc * c for m, cc in self._terms.items()}
-        r._hash = None
-        return r
+        return _poly({m: cc * c for m, cc in self._terms.items()})
 
     def mul_term(self, coeff, mono: Monomial) -> "LaurentPoly":
         coeff = _fr(coeff)
         if not coeff:
             return LaurentPoly()
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._terms = {
+        return _poly({
             Monomial(m.exp_q + mono.exp_q, m.exp_t + mono.exp_t): c * coeff
             for m, c in self._terms.items()
-        }
-        r._hash = None
-        return r
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("LaurentPoly powers take nonnegative integers")
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        })
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; ArithmeticError when divisor does not divide.
@@ -273,14 +227,7 @@ class LaurentPoly:
         if divisor.is_term():
             (m, c), = divisor._terms.items()
             return self.mul_term(Fraction(1) / c, m.inv())
-        dq = _lcm(
-            [m.exp_q.denominator for m in self._terms]
-            + [m.exp_q.denominator for m in divisor._terms]
-        )
-        dt = _lcm(
-            [m.exp_t.denominator for m in self._terms]
-            + [m.exp_t.denominator for m in divisor._terms]
-        )
+        dq, dt = _exp_lcms(self, divisor)
         P, ps, psh = _intize(self, dq, dt)
         D, ds, dsh = _intize(divisor, dq, dt)
         Q = _idiv(P, D)
@@ -348,31 +295,19 @@ class LaurentPoly:
                 parts.append(f"+ {c}*{body}")
         return " ".join(parts)
 
-    @classmethod
-    def loads(cls, s: str) -> "LaurentPoly":
-        s = s.strip()
-        if s == "0":
-            return cls()
-        chunks = re.split(r" ([+-]) ", s)
-        terms: dict[Monomial, Fraction] = {}
-        sign = 1
-        for i, chunk in enumerate(chunks):
-            if i % 2 == 1:
-                sign = 1 if chunk == "+" else -1
-                continue
-            m = _TERM_RE.match(chunk.strip())
-            if not m:
-                raise ValueError(f"cannot parse term {chunk!r}")
-            c, eq, et = Fraction(m.group(1)), Fraction(m.group(2)), Fraction(m.group(3))
-            mono = Monomial(_ex(eq), _ex(et))
-            terms[mono] = terms.get(mono, Fraction(0)) + sign * c
-        return cls(terms)
-
     def __str__(self) -> str:
         return self.dumps()
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.dumps()!r})"
+
+
+def _poly(terms: dict) -> LaurentPoly:
+    """Wrap a term dict that is already clean: Monomial keys, no zero coefficients."""
+    r = LaurentPoly.__new__(LaurentPoly)
+    r._terms = terms
+    r._hash = None
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +545,7 @@ def _unintize(d: dict, dq: int, dt: int, scale: Fraction, shift: Monomial) -> La
         eq = sq + (u if dq == 1 else Fraction(u, dq))
         et = st + (v if dt == 1 else Fraction(v, dt))
         terms[Monomial(_ex(eq), _ex(et))] = scale * c
-    r = LaurentPoly.__new__(LaurentPoly)
-    r._terms = terms
-    r._hash = None
-    return r
+    return _poly(terms)
 
 
 def _idiv(P: dict, D: dict):
@@ -661,20 +593,18 @@ def _idiv(P: dict, D: dict):
     return None
 
 
-def _z_divides(cand: dict, P: dict) -> bool:
-    return _idiv(P, cand) is not None
-
-
 def _gcd_int(P: dict, Q: dict) -> dict:
     """gcd (associate) in Z[u,v] of primitive dicts {(u,v): int}."""
     glex = _igcd(P[max(P)], Q[max(Q)])
     acc = None
     accdeg = None
-    for p in _PRIMES:
+    for i, p in enumerate(_PRIMES):
         if P[max(P)] % p == 0 or Q[max(Q)] % p == 0:
             continue
         Gp = None
-        for offset in (0, 1009, 7919):
+        # each prime starts at its own point: a run of unlucky points that
+        # fools the stability check at one prime is not replayed at the next
+        for offset in (i, 1009 + i, 7919 + i):
             try:
                 Gp = _gcd_mod_p(P, Q, p, offset)
                 break
@@ -709,7 +639,7 @@ def _gcd_int(P: dict, Q: dict) -> dict:
             ic = _igcd(ic, c)
         if ic > 1:
             cand = {k: c // ic for k, c in cand.items()}
-        if _z_divides(cand, P) and _z_divides(cand, Q):
+        if _idiv(P, cand) is not None and _idiv(Q, cand) is not None:
             return cand
     raise ArithmeticError("modular gcd failed to stabilize across prime bank")
 
@@ -769,6 +699,18 @@ def laurent_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Lau
 # ---------------------------------------------------------------------------
 
 
+def _unit_leading(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Divide num and den by den's lex-leading term, so den leads with 1*q^(0)*t^(0).
+
+    A one-term denominator becomes exactly 1 and folds into the numerator.
+    """
+    m, c = den.leading()
+    if c == 1 and m == _UNIT:
+        return num, den
+    c, m = Fraction(1) / c, m.inv()
+    return num.mul_term(c, m), den.mul_term(c, m)
+
+
 class Scalar:
     """Reduced fraction of Laurent polynomials with canonical normalization.
 
@@ -793,24 +735,9 @@ class Scalar:
             self.num, self.den = LaurentPoly(), LaurentPoly.one()
             self._hash = None
             return
-        if not den.is_one():
-            if den.is_term():
-                (m, c), = den.terms().items()
-                num = num.mul_term(Fraction(1) / c, m.inv())
-                den = LaurentPoly.one()
-            else:
-                num, den = laurent_reduce(num, den)
-                if den.is_term():
-                    # the gcd carried the denominator's polynomial part
-                    (m, c), = den._terms.items()
-                    num = num.mul_term(Fraction(1) / c, m.inv())
-                    den = LaurentPoly.one()
-                else:
-                    m, c = den.leading()
-                    if c != 1 or m != _UNIT:
-                        num = num.mul_term(Fraction(1) / c, m.inv())
-                        den = den.mul_term(Fraction(1) / c, m.inv())
-        self.num, self.den = num, den
+        if not den.is_term():
+            num, den = laurent_reduce(num, den)
+        self.num, self.den = _unit_leading(num, den)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -855,23 +782,10 @@ class Scalar:
             if not g2.is_one():
                 num = num.exact_div(g2)
                 g = g.exact_div(g2)
-            den = g * a * b
-            if den.is_one():
-                return Scalar.from_laurent(num)
-            if den.is_term():
-                (m, c), = den._terms.items()
-                return Scalar.from_laurent(num.mul_term(Fraction(1) / c, m.inv()))
-            m, c = den.leading()
-            if c != 1 or m != _UNIT:
-                num = num.mul_term(Fraction(1) / c, m.inv())
-                den = den.mul_term(Fraction(1) / c, m.inv())
-            return Scalar(num, den, _normalized=True)
-        den = a * b
-        if den.is_one():
-            return Scalar.from_laurent(num)
-        # d1, d2 normalized with coprime product: already reduced and
-        # lex-leading term of the product is the unit term
-        return Scalar(num, den, _normalized=True)
+            a = g * a
+        # with g = 1, d1 and d2 are coprime and lead with the unit term, so
+        # their product is reduced against num and already leads with it
+        return Scalar(*_unit_leading(num, a * b), _normalized=True)
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
@@ -901,14 +815,7 @@ class Scalar:
             g = laurent_gcd(n2, d1)
             if not g.is_one():
                 n2, d1 = n2.exact_div(g), d1.exact_div(g)
-        num, den = n1 * n2, d1 * d2
-        if den.is_one():
-            return Scalar.from_laurent(num)
-        m, c = den.leading()
-        if c != 1 or m != _UNIT:
-            num = num.mul_term(Fraction(1) / c, m.inv())
-            den = den.mul_term(Fraction(1) / c, m.inv())
-        return Scalar(num, den, _normalized=True)
+        return Scalar(*_unit_leading(n1 * n2, d1 * d2), _normalized=True)
 
     def inverse(self) -> "Scalar":
         if not self:
@@ -976,25 +883,6 @@ class Scalar:
         if self.den.is_one():
             return self.num.dumps()
         return f"({self.num.dumps()})/({self.den.dumps()})"
-
-    @classmethod
-    def loads(cls, s: str) -> "Scalar":
-        s = s.strip()
-        if s.startswith("("):
-            depth = 0
-            for i, ch in enumerate(s):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                    if depth == 0:
-                        if s[i + 1 : i + 3] == "/(" and s.endswith(")"):
-                            return cls(
-                                LaurentPoly.loads(s[1:i]),
-                                LaurentPoly.loads(s[i + 3 : -1]),
-                            )
-                        break
-        return cls(LaurentPoly.loads(s))
 
     def __str__(self) -> str:
         return self.dumps()

@@ -340,16 +340,15 @@ def cross_wall(table: StableTable, w) -> tuple:
     return StableTable(table.n, target, gamma), brows
 
 
-def nabla_shift(table: StableTable, direction: int) -> StableTable:
-    """Slope shift by +-1: rows scale entrywise by (chi_mu/chi_la)^direction."""
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
+def nabla_shift(table: StableTable, k: int) -> StableTable:
+    """Slope shift by the integer k: rows scale entrywise by (chi_mu/chi_la)^k."""
+    chis = {la: chi(la) ** k for la in table.gamma}
     gamma = {
-        la: {mu: val * (chi(mu) / chi(la)) ** direction for mu, val in row.items()}
+        la: {mu: val * chis[mu] / chis[la] for mu, val in row.items()}
         for la, row in table.gamma.items()
     }
     m, side = table.slope
-    return StableTable(table.n, (m + direction, side), gamma)
+    return StableTable(table.n, (m + k, side), gamma)
 
 
 _SWEEPS: dict = {}
@@ -396,12 +395,12 @@ def is_wall(n: int, w) -> bool:
 def stable_basis(n: int, slope) -> StableTable:
     """The table at any slope point: its chamber in the sweep, shifted by nabla."""
     m, side = _slope(slope)
-    tbl, walls = _sweep(n)
-    for w, _, above in walls:
-        if w < m % 1 or (w == m % 1 and side == 1):
-            tbl = above
-    for _ in range(abs(math.floor(m))):
-        tbl = nabla_shift(tbl, 1 if m > 0 else -1)
+    seed, walls = _sweep(n)
+    k = math.floor(m)
+    p = _position(n, (m, side)) - k * len(walls)
+    tbl = walls[p - 1][2] if p else seed
+    if k:
+        tbl = nabla_shift(tbl, k)
     return StableTable(n, (m, side), tbl.gamma)
 
 

@@ -61,10 +61,12 @@ def replay_transition(n, slope1, slope2):
 
 def grid(n):
     """Each wall +-eps, also shifted by -1 and +1; 0+-, 1+, -1-, and
-    1/7+, 5/3-, -2/5+ (a non-wall, a shifted non-wall, a negative slope)."""
+    1/7+, 5/3-, -2/5+ (a non-wall, a shifted non-wall, a negative slope),
+    7/2+ and -10/3- (shifts by 3 and -4)."""
     points = [(w + k, side) for w in WALLS[n] for k in (-1, 0, 1) for side in (-1, 1)]
     return points + [(F2(0), 1), (F2(0), -1), (F2(1), 1), (F2(-1), -1),
-                     (F2(1, 7), 1), (F2(5, 3), -1), (F2(-2, 5), 1)]
+                     (F2(1, 7), 1), (F2(5, 3), -1), (F2(-2, 5), 1),
+                     (F2(7, 2), 1), (F2(-10, 3), -1)]
 
 
 @pytest.mark.parametrize("n", [2, 3])

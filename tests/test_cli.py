@@ -127,6 +127,8 @@ def test_usage_errors_exit_two(tmp_path):
     ("fock-bar", "--n", "2", "--b", "2", "--jobs", "0"),
     ("fock-bar", "--n", "3", "--b", "1"),
     ("canonical", "--n", "3", "--b", "1"),
+    ("positivity", "--n", "0", "--slope", "1/2"),
+    ("conjecture-check", "--n", "3", "--slope", "2"),
 ])
 def test_out_of_range_arguments_exit_two(tmp_path, argv):
     p = run_cli(*argv, cache_dir=tmp_path, check=False)
@@ -253,6 +255,7 @@ def test_unusable_cache_dir_warns_after_output(tmp_path):
     ref = run_cli("fock-bar", "--n", "2", "--b", "2", "--no-cache")
     assert p.stdout == ref.stdout
     assert "could not write the cache entry" in p.stderr
+    assert "unreadable cache entry" not in p.stderr
 
 
 def test_env_var_sets_default_cache_dir(tmp_path):

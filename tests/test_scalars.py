@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wallcross.scalars import (
     LaurentPoly,
@@ -57,6 +57,9 @@ def scalars(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(scalars(), scalars(), scalars())
+# both sums meet the gcd of 1 + q + t - t^2 and 1 + q, where t = 0 and t = 1
+# are unlucky evaluation points
+@example(t(-1), q(-1) / (one() + q(-1)), -(q(-1) * t()) / (one() + q(-1)))
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
@@ -232,22 +235,10 @@ def test_dumps_format_frozen():
     assert y.dumps() == "(-1*q^(-1)*t^(0) + 1*q^(-2)*t^(0))/(1*q^(0)*t^(0) - 1*q^(-1)*t^(0) + 1*q^(-2)*t^(0))"
 
 
-@settings(max_examples=80, deadline=None)
-@given(scalars())
-def test_serialization_round_trip(a):
-    assert Scalar.loads(a.dumps()) == a
-
-
 @settings(max_examples=40, deadline=None)
 @given(scalars(), scalars())
 def test_string_equality_is_value_equality(a, b):
     assert (a.dumps() == b.dumps()) == (a == b)
-
-
-def test_loads_rejects_garbage():
-    for bad in ["q + 1", "1*q^(1)", "(1*q^(0)*t^(0)", "2*q^1*t^(0)"]:
-        with pytest.raises(ValueError):
-            Scalar.loads(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +252,7 @@ def test_zero_division():
     with pytest.raises(ZeroDivisionError):
         zero().inverse()
     with pytest.raises(ZeroDivisionError):
-        Scalar(LaurentPoly.one(), LaurentPoly.zero())
+        Scalar(LaurentPoly.one(), LaurentPoly())
 
 
 def test_negative_powers():
@@ -278,6 +269,17 @@ def test_exact_div_guard():
 
 def test_gcd_of_coprime_is_one():
     assert laurent_gcd((one() + q()).num, (one() + t()).num).is_one()
+
+
+def test_gcd_past_unlucky_evaluation_points():
+    # 1 + t - t^2 is 1 at t = 0 and t = 1, so both points see a common factor
+    a = one() + q() + t() - t(2)
+    b = one() + q()
+    assert laurent_gcd(a.num, b.num).is_one()
+    x = a / b
+    assert x * b == a
+    assert x.dumps() == ("(1*q^(0)*t^(0) - 1*q^(-1)*t^(2) + 1*q^(-1)*t^(1) + 1*q^(-1)*t^(0))"
+                         "/(1*q^(0)*t^(0) + 1*q^(-1)*t^(0))")
 
 
 def test_gcd_with_fractional_exponents():
