@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -27,8 +28,6 @@ from . import __version__, cache, fock, stable, verify
 from .partitions import enumerate_partitions
 from .scalars import Scalar, q1q2_exponents, zero
 from .symfunc import Ht_
-
-CACHEABLE = {"macdonald", "fock-bar", "canonical", "stable", "wallcross"}
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +40,13 @@ def _slope_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"slope must be a/b, got {text!r}")
+
+
+def _wall_arg(text: str) -> Fraction:
+    m = _slope_arg(text)
+    if m.denominator == 1:
+        raise argparse.ArgumentTypeError("the slope's denominator must be at least 2, got 1")
+    return m
 
 
 def _side_arg(text: str) -> str:
@@ -81,60 +87,65 @@ def _partition_arg(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "latex"),
-                        default="json")
-    common.add_argument("--cache-dir", default=None)
-    common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--jobs", type=_jobs_arg, default=1)
-
     p = argparse.ArgumentParser(prog="wallcross", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("macdonald", parents=[common],
-                        help="modified Macdonald basis in Schur coordinates")
+    def command(name, run, help, cached=False, formats=("json", "csv", "latex")):
+        sp = sub.add_parser(name, help=help)
+        # a slope such as -10/3 is a value, not an option
+        sp._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        sp.add_argument("--format", choices=formats, default="json")
+        sp.add_argument("--cache-dir", default=None)
+        sp.add_argument("--no-cache", action="store_true")
+        sp.add_argument("--jobs", type=_jobs_arg, default=1)
+        sp.set_defaults(run=run, cached=cached)
+        return sp
+
+    sp = command("macdonald", cmd_macdonald, cached=True,
+                 help="modified Macdonald basis in Schur coordinates")
     sp.add_argument("--n", type=_at_least(0), required=True)
 
-    sp = sub.add_parser("fock-bar", parents=[common],
-                        help="bar involution matrix on the degree-n piece")
+    sp = command("fock-bar", cmd_fock_bar, cached=True,
+                 help="bar involution matrix on the degree-n piece")
     sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--b", type=_at_least(2), required=True)
 
-    sp = sub.add_parser("canonical", parents=[common],
-                        help="canonical basis transition matrix")
+    sp = command("canonical", cmd_canonical, cached=True,
+                 help="canonical basis transition matrix")
     sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--b", type=_at_least(2), required=True)
     sp.add_argument("--side", type=_side_arg, default="+")
 
-    sp = sub.add_parser("stable", parents=[common],
-                        help="stable basis table at a slope")
+    sp = command("stable", cmd_stable, cached=True,
+                 help="stable basis table at a slope")
     sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--slope", type=_slope_arg, required=True)
     sp.add_argument("--side", type=_side_arg, default="+")
 
-    sp = sub.add_parser("wallcross", parents=[common],
-                        help="transition matrix from slope 0 to just past --slope")
+    sp = command("wallcross", cmd_wallcross, cached=True,
+                 help="transition matrix from slope 0 to just past --slope")
     sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--slope", type=_slope_arg, required=True)
 
-    sp = sub.add_parser("conjecture-check", parents=[common],
-                        help="renormalized crossings against bar matrices")
+    report = ("json", "csv")
+    sp = command("conjecture-check", cmd_conjecture_check, formats=report,
+                 help="renormalized crossings against bar matrices")
     sp.add_argument("--n", type=_at_least(0), required=True)
-    sp.add_argument("--slope", type=_slope_arg, default=None,
+    sp.add_argument("--slope", type=_wall_arg, default=None,
                     help="check one wall instead of all detected walls")
 
-    sub.add_parser("appendix-check", parents=[common],
-                   help="byte-exact comparison against the tabulated matrices")
+    command("appendix-check", cmd_appendix_check, formats=report,
+            help="byte-exact comparison against the tabulated matrices")
 
-    sp = sub.add_parser("positivity", parents=[common],
-                        help="series positivity of Schur coefficients")
+    sp = command("positivity", cmd_positivity, formats=report,
+                 help="series positivity of Schur coefficients")
     sp.add_argument("--n", type=_at_least(1), required=True)
     sp.add_argument("--slope", type=_slope_arg, required=True)
     sp.add_argument("--side", type=_side_arg, default="+")
     sp.add_argument("--order", type=_at_least(0), default=8)
 
-    sp = sub.add_parser("characters", parents=[common],
-                        help="graded characters at slope a/b")
+    sp = command("characters", cmd_characters,
+                 help="graded characters at slope a/b")
     sp.add_argument("--slope", type=_slope_arg, required=True)
     sp.add_argument("--verma", type=_partition_arg, default=None,
                     help="also emit the standard character for this partition")
@@ -151,27 +162,8 @@ def _plabel(la) -> str:
     return str(list(la))
 
 
-def _matrix_doc(order, M) -> dict:
-    entries = {}
-    for i, row_la in enumerate(order):
-        for j, col_la in enumerate(order):
-            if M[i][j]:
-                entries[f"{_plabel(row_la)}|{_plabel(col_la)}"] = str(M[i][j])
-    return {"order": [list(la) for la in order], "entries": entries}
-
-
 def _emit_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _emit_csv_entries(doc: dict) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["row", "col", "value"])
-    for key in sorted(doc.get("entries", {})):
-        row, col = key.split("|")
-        w.writerow([row, col, doc["entries"][key]])
-    return out.getvalue()
 
 
 def _emit_csv_flat(doc: dict) -> str:
@@ -237,12 +229,6 @@ def _latex_scalar(v: Scalar) -> str:
     return f"\\frac{{{poly(v.num)}}}{{{poly(v.den)}}}"
 
 
-def _emit_latex_matrix(order, M) -> str:
-    rows = [" & ".join(_latex_scalar(v) for v in row) for row in M]
-    body = " \\\\\n".join(rows)
-    return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"
-
-
 def _latex_sym(coeffs: dict) -> str:
     keys = sorted(coeffs, key=lambda la: (len(la), tuple(-p for p in la)))
     parts = []
@@ -258,7 +244,30 @@ def _latex_sym(coeffs: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _strip_millis(report: dict) -> dict:
+def _emit(doc: dict, args) -> str:
+    return _emit_json(doc) if args.format == "json" else _emit_csv_flat(doc)
+
+
+def _emit_matrix(args, header: dict, order, M, key="entries") -> str:
+    """M as a pmatrix, as one CSV row per nonzero entry, or as the JSON
+    document header + {"order": ..., key: nonzero entries}."""
+    if args.format == "latex":
+        rows = (" & ".join(_latex_scalar(v) for v in row) for row in M)
+        return "\\begin{pmatrix}\n" + " \\\\\n".join(rows) + "\n\\end{pmatrix}\n"
+    entries = verify.matrix_entries(M, order)
+    if args.format == "json":
+        return _emit_json({**header, "order": [list(la) for la in order], key: entries})
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["row", "col", "value"])
+    w.writerows([*k.split("|"), entries[k]] for k in sorted(entries))
+    return out.getvalue()
+
+
+def _logged(label: str, report: dict) -> dict:
+    """Print the report's status and time to stderr; return it without `millis`."""
+    print(f"wallcross: {label}: {report['status']} ({report['millis']}ms)",
+          file=sys.stderr)
     return {k: v for k, v in report.items() if k != "millis"}
 
 
@@ -275,29 +284,20 @@ def cmd_macdonald(args) -> tuple:
     order = enumerate_partitions(args.n)
     M = [[Ht_(mu).to_basis("s").coeffs.get(la, zero()) for la in order]
          for mu in order]
-    doc = {"n": args.n, "basis": "Htilde in s", **_matrix_doc(order, M)}
-    if args.format == "latex":
-        return _emit_latex_matrix(order, M), 0
-    return _emit(doc, args), 0
+    return _emit_matrix(args, {"n": args.n, "basis": "Htilde in s"}, order, M), 0
 
 
 def cmd_fock_bar(args) -> tuple:
     order = enumerate_partitions(args.n)
     M = fock.bar_matrix(args.n, args.b)
-    doc = {"n": args.n, "b": args.b, **_matrix_doc(order, M)}
-    if args.format == "latex":
-        return _emit_latex_matrix(order, M), 0
-    return _emit(doc, args), 0
+    return _emit_matrix(args, {"n": args.n, "b": args.b}, order, M), 0
 
 
 def cmd_canonical(args) -> tuple:
     order = enumerate_partitions(args.n)
     M = fock.canonical_basis(args.n, args.b, args.side)
-    doc = {"n": args.n, "b": args.b, "sign": args.side,
-           **_matrix_doc(order, M)}
-    if args.format == "latex":
-        return _emit_latex_matrix(order, M), 0
-    return _emit(doc, args), 0
+    header = {"n": args.n, "b": args.b, "sign": args.side}
+    return _emit_matrix(args, header, order, M), 0
 
 
 def cmd_stable(args) -> tuple:
@@ -305,15 +305,8 @@ def cmd_stable(args) -> tuple:
     tbl = stable.stable_basis(args.n, (args.slope, side))
     order = enumerate_partitions(args.n)
     gamma = [[tbl.entry(la, mu) for mu in order] for la in order]
-    doc = {
-        "n": args.n,
-        "slope": _slope_doc(args.slope, args.side),
-        "order": [list(la) for la in order],
-        "gamma": _matrix_doc(order, gamma)["entries"],
-    }
-    if args.format == "latex":
-        return _emit_latex_matrix(order, gamma), 0
-    return _emit(doc, args), 0
+    header = {"n": args.n, "slope": _slope_doc(args.slope, args.side)}
+    return _emit_matrix(args, header, order, gamma, key="gamma"), 0
 
 
 def cmd_wallcross(args) -> tuple:
@@ -322,53 +315,35 @@ def cmd_wallcross(args) -> tuple:
     M = stable.transition_matrix(args.n, (Fraction(0), 1), (args.slope, 1))
     order = enumerate_partitions(args.n)
     wall = args.slope.denominator > 1 and stable.is_wall(args.n, args.slope)
-    doc = {"n": args.n, "slope": _slope_doc(args.slope, "+"), "wall": wall,
-           **_matrix_doc(order, M)}
-    if args.format == "latex":
-        return _emit_latex_matrix(order, M), 0
-    return _emit(doc, args), 0
+    header = {"n": args.n, "slope": _slope_doc(args.slope, "+"), "wall": wall}
+    return _emit_matrix(args, header, order, M), 0
 
 
 def cmd_conjecture_check(args) -> tuple:
-    if args.format == "latex":
-        raise _Usage("latex output is not defined for report commands")
     if args.slope is not None:
-        if args.slope.denominator == 1:
-            raise _Usage("the slope's denominator must be at least 2, got 1")
         walls = [args.slope]
     else:
         walls = [w for w in stable.candidate_walls(args.n, 0, 1)
                  if stable.is_wall(args.n, w)]
     reports = [verify.conjecture_check(args.n, w) for w in walls]
-    for r in reports:
-        print(f"wallcross: conjecture n={args.n} m={r['params']['m']}: "
-              f"{r['status']} ({r['millis']}ms)", file=sys.stderr)
-    doc = {"n": args.n, "reports": [_strip_millis(r) for r in reports]}
+    reports = [_logged(f"conjecture n={args.n} m={r['params']['m']}", r) for r in reports]
     mismatch = any(r["status"] == "mismatch" for r in reports)
     # within the tabulated range a mismatch is a hard failure; beyond it,
     # a reported finding, and the run still exits 0
     code = 1 if (mismatch and args.n <= 3) else 0
-    return _emit(doc, args), code
+    return _emit({"n": args.n, "reports": reports}, args), code
 
 
 def cmd_appendix_check(args) -> tuple:
-    if args.format == "latex":
-        raise _Usage("latex output is not defined for report commands")
-    r = verify.appendix_check()
-    print(f"wallcross: appendix: {r['status']} ({r['millis']}ms)",
-          file=sys.stderr)
-    return _emit(_strip_millis(r), args), 0 if r["status"] == "match" else 1
+    r = _logged("appendix", verify.appendix_check())
+    return _emit(r, args), 0 if r["status"] == "match" else 1
 
 
 def cmd_positivity(args) -> tuple:
-    if args.format == "latex":
-        raise _Usage("latex output is not defined for report commands")
     side = 1 if args.side == "+" else -1
     r = verify.positivity_report(args.n, (args.slope, side), args.order)
-    print(f"wallcross: positivity: {r['status']} ({r['millis']}ms)",
-          file=sys.stderr)
     # conjectural, report-only: a negative coefficient is a finding
-    return _emit(_strip_millis(r), args), 0
+    return _emit(_logged("positivity", r), args), 0
 
 
 def cmd_characters(args) -> tuple:
@@ -400,33 +375,6 @@ def cmd_characters(args) -> tuple:
     return _emit(doc, args), 0
 
 
-def _emit(doc: dict, args) -> str:
-    if args.format == "json":
-        return _emit_json(doc)
-    if "entries" in doc:
-        return _emit_csv_entries(doc)
-    if "gamma" in doc:
-        return _emit_csv_entries({"entries": doc["gamma"]})
-    return _emit_csv_flat(doc)
-
-
-class _Usage(Exception):
-    pass
-
-
-HANDLERS = {
-    "macdonald": cmd_macdonald,
-    "fock-bar": cmd_fock_bar,
-    "canonical": cmd_canonical,
-    "stable": cmd_stable,
-    "wallcross": cmd_wallcross,
-    "conjecture-check": cmd_conjecture_check,
-    "appendix-check": cmd_appendix_check,
-    "positivity": cmd_positivity,
-    "characters": cmd_characters,
-}
-
-
 def _source_digest() -> str:
     """sha256 over the package's .py sources, so other code never shares a key."""
     h = hashlib.sha256()
@@ -450,10 +398,9 @@ def _cache_key(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
-    use_cache = args.command in CACHEABLE and not args.no_cache
+    use_cache = args.cached and not args.no_cache
     if use_cache:
         root = args.cache_dir or cache.default_dir()
         key = _cache_key(args)
@@ -463,9 +410,7 @@ def main(argv=None) -> int:
             return int(hit.get("code", 0))
 
     try:
-        text, code = HANDLERS[args.command](args)
-    except _Usage as err:
-        parser.error(str(err))  # exits 2
+        text, code = args.run(args)
     except (ValueError, ArithmeticError) as err:
         print(f"wallcross: error: {err}", file=sys.stderr)
         return 1

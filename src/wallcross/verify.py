@@ -28,6 +28,7 @@ __all__ = [
     "verma_character",
     "finite_dimensional_class",
     "cherednik_characters",
+    "matrix_entries",
 ]
 
 
@@ -45,7 +46,8 @@ def _report(check, params, status, witness=None, t0=None):
     return out
 
 
-def _ser_matrix(M, order):
+def matrix_entries(M, order) -> dict:
+    """The nonzero entries of M as {"[row]|[col]": canonical Scalar string}."""
     return {
         f"{list(nu)}|{list(la)}": str(M[i][j])
         for i, nu in enumerate(order)
@@ -175,15 +177,15 @@ def appendix_check() -> dict:
         return stable.transition_matrix(n, (F2(0), 1), (F2(m), 1))
 
     o2, o3 = enumerate_partitions(2), enumerate_partitions(3)
-    checks.append(("n2 matrix 1/2", _ser_matrix(mat(2, F2(1, 2)), o2),
-                   _ser_matrix(g["n2 matrix 1/2"], o2)))
-    checks.append(("n2 matrix 3/2", _ser_matrix(mat(2, F2(3, 2)), o2),
-                   _ser_matrix(g["n2 matrix 3/2"], o2)))
+    checks.append(("n2 matrix 1/2", matrix_entries(mat(2, F2(1, 2)), o2),
+                   matrix_entries(g["n2 matrix 1/2"], o2)))
+    checks.append(("n2 matrix 3/2", matrix_entries(mat(2, F2(3, 2)), o2),
+                   matrix_entries(g["n2 matrix 3/2"], o2)))
     # displayed factorization: cumulative 3/2 = (3/2 factor) * (1/2 factor)
     f12 = stable.transition_matrix(2, (F2(1, 2), -1), (F2(1, 2), 1))
     f32 = stable.transition_matrix(2, (F2(3, 2), -1), (F2(3, 2), 1))
-    checks.append(("n2 factorization 3/2", _ser_matrix(mat_mul(f32, f12), o2),
-                   _ser_matrix(g["n2 matrix 3/2"], o2)))
+    checks.append(("n2 factorization 3/2", matrix_entries(mat_mul(f32, f12), o2),
+                   matrix_entries(g["n2 matrix 3/2"], o2)))
 
     seed2 = stable.stable_basis(2, (F2(0), 1))
     up12 = stable.stable_basis(2, (F2(1, 2), 1))
@@ -201,7 +203,7 @@ def appendix_check() -> dict:
 
     for m in (F2(1, 3), F2(1, 2), F2(2, 3)):
         label = f"n3 matrix {m.numerator}/{m.denominator}"
-        checks.append((label, _ser_matrix(mat(3, m), o3), _ser_matrix(g[label], o3)))
+        checks.append((label, matrix_entries(mat(3, m), o3), matrix_entries(g[label], o3)))
     # factorizations: each cumulative is the ordered product of wall factors
     factors = {
         w: stable.transition_matrix(3, (w, -1), (w, 1))
@@ -212,7 +214,7 @@ def appendix_check() -> dict:
                      (F2(2, 3), "n3 factorization 2/3")]:
         prod = mat_mul(factors[w], prod)
         want = g[f"n3 matrix {w.numerator}/{w.denominator}"]
-        checks.append((label, _ser_matrix(prod, o3), _ser_matrix(want, o3)))
+        checks.append((label, matrix_entries(prod, o3), matrix_entries(want, o3)))
 
     for label, got, want in checks:
         if got != want:

@@ -114,8 +114,10 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli("fock-bar", "--n", "2", cache_dir=tmp_path,
                    check=False).returncode == 2  # missing --b
     assert run_cli("nope", cache_dir=tmp_path, check=False).returncode == 2
-    assert run_cli("conjecture-check", "--n", "2", "--format", "latex",
-                   cache_dir=tmp_path, check=False).returncode == 2
+    p = run_cli("conjecture-check", "--n", "2", "--format", "latex",
+                cache_dir=tmp_path, check=False)
+    assert p.returncode == 2
+    assert "wallcross conjecture-check: error:" in p.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -134,6 +136,7 @@ def test_out_of_range_arguments_exit_two(tmp_path, argv):
     p = run_cli(*argv, cache_dir=tmp_path, check=False)
     assert p.returncode == 2
     assert "must be at least" in p.stderr and "Traceback" not in p.stderr
+    assert f"wallcross {argv[0]}: error:" in p.stderr
 
 
 def test_jobs_capped_at_cpu_count(tmp_path):
@@ -167,10 +170,16 @@ def test_package_has_no_assert_statements():
 
 
 def test_computation_errors_exit_one(tmp_path):
-    p = run_cli("wallcross", "--n", "2", "--slope=-1/2", cache_dir=tmp_path,
-                check=False)
-    assert p.returncode == 1
-    assert "positive slope" in p.stderr
+    for slope in (["--slope=-1/2"], ["--slope", "-1/2"]):
+        p = run_cli("wallcross", "--n", "2", *slope, cache_dir=tmp_path, check=False)
+        assert p.returncode == 1
+        assert "positive slope" in p.stderr
+
+
+def test_negative_slope_parses_after_a_space():
+    spaced = run_cli("stable", "--n", "3", "--slope", "-10/3", "--side", "-", "--no-cache")
+    joined = run_cli("stable", "--n", "3", "--slope=-10/3", "--side", "-", "--no-cache")
+    assert spaced.stdout == joined.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +195,39 @@ def test_byte_identical_across_runs_and_jobs(tmp_path):
     assert a.stdout == b.stdout
 
 
-# stdout of two commands that run through the symmetric-function layer
-# (Htilde -> s, and Verma characters p -> s), pinned byte for byte
-SYMFUNC_STDOUT_SHA256 = {
+# stdout pinned byte for byte: the symmetric-function layer (Htilde -> s, and
+# Verma characters p -> s), and every output shape the command layer emits
+STDOUT_SHA256 = {
     ("macdonald", "--n", "4"):
         "7a7858e52cdd827286683bd4cffd4cd4c84c12442ca6524f0409dc4821ec4ec7",
     ("characters", "--slope", "3/2", "--verma", "2,1"):
         "c3fab9a0525626c40a5e4c00d69e6cd21bd0521621d33190c6d64daac3b3c959",
+    ("characters", "--slope", "5/3", "--verma", "2,1", "--format", "latex"):
+        "468cc16a67dd2238976124c3a3a68e2e8b2c72f285b46596073556ff8d638117",
+    ("characters", "--slope", "5/3", "--verma", "2,1", "--format", "csv"):
+        "8ebfc8f3ccb51ba4d80faafad36e88007916c994961ca74c629d77f7defc8d3b",
+    ("stable", "--n", "3", "--slope", "1/2", "--format", "csv"):
+        "3adc705c2bb4453c94541090dd8c8522cf38422d4346858abed513739c470506",
+    ("stable", "--n", "3", "--slope", "1/2", "--format", "latex"):
+        "89b9a5ec9d114d37bf9e8ddc08c4a686e9813d55e5441fa2815fdef01063e57c",
+    ("fock-bar", "--n", "4", "--b", "3", "--format", "csv"):
+        "a1326823275033516c797b5eca47cd137d4a4a43933ea970f56a9b9a4597fddc",
+    ("wallcross", "--n", "3", "--slope", "2", "--format", "csv"):
+        "2d18fbb66a6949141c92cb0fe44abd18a60e2324b6cefad60020181861cfe11b",
+    ("conjecture-check", "--n", "3", "--format", "csv"):
+        "71f7b636f605d6fa5ad4cabb4416e175cea7e77f45e7c08a63c5e35882056880",
+    ("appendix-check", "--format", "csv"):
+        "34b57c13e8011eedb9830fb706caeeb390fc08c7d546c2e29f6a5647b2244b75",
+    ("positivity", "--n", "2", "--slope", "1/2", "--format", "csv"):
+        "3599528eb6386048530ac43648dce12c36f9ed422c4c5edb276422309ee2a5cf",
 }
 
 
-@pytest.mark.parametrize("argv", list(SYMFUNC_STDOUT_SHA256), ids=" ".join)
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
 def test_symfunc_commands_stdout_pinned(argv):
     p = run_cli(*argv, "--no-cache")
     digest = hashlib.sha256(p.stdout.encode()).hexdigest()
-    assert digest == SYMFUNC_STDOUT_SHA256[argv]
+    assert digest == STDOUT_SHA256[argv]
 
 
 def test_cache_round_trip(tmp_path):
