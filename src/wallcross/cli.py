@@ -360,18 +360,9 @@ def cmd_characters(args) -> tuple:
             lines.append("\\mathrm{ch}\\, M = "
                          + _latex_sym(bundle["verma"].coeffs))
         return "\n".join(lines) + "\n", 0
-    doc = {
-        "slope": _slope_doc(m, "+"),
-        "finite_raw": {_plabel(la): str(c)
-                       for la, c in sorted(bundle["finite_raw"].coeffs.items())},
-        "finite_normalized": {
-            _plabel(la): str(c)
-            for la, c in sorted(bundle["finite_normalized"].coeffs.items())
-        },
-    }
-    if "verma" in bundle:
-        doc["verma"] = {_plabel(la): str(c)
-                        for la, c in sorted(bundle["verma"].coeffs.items())}
+    doc = {"slope": _slope_doc(m, "+")}
+    for key, f in bundle.items():
+        doc[key] = {_plabel(la): str(c) for la, c in sorted(f.coeffs.items())}
     return _emit(doc, args), 0
 
 

@@ -7,7 +7,7 @@ congruent to i mod b) with exponent N^r counting indent-minus-removable
 i-nodes strictly right of the new box, e_i removes one with exponent -N^l
 counting the same difference strictly to the left, and the Heisenberg
 operators V_k add or remove horizontal k-strips of b-ribbons weighted by
-(-q)^(-spin).
+(-q)^(-spin), read off the abacus by partitions.horizontal_strips.
 
 The sign on e's exponent is forced: with +N^l the quantum sl_2 relation
 [e_i, f_i] = (q^(h_i) - q^(-h_i))/(q - q^(-1)) already fails on the degree-2
@@ -35,10 +35,9 @@ from .partitions import (
     conjugate,
     dominates,
     enumerate_partitions,
-    horizontal_strip_spin,
+    horizontal_strips,
     remove_box,
     removable_boxes,
-    size,
 )
 from .scalars import LaurentPoly, Scalar, laurent_gcd, monomial, one, zero
 
@@ -46,7 +45,6 @@ __all__ = [
     "vacuum",
     "apply_f",
     "apply_e",
-    "apply_h",
     "apply_V",
     "apply_B",
     "bar_matrix",
@@ -109,46 +107,13 @@ def apply_e(i: int, v: dict, b: int) -> dict:
     return out
 
 
-def apply_h(i: int, v: dict, b: int) -> dict:
-    """The Cartan weight q^(h_i): eigenvalue q^(N_i) on each |la>."""
-    if not 0 <= i < b:
-        raise ValueError(f"generator index {i} out of range for b={b}")
-    out: dict = {}
-    for la, c in v.items():
-        n = len(_i_addable(la, i, b)) - len(_i_removable(la, i, b))
-        _add_term(out, la, c * _qpow(n))
-    return out
-
-
-def _strip_targets_up(mu: Partition, k: int, b: int) -> list:
-    """(la, spin) for all horizontal k-strips of b-ribbons added to mu."""
-    out = []
-    for la in enumerate_partitions(size(mu) + k * b):
-        sp = horizontal_strip_spin(la, mu, k, b)
-        if sp is not None:
-            out.append((la, sp))
-    return out
-
-
-def _strip_targets_down(la: Partition, k: int, b: int) -> list:
-    if size(la) < k * b:
-        return []
-    out = []
-    for mu in enumerate_partitions(size(la) - k * b):
-        sp = horizontal_strip_spin(la, mu, k, b)
-        if sp is not None:
-            out.append((mu, sp))
-    return out
-
-
 def apply_V(k: int, v: dict, b: int) -> dict:
     """V_k (k > 0 creates, k < 0 annihilates) with coefficient (-q)^(-spin)."""
     if k == 0:
         raise ValueError("V_0 is the identity's generating-series constant; use k != 0")
     out: dict = {}
     for la, c in v.items():
-        pairs = _strip_targets_up(la, k, b) if k > 0 else _strip_targets_down(la, -k, b)
-        for target, sp in pairs:
+        for target, sp in horizontal_strips(la, abs(k), b, down=k < 0):
             _add_term(out, target, c * monomial((-1) ** sp, -sp, 0))
     return out
 

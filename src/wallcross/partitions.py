@@ -7,9 +7,14 @@ row y, content(x, y) = x - y, the arm counts boxes strictly to the right in
 the same row, and the leg counts boxes strictly above in the same column
 (rows with larger y).
 
-A b-ribbon is a connected skew snake of b boxes with consecutive contents
-and no 2x2 square; walking it from the northwestern end, each step moves
-right or down as the content increases.
+Ribbons live on the abacus.  The beta-numbers of la (la_i + L - 1 - i for
+L rows, zeros allowed) are beads on b runners, bead v at level v // b of
+runner v % b.  A b-ribbon is a bead moving b positions: up into a gap to
+add the ribbon, down into a gap to remove it.  Its walk, from the
+northwestern end, has one letter per position strictly between the two:
+'D' where a bead sits, 'R' at a gap; the height is the number of 'D's.  A
+horizontal strip of b-ribbons is a set of moves that keeps the beads on
+each runner interlaced with their old levels.
 """
 
 from __future__ import annotations
@@ -130,7 +135,7 @@ def hook_partitions(n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# beta-numbers, cores, ribbon removal
+# beta-numbers: cores, ribbons, horizontal strips
 # ---------------------------------------------------------------------------
 
 
@@ -165,47 +170,24 @@ def b_core(la: Partition, b: int) -> Partition:
 
 
 def removable_ribbons(la: Partition, b: int) -> list:
-    """All (mu, ribbon_boxes) with mu = la minus one b-ribbon.
+    """All (mu, walk) with mu = la minus one b-ribbon.
 
-    Deterministic order: by the removed beta-number, descending (equivalently
-    by the ribbon's position from the top of the diagram).
+    A bead at v slides down to the gap v - b; the walk reads the positions
+    strictly between, upwards: 'D' for a bead, 'R' for a gap.  Ordered by
+    the removed beta-number, descending (from the top of the diagram).
     """
-    L = len(la) + b
-    beta = _beta(la, L)
+    beta = _beta(la, len(la) + b)
     bset = set(beta)
-    out = []
-    for v in sorted(beta, reverse=True):
-        if v - b >= 0 and v - b not in bset:
-            mu = _from_beta([w if w != v else v - b for w in beta])
-            rb = sorted(set(boxes(la)) - set(boxes(mu)))
-            if len(rb) != b:
-                raise ArithmeticError(f"{la} minus {mu} is {len(rb)} boxes, not a {b}-ribbon")
-            out.append((mu, rb))
-    return out
-
-
-def ribbon_walk(ribbon: list) -> str:
-    """Steps 'R'/'D' from the northwestern end, in content order."""
-    rb = sorted(ribbon, key=lambda xy: xy[0] - xy[1])
-    steps = []
-    for (x0, y0), (x1, y1) in zip(rb, rb[1:]):
-        if (x1 - y1) != (x0 - y0) + 1:
-            raise ValueError(f"contents of {(x0, y0)} and {(x1, y1)} are not consecutive")
-        if y1 == y0 and x1 == x0 + 1:
-            steps.append("R")
-        elif x1 == x0 and y1 == y0 - 1:
-            steps.append("D")
-        else:
-            raise ValueError(f"not a ribbon step: {(x0, y0)} -> {(x1, y1)}")
-    return "".join(steps)
-
-
-def ribbon_height(ribbon: list) -> int:
-    return len({y for _, y in ribbon}) - 1
+    return [
+        (_from_beta([w if w != v else v - b for w in beta]),
+         "".join("D" if u in bset else "R" for u in range(v - b + 1, v)))
+        for v in beta
+        if v >= b and v - b not in bset
+    ]
 
 
 def ribbon_decomposition(la: Partition, b: int, *, reverse: bool = False) -> list:
-    """Peel b-ribbons down to the core; returns ribbons in removal order.
+    """Peel b-ribbons down to the core; returns their walks in removal order.
 
     Either endpoint of removable_ribbons' ordering may be taken at each
     step (reverse=True picks the other); callers cross-check that derived
@@ -217,93 +199,62 @@ def ribbon_decomposition(la: Partition, b: int, *, reverse: bool = False) -> lis
         cands = removable_ribbons(cur, b)
         if not cands:
             break
-        mu, rb = cands[-1] if reverse else cands[0]
-        out.append(rb)
-        cur = mu
+        cur, walk = cands[-1] if reverse else cands[0]
+        out.append(walk)
     if cur != b_core(la, b):
         raise ArithmeticError(f"peeling {b}-ribbons off {la} stops at {cur}, not the core")
     return out
 
 
-# ---------------------------------------------------------------------------
-# horizontal strips of ribbons (for the Fock-space V operators)
-# ---------------------------------------------------------------------------
+def horizontal_strips(mu: Partition, k: int, b: int, down: bool = False) -> list:
+    """(la, spin) for every horizontal strip of k b-ribbons added to mu.
 
-
-def _snakes_through(S: frozenset, s0, b: int) -> list:
-    """All b-box ribbon snakes inside S that contain the box s0."""
+    With down=True the strip is removed instead.  On each runner the beads
+    interlace: going up, a bead stays below the old level of the bead above
+    it; going down, above the old level of the bead below it.  The spin (the
+    sum of the ribbon heights) is counted one step at a time from the smaller
+    partition, always moving the lowest bead still to move.
+    """
+    beta = _beta(mu, len(mu) + k * b)
+    caps = []  # (position, most levels the bead may move)
+    for r in range(b):
+        levels = [v // b for v in beta if v % b == r]  # descending
+        for i, lv in enumerate(levels):
+            if down:
+                cap = lv - (levels[i + 1] + 1 if i + 1 < len(levels) else 0)
+            else:
+                cap = levels[i - 1] - 1 - lv if i else k
+            if cap:
+                caps.append((lv * b + r, cap))
     out = []
-    for sx, sy in S:
-        for word in range(1 << (b - 1)):
-            chain = [(sx, sy)]
-            x, y = sx, sy
-            ok = True
-            for j in range(b - 1):
-                if (word >> j) & 1:
-                    x, y = x, y - 1
-                else:
-                    x, y = x + 1, y
-                if (x, y) not in S:
-                    ok = False
-                    break
-                chain.append((x, y))
-            if ok and s0 in chain:
-                out.append(chain)
+
+    def rec(i: int, left: int, moves: dict) -> None:
+        if not left:
+            out.append(_strip(beta, moves, b, down))
+        elif i < len(caps):
+            v, cap = caps[i]
+            for s in range(min(cap, left) + 1):
+                rec(i + 1, left - s, {**moves, v: s} if s else moves)
+
+    rec(0, k, {})
     return out
 
 
-def ribbon_tilings(la: Partition, mu: Partition, b: int) -> list:
-    """All tilings of la/mu by b-ribbons (each as a list of ribbons)."""
-    bl, bm = set(boxes(la)), set(boxes(mu))
-    if not bm <= bl:
-        raise ValueError(f"{mu} does not sit inside {la}")
-    S = frozenset(bl - bm)
-    if len(S) % b:
-        return []
-
-    tilings = []
-
-    def rec(S, acc):
-        if not S:
-            tilings.append(list(acc))
-            return
-        s0 = min(S)
-        for chain in _snakes_through(S, s0, b):
-            rec(S - frozenset(chain), acc + [chain])
-
-    rec(S, [])
-    return tilings
-
-
-def horizontal_strip_spin(la: Partition, mu: Partition, k: int, b: int):
-    """Spin of the unique horizontal k-strip of b-ribbons from mu to la.
-
-    Returns sum of ribbon heights, or None when la/mu is not such a strip.
-    The tiling, when the horizontality condition holds, must be unique --
-    checked, since the coefficient would otherwise be ambiguous.
-    """
-    bl, bm = set(boxes(la)), set(boxes(mu))
-    if not (bm <= bl) or len(bl) - len(bm) != k * b:
-        return None
-    good = []
-    for tiling in ribbon_tilings(la, mu, b):
-        cols = {}
-        for chain in tiling:
-            for x, y in chain:
-                cols.setdefault(x, []).append(y)
-        ok = True
-        for chain in tiling:
-            nw = min(chain, key=lambda xy: xy[0] - xy[1])
-            if any(y > nw[1] for y in cols.get(nw[0], [])):
-                ok = False
-                break
-        if ok:
-            good.append(tiling)
-    if not good:
-        return None
-    if len(good) != 1:
-        raise ArithmeticError(f"{len(good)} horizontal {b}-ribbon tilings of {la}/{mu}")
-    return sum(ribbon_height(chain) for chain in good[0])
+def _strip(beta: list, moves: dict, b: int, down: bool) -> tuple:
+    """(other partition, spin) for the bead moves {position: levels}."""
+    if down:
+        beta = [v - moves.get(v, 0) * b for v in beta]
+    pending = {v - s * b if down else v: s for v, s in moves.items()}
+    beads, spin = set(beta), 0
+    while pending:
+        v = min(pending)
+        s = pending.pop(v)
+        beads.remove(v)
+        beads.add(v + b)
+        spin += sum(u in beads for u in range(v + 1, v + b))
+        if s > 1:
+            pending[v + b] = s - 1
+    return _from_beta(beta if down else beads), spin
 
 
 # ---------------------------------------------------------------------------

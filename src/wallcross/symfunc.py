@@ -37,7 +37,6 @@ from .partitions import (
     leg,
     n_stat,
     removable_ribbons,
-    ribbon_height,
     tangent_character,
 )
 from .scalars import LaurentPoly, Scalar, one, q1, q2, rational, zero
@@ -167,8 +166,8 @@ def _character(la: Partition, mu: Partition) -> int:
         return 1 if not la else 0
     k, rest = mu[0], mu[1:]
     acc = 0
-    for nu, rb in removable_ribbons(la, k):
-        acc += (-1) ** ribbon_height(rb) * _character(nu, rest)
+    for nu, walk in removable_ribbons(la, k):
+        acc += (-1) ** walk.count("D") * _character(nu, rest)
     return acc
 
 

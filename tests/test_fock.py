@@ -77,12 +77,6 @@ def test_V_down_then_up_vacuum_coefficient():
     assert w[()] == one() + qq(-2)
 
 
-def test_cartan_weight():
-    # N_1((1)) = 2 at b = 2: both addable corners are 1-nodes, none removable
-    w = F.apply_h(1, {(1,): one()}, 2)
-    assert w == vec(((1,), qq(2)))
-
-
 def test_e_lowers_with_negated_left_count():
     w = F.apply_e(1, vec(((2,), one()), ((1, 1), qq(1))), 2)
     assert w == vec(((1,), qq(1) + qq(-1)))

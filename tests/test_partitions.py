@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,16 +16,13 @@ from wallcross.partitions import (
     content_sum,
     dominates,
     enumerate_partitions,
-    horizontal_strip_spin,
+    horizontal_strips,
     leg,
     n_stat,
     remove_box,
     removable_boxes,
     removable_ribbons,
     ribbon_decomposition,
-    ribbon_height,
-    ribbon_tilings,
-    ribbon_walk,
     tangent_character,
 )
 from wallcross.scalars import LaurentPoly, monomial, one, q1, q2
@@ -152,30 +148,12 @@ def test_removable_ribbons_against_brute_force(b):
 
 def test_ribbon_walk_and_height():
     # the 3-ribbon (2,1): northwestern end is (0,1), then down, then right
-    rb = [(0, 0), (1, 0), (0, 1)]
-    assert ribbon_walk(rb) == "DR"
-    assert ribbon_height(rb) == 1
-    assert ribbon_walk([(0, 0), (1, 0)]) == "R"
-    assert ribbon_walk([(0, 1), (0, 0)]) == "D"
-    assert ribbon_height([(0, 3), (0, 2), (0, 1), (0, 0)]) == 3
-
-
-def test_removable_ribbons_checks_ribbon_size(monkeypatch):
-    # a beta-number slide that loses boxes must not pass as a b-ribbon
-    monkeypatch.setattr(partitions, "_from_beta", lambda beta: ())
-    with pytest.raises(ArithmeticError, match="not a 2-ribbon"):
-        removable_ribbons((3, 1), 2)
-
-
-def test_ribbon_walk_rejects_content_gap():
-    with pytest.raises(ValueError, match="not consecutive"):
-        ribbon_walk([(0, 0), (2, 0)])
-
-
-def test_ribbon_walk_rejects_non_adjacent_step():
-    # contents 0 and 1, but the boxes do not touch
-    with pytest.raises(ValueError, match="not a ribbon step"):
-        ribbon_walk([(0, 0), (2, 1)])
+    assert removable_ribbons((2, 1), 3) == [((), "DR")]
+    assert removable_ribbons((2,), 2) == [((), "R")]
+    assert removable_ribbons((1, 1), 2) == [((), "D")]
+    assert removable_ribbons((1, 1, 1, 1), 4) == [((), "DDD")]
+    # highest bead first: the vertical domino, then the horizontal one
+    assert removable_ribbons((2, 2), 2) == [((1, 1), "D"), ((2,), "R")]
 
 
 def _cores_by_exhaustive_removal(la, b):
@@ -227,12 +205,15 @@ def test_core_idempotent_and_size(la, b):
 def test_ribbon_decomposition_reaches_core(b):
     for n in range(0, 8):
         for la in enumerate_partitions(n):
+            signs = set()
             for rev in (False, True):
                 dec = ribbon_decomposition(la, b, reverse=rev)
                 core = b_core(la, b)
                 assert len(dec) == (sum(la) - sum(core)) // b
-                covered = set(itertools.chain.from_iterable(dec))
-                assert covered == set(boxes(la)) - set(boxes(core))
+                assert all(len(walk) == b - 1 for walk in dec)
+                signs.add(sum(walk.count("D") for walk in dec) % 2)
+            # the b-sign of la does not depend on the peeling order
+            assert len(signs) == 1, la
 
 
 # ---------------------------------------------------------------------------
@@ -240,38 +221,50 @@ def test_ribbon_decomposition_reaches_core(b):
 # ---------------------------------------------------------------------------
 
 
+def _strip_spin(la, mu, k, b):
+    """Spin of la/mu as a horizontal k-strip of b-ribbons; None if it is not one."""
+    spin = dict(horizontal_strips(mu, k, b)).get(la)
+    assert dict(horizontal_strips(la, k, b, down=True)).get(mu) == spin
+    return spin
+
+
 def test_single_domino_strips():
-    assert horizontal_strip_spin((2,), (), 1, 2) == 0
-    assert horizontal_strip_spin((1, 1), (), 1, 2) == 1
-    assert horizontal_strip_spin((2, 2), (2,), 1, 2) == 0
-    assert horizontal_strip_spin((2, 1, 1), (2,), 1, 2) == 1
-    assert horizontal_strip_spin((3, 1), (1, 1), 1, 2) == 0
+    assert _strip_spin((2,), (), 1, 2) == 0
+    assert _strip_spin((1, 1), (), 1, 2) == 1
+    assert _strip_spin((2, 2), (2,), 1, 2) == 0
+    assert _strip_spin((2, 1, 1), (2,), 1, 2) == 1
+    assert _strip_spin((3, 1), (1, 1), 1, 2) == 0
 
 
 def test_strip_size_mismatch_is_none():
-    assert horizontal_strip_spin((2, 1), (), 1, 2) is None
-    assert horizontal_strip_spin((3,), (), 1, 2) is None
+    assert _strip_spin((2, 1), (), 1, 2) is None
+    assert _strip_spin((3,), (), 1, 2) is None
 
 
 def test_two_by_two_square_strip():
-    # two tilings exist; only the vertical pair is horizontal (spin 2)
-    assert len(ribbon_tilings((2, 2), (), 2)) == 2
-    assert horizontal_strip_spin((2, 2), (), 2, 2) == 2
+    # two domino tilings exist; only the vertical pair is horizontal (spin 2)
+    assert _strip_spin((2, 2), (), 2, 2) == 2
 
 
 def test_strip_of_two_dominoes_in_hook():
-    assert horizontal_strip_spin((3, 1), (), 2, 2) == 1
+    assert _strip_spin((3, 1), (), 2, 2) == 1
 
 
 def test_three_ribbon_strips():
-    assert horizontal_strip_spin((3,), (), 1, 3) == 0
-    assert horizontal_strip_spin((2, 1), (), 1, 3) == 1
-    assert horizontal_strip_spin((1, 1, 1), (), 1, 3) == 2
+    assert _strip_spin((3,), (), 1, 3) == 0
+    assert _strip_spin((2, 1), (), 1, 3) == 1
+    assert _strip_spin((1, 1, 1), (), 1, 3) == 2
 
 
 def test_non_horizontal_strip_rejected():
     # (2,2)/() by one 4-ribbon: no tiling at all (2x2 is not a ribbon)
-    assert horizontal_strip_spin((2, 2), (), 1, 4) is None
+    assert _strip_spin((2, 2), (), 1, 4) is None
+
+
+def test_strip_spin_moves_lowest_bead_first():
+    # moving each bead all the way at once would give spin 1 here
+    assert _strip_spin((3, 3), (), 3, 2) == 3
+    assert _strip_spin((4, 4), (1, 1), 3, 2) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +316,7 @@ def test_bracket_negative_multiplicity():
     (lambda: remove_box((2,), 0, 0), "not a removable box"),
     (lambda: partitions._beta((2, 1, 1), 2), "cannot hold"),
     (lambda: b_core((2, 1), 0), "at least 1"),
-    (lambda: ribbon_tilings((2,), (1, 1), 1), "does not sit inside"),
-], ids=["enumerate", "dominates", "add_box", "remove_box", "beta", "b_core",
-        "ribbon_tilings"])
+], ids=["enumerate", "dominates", "add_box", "remove_box", "beta", "b_core"])
 def test_invalid_arguments_raise(call, message):
     # explicit errors, so that python -O keeps them
     with pytest.raises(ValueError, match=message):
