@@ -124,25 +124,20 @@ def apply_B(k: int, v: dict, b: int) -> dict:
     The generating series sum V_k z^k = exp(sum B_(-k) z^k / k) inverts to
     the Newton-style recursion B_(-k) = k V_k - sum_{i<k} V_i B_(-(k-i)),
     and same-sign V's commute so the order inside is immaterial.  The
-    annihilation side mirrors with V_(-k).
+    annihilation side mirrors with V_(-k).  The vectors B_(-j) v are built
+    bottom-up for j = 1..k, so V is applied k(k+1)/2 times in all.
     """
     if k == 0:
         raise ValueError("B_0 is not a generator")
     sgn = -1 if k > 0 else 1  # V's carrying the same sign of degree change
-    kk = abs(k)
-
-    def rec(j: int, w: dict) -> dict:
-        out = {
-            la: c * monomial(j)
-            for la, c in apply_V(sgn * j, w, b).items()
-        }
+    below: list[dict] = []  # below[j - 1] = B_(-sgn*j) v
+    for j in range(1, abs(k) + 1):
+        out = {la: c * monomial(j) for la, c in apply_V(sgn * j, v, b).items()}
         for i in range(1, j):
-            inner = rec(j - i, w)
-            for la, c in apply_V(sgn * i, inner, b).items():
+            for la, c in apply_V(sgn * i, below[j - i - 1], b).items():
                 _add_term(out, la, -c)
-        return out
-
-    return rec(kk, v)
+        below.append(out)
+    return below[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -313,198 +313,28 @@ def _poly(terms: dict) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # gcd of Laurent polynomials
 #
-# Exponents are cleared to N^2 (common denominator per variable, minima
-# shifted to 0) and coefficients to Z; the gcd is then computed modularly
-# (Brown): over 61-bit prime fields, evaluate t, take univariate gcds in q,
-# interpolate the images, and verify the symmetric-lifted candidate by exact
-# division over Q.  Unlucky primes fail the division check and are repaired
-# by CRT with the next prime.  Desk-scale inputs never leave the first prime.
+# Exponents are cleared to N^2 (common denominator per variable, minima at
+# 0) and coefficients to Z.  The gcd of the primitive dicts {(u, v): int} is
+# the heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7
+# (1989)): evaluate v = xi with xi >= 2 min(|P|_oo, |Q|_oo) + 2, take the
+# gcd of the images over Z[u] the same way (u = xi', integer gcd), keeping
+# the integer content, rebuild each u-coefficient from its symmetric
+# xi-adic digits (|digit| <= xi/2), and accept the primitive part G (lex-
+# leading coefficient positive) only if it divides both inputs.  Otherwise
+# xi grows, _HEU_TRIES times at most, and then ArithmeticError is raised.
+# One substitution v = u^K would not do: the images of (1+q)(1+q+t) and
+# (1+t)(1+q+t) share the spurious factor 1 + u at every xi.
+#
+# A G that divides is the gcd.  Say gcd(P, Q) = G E, P of smaller norm m.
+# The image gcd is G(u, xi) times the content c of the rebuilt polynomial,
+# so E(u, xi) divides c and 0 < |E(u, xi)| <= |c| <= xi/2.  E has u-degree
+# 0, or its leading u-coefficient would divide P's and vanish at xi, past
+# Cauchy's root bound m + 1.  Each root of E in Z[v] is then a root of a
+# u-coefficient of P, of modulus below m + 1 <= xi/2, so a nonconstant E
+# has |E(xi)| > xi/2.  So E is an integer, and +-1 as P is primitive.
 # ---------------------------------------------------------------------------
 
-_PRIMES = (
-    2305843009213693951,
-    2305843009213693921,
-    2305843009213693907,
-    2305843009213693723,
-    2305843009213693693,
-    2305843009213693669,
-    2305843009213693613,
-    2305843009213693561,
-)
-
-
-class _UnluckyPrime(Exception):
-    pass
-
-
-# univariate dense polynomials mod p: list of ints, index = degree
-
-
-def _up_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _up_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _up_trim(out)
-
-
-def _up_divmod(a, b, p):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        d = len(a) - len(b)
-        quo[d] = c
-        for i, cb in enumerate(b):
-            a[i + d] = (a[i + d] - c * cb) % p
-        _up_trim(a)
-    return _up_trim(quo), a
-
-
-def _up_gcd(a, b, p):
-    a, b = _up_trim(list(a)), _up_trim(list(b))
-    while b:
-        a, b = b, _up_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _up_eval(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
-# bivariate mod p: dict u_degree -> nonzero v-poly
-
-
-def _bp_reduce(P: dict, p: int) -> dict:
-    out: dict[int, list[int]] = {}
-    for (u, v), c in P.items():
-        c %= p
-        if c:
-            col = out.setdefault(u, [])
-            if len(col) <= v:
-                col.extend([0] * (v + 1 - len(col)))
-            col[v] = c
-    return {u: col for u, col in ((u, _up_trim(col)) for u, col in out.items()) if col}
-
-
-def _bp_content(B, p):
-    g: list[int] = []
-    for col in B.values():
-        g = _up_gcd(g, col, p)
-        if len(g) == 1:
-            return [1]
-    return g
-
-
-def _bp_div_content(B, g, p):
-    if g == [1]:
-        return B
-    return {u: _up_divmod(col, g, p)[0] for u, col in B.items()}
-
-
-def _bp_finalize(cont, H, p):
-    out = {}
-    for u, col in H.items():
-        full = _up_mul(col, cont, p)
-        for v, c in enumerate(full):
-            if c:
-                out[(u, v)] = c
-    if not out:
-        raise _UnluckyPrime
-    inv = pow(out[max(out)], p - 2, p)
-    return {k: c * inv % p for k, c in out.items()}
-
-
-def _gcd_mod_p(P: dict, Q: dict, p: int, offset: int = 0) -> dict:
-    """Monic (lex) gcd mod p of integer-coefficient dicts {(u,v): int}.
-
-    Interpolates univariate gcd images at v = offset, offset+1, ...; an
-    image at an unlucky evaluation point is either outvoted (its u-degree
-    exceeds the running minimum) or exposed by the stability point taken
-    after the interpolation is determined, which restarts the window.  The
-    result can still be a strict multiple of the truth for an unlucky
-    prime; the caller verifies over Q before trusting it.
-    """
-    A, B = _bp_reduce(P, p), _bp_reduce(Q, p)
-    if not A or not B:
-        raise _UnluckyPrime
-    cA = _bp_content(A, p)
-    A = _bp_div_content(A, cA, p)
-    cB = _bp_content(B, p)
-    B = _bp_div_content(B, cB, p)
-    cont = _up_gcd(cA, cB, p)
-    duA, duB = max(A), max(B)
-    if duA == 0 or duB == 0:
-        return _bp_finalize(cont, {0: [1]}, p)
-    gamma = _up_gcd(A[duA], B[duB], p)
-    dvA = max(len(c) - 1 for c in A.values())
-    dvB = max(len(c) - 1 for c in B.values())
-    need = min(dvA, dvB) + len(gamma)  # points determining the candidate
-    npoints = 0
-    M = [1]
-    C: dict[int, list[int]] = {}
-    dmin = None
-    for alpha in range(offset, offset + 8 * need + 40):
-        alpha %= p
-        if _up_eval(gamma, alpha, p) == 0:
-            continue
-        pa = _up_trim([_up_eval(A.get(u, []), alpha, p) for u in range(duA + 1)])
-        qa = _up_trim([_up_eval(B.get(u, []), alpha, p) for u in range(duB + 1)])
-        if len(pa) - 1 != duA or len(qa) - 1 != duB:
-            continue
-        g = _up_gcd(pa, qa, p)
-        dg = len(g) - 1
-        if dg == 0:
-            return _bp_finalize(cont, {0: [1]}, p)
-        if dmin is None or dg < dmin:
-            dmin, npoints, M, C = dg, 0, [1], {}
-        elif dg > dmin:
-            continue
-        ga = _up_eval(gamma, alpha, p)
-        img = [c * ga % p for c in g]
-        deltas = {
-            u: (img[u] - _up_eval(C.get(u, []), alpha, p)) % p for u in range(dmin + 1)
-        }
-        if npoints >= need:
-            if any(deltas.values()):
-                # a bad point slipped into this window; slide past it
-                npoints, M, C = 0, [1], {}
-                continue
-            C = {u: col for u, col in C.items() if col}
-            if not C:
-                raise _UnluckyPrime
-            ccont = _bp_content(C, p)
-            return _bp_finalize(cont, _bp_div_content(C, ccont, p), p)
-        minv = pow(_up_eval(M, alpha, p), p - 2, p)
-        for u, delta in deltas.items():
-            if delta:
-                add = [c * delta % p * minv % p for c in M]
-                cu = C.get(u, [])
-                merged = list(cu) + [0] * max(0, len(add) - len(cu))
-                for i, c in enumerate(add):
-                    merged[i] = (merged[i] + c) % p
-                C[u] = _up_trim(merged)
-        npoints += 1
-        M = _up_mul(M, [(-alpha) % p, 1], p)
-    raise _UnluckyPrime
+_HEU_TRIES = 6
 
 
 def _lcm(nums: Iterable[int]) -> int:
@@ -530,9 +360,7 @@ def _intize(p: LaurentPoly, dq: int, dt: int):
         raw[(int((m.exp_q - sq) * dq), int((m.exp_t - st) * dt))] = c
     den = _lcm([c.denominator for c in raw.values()])
     out = {k: c.numerator * (den // c.denominator) for k, c in raw.items()}
-    ic = 0
-    for c in out.values():
-        ic = _igcd(ic, c)
+    ic = _igcd(*out.values())
     if ic > 1:
         out = {k: c // ic for k, c in out.items()}
     return out, Fraction(ic, den), shift
@@ -593,55 +421,60 @@ def _idiv(P: dict, D: dict):
     return None
 
 
+def _primitive(G: dict) -> dict:
+    """G over its integer content, sign chosen so the lex-leading coefficient is positive."""
+    c = _igcd(*G.values())
+    if G[max(G)] < 0:
+        c = -c
+    return G if c == 1 else {k: x // c for k, x in G.items()}
+
+
+def _evaluate(P: dict, var: int, xi: int) -> dict:
+    """P with variable var (0 = u, 1 = v) set to xi; keys keep that slot 0."""
+    powers = [xi**e for e in range(max(k[var] for k in P) + 1)]
+    out: dict[tuple[int, int], int] = {}
+    for k, c in P.items():
+        r = (k[0], 0) if var else (0, 0)
+        out[r] = out.get(r, 0) + c * powers[k[var]]
+    return {r: c for r, c in out.items() if c}
+
+
+def _rebuild(g: dict, var: int, xi: int) -> dict:
+    """Inverse of _evaluate: symmetric xi-adic digits become powers of var."""
+    half = xi // 2
+    out = {}
+    for k, c in g.items():
+        e = 0
+        while c:
+            c, d = divmod(c, xi)
+            if d > half:
+                d -= xi
+                c += 1
+            if d:
+                out[(k[0], e) if var else (e, 0)] = d
+            e += 1
+    return out
+
+
+def _heu_gcd(P: dict, Q: dict, var: int) -> dict:
+    """gcd in Z[u, v] of nonzero dicts whose slots above var are 0; see above."""
+    c = _igcd(*P.values(), *Q.values())
+    P, Q = _primitive(P), _primitive(Q)
+    xi = 2 * min(max(map(abs, P.values())), max(map(abs, Q.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        a, b = _evaluate(P, var, xi), _evaluate(Q, var, xi)
+        if a and b:
+            h = _heu_gcd(a, b, 0) if var else {(0, 0): _igcd(a[(0, 0)], b[(0, 0)])}
+            G = _primitive(_rebuild(h, var, xi))
+            if _idiv(P, G) is not None and _idiv(Q, G) is not None:
+                return G if c == 1 else {k: c * x for k, x in G.items()}
+        xi = xi * 73794 // 27011
+    raise ArithmeticError("heuristic gcd found no candidate dividing both inputs")
+
+
 def _gcd_int(P: dict, Q: dict) -> dict:
-    """gcd (associate) in Z[u,v] of primitive dicts {(u,v): int}."""
-    glex = _igcd(P[max(P)], Q[max(Q)])
-    acc = None
-    accdeg = None
-    for i, p in enumerate(_PRIMES):
-        if P[max(P)] % p == 0 or Q[max(Q)] % p == 0:
-            continue
-        Gp = None
-        # each prime starts at its own point: a run of unlucky points that
-        # fools the stability check at one prime is not replayed at the next
-        for offset in (i, 1009 + i, 7919 + i):
-            try:
-                Gp = _gcd_mod_p(P, Q, p, offset)
-                break
-            except _UnluckyPrime:
-                continue
-        if Gp is None:
-            continue
-        if Gp == {(0, 0): 1}:
-            return {(0, 0): 1}
-        s = glex % p
-        Gp = {k: c * s % p for k, c in Gp.items()}
-        deg = (max(u for u, _ in Gp), max(v for _, v in Gp))
-        if acc is None or (deg[0] <= accdeg[0] and deg[1] <= accdeg[1] and deg != accdeg):
-            acc, accdeg = (p, Gp), deg
-        elif deg == accdeg:
-            m, G = acc
-            mm = m * p
-            inv = pow(m % p, p - 2, p)
-            comb = {}
-            for k in set(G) | set(Gp):
-                a, b = G.get(k, 0), Gp.get(k, 0)
-                x = (a + (b - a) * inv % p * m) % mm
-                if x:
-                    comb[k] = x
-            acc = (mm, comb)
-        else:
-            continue
-        m, G = acc
-        cand = {k: (c if c <= m // 2 else c - m) for k, c in G.items()}
-        ic = 0
-        for c in cand.values():
-            ic = _igcd(ic, c)
-        if ic > 1:
-            cand = {k: c // ic for k, c in cand.items()}
-        if _idiv(P, cand) is not None and _idiv(Q, cand) is not None:
-            return cand
-    raise ArithmeticError("modular gcd failed to stabilize across prime bank")
+    """gcd in Z[u,v] of primitive dicts {(u,v): int}, lex-leading coefficient positive."""
+    return _heu_gcd(P, Q, 1)
 
 
 def _exp_lcms(p: LaurentPoly, q: LaurentPoly) -> tuple[int, int]:

@@ -181,14 +181,7 @@ def _p_to_m_matrix(n: int) -> tuple:
         for k in mu:
             nxt: dict = {}
             for nu, c in cur.items():
-                seen = set()
-                counts: dict[int, int] = {}
-                for v in nu:
-                    counts[v] = counts.get(v, 0) + 1
-                for v in counts:
-                    if v in seen:
-                        continue
-                    seen.add(v)
+                for v in dict.fromkeys(nu):  # each distinct part once
                     lst = list(nu)
                     lst.remove(v)
                     new = tuple(sorted(lst + [v + k], reverse=True))

@@ -174,6 +174,41 @@ def test_B_minus_two_log_series():
             assert not vsub(F.apply_B(-2, v, b), rhs)
 
 
+def _B_literal(k, v, b):
+    """B_k by the literal Newton recursion, recomputing B_(-(j-i)) for every i."""
+    sgn = -1 if k > 0 else 1
+
+    def rec(j):
+        out = {la: c * monomial(j) for la, c in F.apply_V(sgn * j, v, b).items()}
+        for i in range(1, j):
+            for la, c in F.apply_V(sgn * i, rec(j - i), b).items():
+                F._add_term(out, la, -c)
+        return out
+
+    return rec(abs(k))
+
+
+@pytest.mark.parametrize("k", [-5, -4, 4, 5])
+def test_B_bottom_up_matches_literal_recursion(k, monkeypatch):
+    b = 2
+    if k < 0:
+        v = {(): one(), (1,): qq(1)}
+    else:
+        v = {la: qq(i) for i, la in enumerate(enumerate_partitions(2 * abs(k)))}
+    expected = _B_literal(k, v, b)
+    assert expected
+    calls = []
+    apply_V = F.apply_V
+
+    def counted(kk, w, bb):
+        calls.append(kk)
+        return apply_V(kk, w, bb)
+
+    monkeypatch.setattr(F, "apply_V", counted)
+    assert F.apply_B(k, v, b) == expected
+    assert len(calls) <= abs(k) * (abs(k) + 1) // 2
+
+
 def test_B_commutator_concrete_eigenvalue():
     # the action gives [B_1, B_-1] = (1 + q^-2)·Id at b = 2 (the quantum
     # integer evaluated at q^-2, not at q; V_-1 V_1 |∅⟩ alone decides this)

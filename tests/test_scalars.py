@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wallcross import scalars as S
 from wallcross.scalars import (
     LaurentPoly,
     Monomial,
@@ -280,6 +281,68 @@ def test_gcd_past_unlucky_evaluation_points():
     assert x * b == a
     assert x.dumps() == ("(1*q^(0)*t^(0) - 1*q^(-1)*t^(2) + 1*q^(-1)*t^(1) + 1*q^(-1)*t^(0))"
                          "/(1*q^(0)*t^(0) + 1*q^(-1)*t^(0))")
+
+
+def test_gcd_is_not_fooled_by_one_kronecker_substitution():
+    # the Kronecker substitution t = q^3 leaves 1 + q in both images, at any
+    # evaluation point, so that candidate never divides; t = xi keeps it apart
+    a = (one() + q()) * (one() + q() + t())
+    b = (one() + t()) * (one() + q() + t())
+    assert laurent_gcd(a.num, b.num) == (one() + q() + t()).num
+
+
+def _int_dict(x):
+    return S._intize(x.num, 1, 1)[0]
+
+
+def test_gcd_retries_past_a_candidate_that_does_not_divide(monkeypatch):
+    # xi0 = 2 |(1+q+t)(q+t)|_oo + 2 = 6; at t = 6 the images of both inputs
+    # are (7+q)(6+q), whose digits rebuild (1+q+t)(q+t), which does not
+    # divide the second input
+    a = (one() + q() + t()) * (q() + t())
+    xi0 = 2 * max(_int_dict(a).values()) + 2
+    b = (one() + q() + t()) * (q() + rational(xi0))
+    points, rejected = [], []
+    evaluate, idiv = S._evaluate, S._idiv
+
+    def spy_evaluate(P, var, xi):
+        points.append((var, xi))
+        return evaluate(P, var, xi)
+
+    def spy_idiv(P, D):
+        out = idiv(P, D)
+        if out is None:
+            rejected.append(D)
+        return out
+
+    monkeypatch.setattr(S, "_evaluate", spy_evaluate)
+    monkeypatch.setattr(S, "_idiv", spy_idiv)
+    assert laurent_gcd(a.num, b.num) == (one() + q() + t()).num
+    assert points[0] == (1, xi0)
+    assert _int_dict(a) in rejected
+
+
+def test_gcd_skips_a_point_where_the_larger_input_vanishes():
+    # xi0 = 2 |1 + t|_oo + 2 = 4 is a root of the second input
+    assert laurent_gcd((one() + t()).num, ((t() - rational(4)) * (one() + q())).num).is_one()
+
+
+def test_gcd_raises_when_no_candidate_divides(monkeypatch):
+    # refuse every bivariate candidate: the gcd must give up, never return one
+    idiv, tries = S._idiv, []
+
+    def refuse_bivariate(P, D):
+        if any(v for _, v in D):
+            tries.append(D)
+            return None
+        return idiv(P, D)
+
+    monkeypatch.setattr(S, "_idiv", refuse_bivariate)
+    a = (one() + q()) * (one() + q() + t())
+    b = (one() + t()) * (one() + q() + t())
+    with pytest.raises(ArithmeticError):
+        laurent_gcd(a.num, b.num)
+    assert len(tries) == S._HEU_TRIES
 
 
 def test_gcd_with_fractional_exponents():
