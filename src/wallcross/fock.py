@@ -2,12 +2,13 @@
 
 Vectors are finite dicts Partition -> Scalar whose values are Laurent
 polynomials in q alone (the t-direction is never touched here).  The
-standard action is the Kashiwara-Miwa-Stern one: f_i adds an i-node (content
-congruent to i mod b) with exponent N^r counting indent-minus-removable
-i-nodes strictly right of the new box, e_i removes one with exponent -N^l
-counting the same difference strictly to the left, and the Heisenberg
-operators V_k add or remove horizontal k-strips of b-ribbons weighted by
-(-q)^(-spin), read off the abacus by partitions.horizontal_strips.
+standard action is the Kashiwara-Miwa-Stern one, and every operator is a
+bead move on the abacus: f_i adds an i-node (content congruent to i mod b)
+with exponent N^r counting addable-minus-removable i-nodes strictly right
+of the new node, e_i removes one with exponent -N^l counting the same
+difference strictly to the left, both read off by partitions.i_nodes, and
+the Heisenberg operators V_k add or remove horizontal k-strips of b-ribbons
+weighted by (-q)^(-spin), read off by partitions.horizontal_strips.
 
 The sign on e's exponent is forced: with +N^l the quantum sl_2 relation
 [e_i, f_i] = (q^(h_i) - q^(-h_i))/(q - q^(-1)) already fails on the degree-2
@@ -29,15 +30,12 @@ from __future__ import annotations
 from .linalg import RankAccumulator, mat_inverse
 from .partitions import (
     Partition,
-    addable_boxes,
-    add_box,
     b_core,
     conjugate,
     dominates,
     enumerate_partitions,
     horizontal_strips,
-    remove_box,
-    removable_boxes,
+    i_nodes,
 )
 from .scalars import LaurentPoly, Scalar, laurent_gcd, monomial, one, zero
 
@@ -67,43 +65,25 @@ def _add_term(out: dict, la: Partition, c: Scalar) -> None:
         out.pop(la, None)
 
 
-def _qpow(k: int) -> Scalar:
-    return monomial(1, k, 0)
-
-
-def _i_addable(la: Partition, i: int, b: int) -> list:
-    return [(x, y) for x, y in addable_boxes(la) if (x - y) % b == i % b]
-
-
-def _i_removable(la: Partition, i: int, b: int) -> list:
-    return [(x, y) for x, y in removable_boxes(la) if (x - y) % b == i % b]
-
-
 def apply_f(i: int, v: dict, b: int) -> dict:
-    """f_i: add an i-node with coefficient q^(indent - removable, to the right)."""
+    """f_i: add an i-node with coefficient q^n, n as in partitions.i_nodes."""
     if not 0 <= i < b:
         raise ValueError(f"generator index {i} out of range for b={b}")
     out: dict = {}
     for mu, c in v.items():
-        ind = _i_addable(mu, i, b)
-        rem = _i_removable(mu, i, b)
-        for x, y in ind:
-            n = sum(1 for u, _ in ind if u > x) - sum(1 for u, _ in rem if u > x)
-            _add_term(out, add_box(mu, x, y), c * _qpow(n))
+        for la, n in i_nodes(mu, i, b):
+            _add_term(out, la, c * monomial(1, n, 0))
     return out
 
 
 def apply_e(i: int, v: dict, b: int) -> dict:
-    """e_i: remove an i-node with coefficient q^-(indent - removable, to the left)."""
+    """e_i: remove an i-node with coefficient q^(-n), n as in partitions.i_nodes."""
     if not 0 <= i < b:
         raise ValueError(f"generator index {i} out of range for b={b}")
     out: dict = {}
     for la, c in v.items():
-        ind = _i_addable(la, i, b)
-        rem = _i_removable(la, i, b)
-        for x, y in rem:
-            n = sum(1 for u, _ in ind if u < x) - sum(1 for u, _ in rem if u < x)
-            _add_term(out, remove_box(la, x, y), c * _qpow(-n))
+        for mu, n in i_nodes(la, i, b, down=True):
+            _add_term(out, mu, c * monomial(1, -n, 0))
     return out
 
 

@@ -15,6 +15,12 @@ northwestern end, has one letter per position strictly between the two:
 'D' where a bead sits, 'R' at a gap; the height is the number of 'D's.  A
 horizontal strip of b-ribbons is a set of moves that keeps the beads on
 each runner interlaced with their old levels.
+
+Nodes are one-step bead moves.  On L = len(la) + 1 beta-numbers an addable
+node of content p - L + 1 is a bead at p with a gap at p + 1, a removable
+one a gap at p with a bead at p + 1.  Walking the positions p = i + L - 1
+mod b from the top (from the bottom), the count of addable minus removable
+i-nodes passed is the Kashiwara-Miwa-Stern exponent of f_i (of e_i).
 """
 
 from __future__ import annotations
@@ -96,46 +102,13 @@ def chi(la: Partition) -> Scalar:
     return monomial(1, eq, et)
 
 
-def addable_boxes(la: Partition) -> list:
-    out = []
-    for y in range(len(la) + 1):
-        x = la[y] if y < len(la) else 0
-        if y == 0 or x < la[y - 1]:
-            out.append((x, y))
-    return out
-
-
-def removable_boxes(la: Partition) -> list:
-    out = []
-    for y in range(len(la)):
-        if y == len(la) - 1 or la[y + 1] < la[y]:
-            out.append((la[y] - 1, y))
-    return out
-
-
-def add_box(la: Partition, x: int, y: int) -> Partition:
-    rows = list(la) + [0]
-    if rows[y] != x:
-        raise ValueError(f"{(x, y)} is not an addable box of {la}")
-    rows[y] += 1
-    return tuple(p for p in rows if p)
-
-
-def remove_box(la: Partition, x: int, y: int) -> Partition:
-    rows = list(la)
-    if rows[y] != x + 1:
-        raise ValueError(f"{(x, y)} is not a removable box of {la}")
-    rows[y] -= 1
-    return tuple(p for p in rows if p)
-
-
 def hook_partitions(n: int) -> list:
     """Partitions (n-k, 1^k) — exactly the ones that are a single n-ribbon."""
     return [(n - k,) + (1,) * k for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
-# beta-numbers: cores, ribbons, horizontal strips
+# beta-numbers: nodes, cores, ribbons, horizontal strips
 # ---------------------------------------------------------------------------
 
 
@@ -152,6 +125,29 @@ def _from_beta(beta: list) -> Partition:
     beta = sorted(beta, reverse=True)
     L = len(beta)
     return tuple(p for p in (b - (L - 1 - i) for i, b in enumerate(beta)) if p)
+
+
+def i_nodes(la: Partition, i: int, b: int, down: bool = False) -> list:
+    """(target, n) for every i-node added to la, or removed with down=True.
+
+    The positions p = i + L - 1 mod b are walked from the top (from the
+    bottom with down=True); n counts the addable minus the removable
+    i-nodes passed before the target, strictly right (left) of it.
+
+    >>> i_nodes((1,), 1, 2)
+    [((2,), 0), ((1, 1), 1)]
+    """
+    L = len(la) + 1
+    beta = _beta(la, L)
+    beads = set(beta)
+    walk = range(beta[0] - (beta[0] - i - L + 1) % b, -1, -b)
+    out, n = [], 0
+    for p in reversed(walk) if down else walk:
+        step = (p in beads) - (p + 1 in beads)  # 1 addable, -1 removable
+        if step == (-1 if down else 1):
+            out.append((_from_beta([{p: p + 1, p + 1: p}.get(v, v) for v in beta]), n))
+        n += step
+    return out
 
 
 def b_core(la: Partition, b: int) -> Partition:

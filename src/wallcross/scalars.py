@@ -118,7 +118,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({_UNIT: Fraction(1)})
+        return _ONE
 
     @classmethod
     def term(cls, coeff, exp_q=0, exp_t=0) -> "LaurentPoly":
@@ -130,7 +130,7 @@ class LaurentPoly:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {_UNIT: Fraction(1)}
+        return self is _ONE or self._terms == _ONE._terms
 
     def is_term(self) -> bool:
         return len(self._terms) == 1
@@ -310,6 +310,9 @@ def _poly(terms: dict) -> LaurentPoly:
     return r
 
 
+_ONE = _poly({_UNIT: Fraction(1)})  # shared: no method mutates _terms
+
+
 # ---------------------------------------------------------------------------
 # gcd of Laurent polynomials
 #
@@ -456,24 +459,29 @@ def _rebuild(g: dict, var: int, xi: int) -> dict:
     return out
 
 
-def _heu_gcd(P: dict, Q: dict, var: int) -> dict:
-    """gcd in Z[u, v] of nonzero dicts whose slots above var are 0; see above."""
+def _heu_gcd(P: dict, Q: dict, var: int) -> tuple[dict, dict, dict]:
+    """(G, P/G, Q/G), G the gcd in Z[u, v] of nonzero dicts zero in slots above var."""
     c = _igcd(*P.values(), *Q.values())
-    P, Q = _primitive(P), _primitive(Q)
-    xi = 2 * min(max(map(abs, P.values())), max(map(abs, Q.values()))) + 2
+    p, q = _primitive(P), _primitive(Q)
+    xi = 2 * min(max(map(abs, p.values())), max(map(abs, q.values()))) + 2
     for _ in range(_HEU_TRIES):
-        a, b = _evaluate(P, var, xi), _evaluate(Q, var, xi)
+        a, b = _evaluate(p, var, xi), _evaluate(q, var, xi)
         if a and b:
-            h = _heu_gcd(a, b, 0) if var else {(0, 0): _igcd(a[(0, 0)], b[(0, 0)])}
+            h = _heu_gcd(a, b, 0)[0] if var else {(0, 0): _igcd(a[(0, 0)], b[(0, 0)])}
             G = _primitive(_rebuild(h, var, xi))
-            if _idiv(P, G) is not None and _idiv(Q, G) is not None:
-                return G if c == 1 else {k: c * x for k, x in G.items()}
+            if c != 1:
+                G = {k: c * x for k, x in G.items()}
+            # the check's quotients are the cofactors: G divides P iff G/c divides p
+            cp = _idiv(P, G)
+            cq = None if cp is None else _idiv(Q, G)
+            if cq is not None:
+                return G, cp, cq
         xi = xi * 73794 // 27011
     raise ArithmeticError("heuristic gcd found no candidate dividing both inputs")
 
 
-def _gcd_int(P: dict, Q: dict) -> dict:
-    """gcd in Z[u,v] of primitive dicts {(u,v): int}, lex-leading coefficient positive."""
+def _gcd_int(P: dict, Q: dict) -> tuple[dict, dict, dict]:
+    """(G, P/G, Q/G) for primitive dicts {(u,v): int}, G's lex-leading coefficient positive."""
     return _heu_gcd(P, Q, 1)
 
 
@@ -500,7 +508,7 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.one()
 
     dq, dt = _exp_lcms(p, q)
-    g = _gcd_int(_intize(p, dq, dt)[0], _intize(q, dq, dt)[0])
+    g = _gcd_int(_intize(p, dq, dt)[0], _intize(q, dq, dt)[0])[0]
     # minima are already 0 per variable: q | p would force min_u > 0 in both
     return _unintize(g, dq, dt, Fraction(1, g[max(g)]), _UNIT)
 
@@ -517,14 +525,11 @@ def laurent_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Lau
     dq, dt = _exp_lcms(num, den)
     N, ns, nsh = _intize(num, dq, dt)
     D, ds, dsh = _intize(den, dq, dt)
-    g = _gcd_int(N, D)
+    g, n, d = _gcd_int(N, D)
     if len(g) == 1:
         # a single-term gcd of primitive minima-at-zero dicts is a unit
         return num, den
-    return (
-        _unintize(_idiv(N, g), dq, dt, ns, nsh),
-        _unintize(_idiv(D, g), dq, dt, ds, dsh),
-    )
+    return _unintize(n, dq, dt, ns, nsh), _unintize(d, dq, dt, ds, dsh)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from wallcross import fock as F
 from wallcross.linalg import mat_mul
-from wallcross.partitions import enumerate_partitions
+from wallcross.partitions import enumerate_partitions, i_nodes
 from wallcross.scalars import monomial, one, q, zero
 
 
@@ -120,10 +120,38 @@ def test_chevalley_commutator(b):
                     if i != j:
                         assert not comm, (la, i, j)
                     else:
-                        N = len(F._i_addable(la, i, b)) - len(F._i_removable(la, i, b))
+                        N = len(i_nodes(la, i, b)) - len(i_nodes(la, i, b, down=True))
                         expect = quantum_integer(N)
                         want = {la: expect} if expect else {}
                         assert not vsub(comm, want), (la, i, N)
+
+
+@pytest.mark.parametrize("b", [2, 3, 4])
+@pytest.mark.parametrize("apply", [F.apply_f, F.apply_e], ids=["f", "e"])
+def test_quantum_serre_relations(apply, b):
+    # sum_k (-1)^k [m choose k] x_i^(m-k) x_j x_i^k = 0 for i != j, with
+    # m = 1 - a_ij: 3 at b = 2, 2 for adjacent i, j, 1 (they commute) else
+    checked = live = 0
+    for n in range(0, 6):
+        for la in enumerate_partitions(n):
+            for i in range(b):
+                for j in range(b):
+                    if i == j:
+                        continue
+                    m = 3 if b == 2 else 2 if (i - j) % b in (1, b - 1) else 1
+                    total = {}
+                    for k in range(m + 1):
+                        c = one() if k in (0, m) else quantum_integer(m)
+                        w = {la: -c if k % 2 else c}
+                        for x in [i] * k + [j] + [i] * (m - k):
+                            w = apply(x, w, b)
+                        live += bool(w)
+                        for mu, cw in w.items():
+                            F._add_term(total, mu, cw)
+                    assert not total, (la, i, j)
+                    checked += 1
+    assert checked == 19 * {2: 2, 3: 6, 4: 12}[b]  # 19 partitions of size <= 5
+    assert live
 
 
 @pytest.mark.parametrize("b", [2, 3])

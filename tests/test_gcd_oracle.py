@@ -324,14 +324,18 @@ def planted_pairs(count, seed=12):
 def test_recorded_traffic_matches_brown(recorded):
     assert len(recorded) >= 100
     for P, Q in recorded:
-        assert _gcd_int(P, Q) == brown_gcd_int(P, Q)
+        g, p, q = _gcd_int(P, Q)
+        assert g == brown_gcd_int(P, Q)
+        # the cofactors come back with the gcd, exact
+        assert _mul(g, p) == P and _mul(g, q) == Q
 
 
 def test_planted_pairs_match_brown():
     for P, Q, G in planted_pairs(2000):
-        g = _gcd_int(P, Q)
+        g, p, q = _gcd_int(P, Q)
         assert g == brown_gcd_int(P, Q)
         assert _idiv(g, G) is not None
+        assert _mul(g, p) == P and _mul(g, q) == Q
 
 
 def test_planted_pairs_match_sympy():
@@ -340,4 +344,4 @@ def test_planted_pairs_match_sympy():
     for P, Q, _ in planted_pairs(60, seed=13):
         ref = sympy.Poly.from_dict(P, u, v).gcd(sympy.Poly.from_dict(Q, u, v)).as_dict()
         sign = 1 if ref[max(ref)] > 0 else -1
-        assert _gcd_int(P, Q) == {k: sign * int(c) for k, c in ref.items()}
+        assert _gcd_int(P, Q)[0] == {k: sign * int(c) for k, c in ref.items()}

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from wallcross import partitions
 from wallcross.partitions import (
-    add_box,
-    addable_boxes,
     arm,
     b_core,
     boxes,
@@ -19,8 +17,6 @@ from wallcross.partitions import (
     horizontal_strips,
     leg,
     n_stat,
-    remove_box,
-    removable_boxes,
     removable_ribbons,
     ribbon_decomposition,
     tangent_character,
@@ -95,15 +91,6 @@ def test_chi_monomials():
     assert chi((1, 1)) == q2()
     assert chi(()) == one()
     assert chi((2, 1)) == q1() * q2()  # = q^2
-
-
-@given(partitions_up_to_8)
-def test_box_add_remove_round_trip(la):
-    for x, y in addable_boxes(la):
-        assert remove_box(add_box(la, x, y), x, y) == la
-    for x, y in removable_boxes(la):
-        assert add_box(remove_box(la, x, y), x, y) == la
-    assert len(addable_boxes(la)) == len(removable_boxes(la)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +299,9 @@ def test_bracket_negative_multiplicity():
 @pytest.mark.parametrize("call, message", [
     (lambda: enumerate_partitions(-1), "negative"),
     (lambda: dominates((3,), (1,)), "one size"),
-    (lambda: add_box((2,), 0, 0), "not an addable box"),
-    (lambda: remove_box((2,), 0, 0), "not a removable box"),
     (lambda: partitions._beta((2, 1, 1), 2), "cannot hold"),
     (lambda: b_core((2, 1), 0), "at least 1"),
-], ids=["enumerate", "dominates", "add_box", "remove_box", "beta", "b_core"])
+], ids=["enumerate", "dominates", "beta", "b_core"])
 def test_invalid_arguments_raise(call, message):
     # explicit errors, so that python -O keeps them
     with pytest.raises(ValueError, match=message):

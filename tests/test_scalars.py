@@ -354,11 +354,12 @@ def test_gcd_with_fractional_exponents():
     assert a.num.exact_div(g) * g == a.num
 
 
-def test_doctests():
+@pytest.mark.parametrize("module, examples", [("scalars", 4), ("partitions", 1)],
+                         ids=["scalars", "partitions"])
+def test_doctests(module, examples):
     import doctest
+    import importlib
 
-    import wallcross.scalars as mod
-
-    results = doctest.testmod(mod)
+    results = doctest.testmod(importlib.import_module(f"wallcross.{module}"))
     # a module that lost its examples would also report 0 failed
-    assert results.failed == 0 and results.attempted >= 4
+    assert results.failed == 0 and results.attempted >= examples
