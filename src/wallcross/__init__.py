@@ -3,7 +3,7 @@
 Subpackage map:
 
 - :mod:`wallcross.scalars` -- exact Laurent/rational scalars in (q, t)
-- :mod:`wallcross.linalg` -- field-generic dense linear algebra
+- :mod:`wallcross.linalg` -- field-generic linear algebra, sparse elimination for solves
 - :mod:`wallcross.partitions` -- partitions, ribbons, cores, torus weights
 - :mod:`wallcross.symfunc` -- symmetric functions and Macdonald machinery
 - :mod:`wallcross.fock` -- level-one Fock space, bar involution, canonical bases

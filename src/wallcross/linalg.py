@@ -1,16 +1,18 @@
-"""Dense linear algebra over any exact field, duck-typed.
+"""Linear algebra over any exact field, duck-typed.
 
 Entries only need +, -, *, /, truthiness and ==; Fraction and Scalar both
-qualify.  Matrices are lists of row lists.  Everything here is
-deterministic: pivot choice is always the first nonzero candidate, so
-results are reproducible across runs.
+qualify.  Matrices are lists of row lists; solve_rational eliminates over
+sparse rows (dicts of their nonzeros) and RankAccumulator keeps sparse
+vectors.  Everything here is deterministic: pivot choice is always the
+first nonzero candidate, so results are reproducible across runs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 __all__ = [
     "mat_mul",
-    "mat_vec",
     "identity",
     "mat_inverse",
     "solve_rational",
@@ -32,16 +34,6 @@ def mat_mul(A, B):
                 acc = acc + A[i][l] * B[l][j]
             row.append(acc)
         out.append(row)
-    return out
-
-
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for l in range(1, len(v)):
-            acc = acc + row[l] * v[l]
-        out.append(acc)
     return out
 
 
@@ -71,41 +63,62 @@ def mat_inverse(A, one, zero):
 
 
 def solve_rational(A, b):
-    """Solve A x = b over Fraction-like entries.
+    """Solve A x = b over Fraction or int entries.
 
     Returns (particular, nullspace) where particular is one solution (or
     None if the system is inconsistent) and nullspace is a basis of the
-    homogeneous solution space.  A may be non-square.
-    """
-    from fractions import Fraction
+    homogeneous solution space, all entries Fractions.  A may be non-square.
 
+    Gauss-Jordan to reduced row echelon form, pivoting on the first row with
+    a nonzero in the column, over sparse rows: each row of [A | b] is held
+    as a dict of its nonzeros (b at key len(A[0])), so elimination touches
+    only nonzeros.  Entries stay ints until a pivot other than +-1 divides.
+    """
     zero, one = Fraction(0), Fraction(1)
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    M = [list(A[i]) + [b[i]] for i in range(rows)]
+    M = []
+    for i in range(rows):
+        row = {c: x for c, x in enumerate(A[i]) if x}
+        if b[i]:
+            row[cols] = b[i]
+        M.append(row)
     pivots = []  # (row, col)
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c]), None)
+        piv = next((i for i in range(r, rows) if c in M[i]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = one / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * bb for a, bb in zip(M[i], M[r])]
+        prow = M[r]
+        p = prow[c]
+        if p != 1:
+            inv = -1 if p == -1 else one / p
+            prow = M[r] = {k: x * inv for k, x in prow.items()}
+        for i, row in enumerate(M):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for k, x in prow.items():
+                v = row.get(k)
+                if v is None:
+                    row[k] = -f * x
+                else:
+                    v -= f * x
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
         pivots.append((r, c))
         r += 1
         if r == rows:
             break
     for i in range(r, rows):
-        if M[i][cols]:
+        if M[i]:  # only b can be left in a row past the pivots
             return None, _nullspace(M, pivots, cols, zero, one)
     particular = [zero] * cols
     for (pr, pc) in pivots:
-        particular[pc] = M[pr][cols]
+        particular[pc] = Fraction(M[pr].get(cols, 0))
     return particular, _nullspace(M, pivots, cols, zero, one)
 
 
@@ -118,7 +131,7 @@ def _nullspace(M, pivots, cols, zero, one):
         v = [zero] * cols
         v[free] = one
         for (pr, pc) in pivots:
-            v[pc] = -M[pr][free]
+            v[pc] = -Fraction(M[pr].get(free, 0))
         basis.append(v)
     return basis
 

@@ -56,7 +56,7 @@ from .partitions import (
     n_stat,
     ribbon_decomposition,
 )
-from .scalars import Monomial, Scalar, monomial, one, q1, q2, zero
+from .scalars import Scalar, monomial, one, q1, q2, zero
 from .symfunc import from_restrictions, omega, restrictions, s_, scale_powersums
 
 __all__ = [
@@ -225,11 +225,32 @@ def candidate_walls(n: int, lo, hi) -> list:
     return sorted(walls)
 
 
-def _solve_row(table, la, partners, target, qlo, qhi):
+def _row_terms(table) -> dict:
+    """Each row's entries as (nu, exp_q, exp_t, coef) terms, coef an int when
+    integral; raises on an entry that is not Laurent, since only numerators
+    are read."""
+    out = {}
+    for la, row in table.gamma.items():
+        terms = []
+        for nu, val in row.items():
+            if not val.is_laurent():
+                raise ArithmeticError(
+                    f"cannot cross a wall from a table whose entry {la}|{nu} "
+                    f"is not Laurent: {val}"
+                )
+            for mono, coef in val.num.terms().items():
+                if coef.denominator == 1:
+                    coef = coef.numerator
+                terms.append((nu, mono.exp_q, mono.exp_t, coef))
+        out[la] = terms
+    return out
+
+
+def _solve_row(n, terms, la, partners, target, qlo, qhi):
     """One unitriangular row of B: unknowns over a monomial support, kill
-    equations for out-of-window t-powers of the combined row.  Returns
-    (B_row dict, nullity) or None when inconsistent."""
-    n = table.n
+    equations for out-of-window t-powers of the combined row.  terms holds
+    the rows as _row_terms gives them.  Returns (B_row dict, nullity) or
+    None when inconsistent."""
     m, _side = target
     unknowns = []  # (mu, tau, j)
     for mu in partners:
@@ -244,27 +265,36 @@ def _solve_row(table, la, partners, target, qlo, qhi):
         for j in range(qlo, qhi + 1):
             if (j - tau) % 2 == 0:  # Laurent in q1, q2 forces this parity
                 unknowns.append((mu, tau, j))
-    # accumulate the symbolic row: monomial -> (const, {unknown-index: coeff})
-    sym = {}  # nu -> {Monomial: [Fraction, dict]}
-    for nu, val in table.gamma.get(la, {}).items():
-        cell = sym.setdefault(nu, {})
-        for mono, coef in val.num.terms().items():
-            cell.setdefault(mono, [Fraction(0), {}])[0] += coef
+    # the combined row, keyed by (nu, exp_q, exp_t): its constant part and
+    # its linear part {unknown index: coeff}; in-window keys pin nothing
+    nus = {nu for mu in {la, *(mu for mu, _, _ in unknowns)}
+           for nu, _, _, _ in terms.get(mu, ())}
+    window = {nu: degree_window(n, la, nu, target) for nu in nus}
+    const = {}
+    for nu, eq, et, coef in terms.get(la, ()):
+        lo, hi = window[nu]
+        if not lo <= et <= hi:
+            const[nu, eq, et] = coef
+    lin = {}
     for ui, (mu, tau, j) in enumerate(unknowns):
-        for nu, val in table.gamma.get(mu, {}).items():
-            cell = sym.setdefault(nu, {})
-            for mono, coef in val.num.terms().items():
-                shifted = Monomial(mono.exp_q + j, mono.exp_t + tau)
-                slot = cell.setdefault(shifted, [Fraction(0), {}])
-                slot[1][ui] = slot[1].get(ui, Fraction(0)) + coef
-    rows, rhs = [], []
-    for nu, cell in sym.items():
-        wlo, whi = degree_window(n, la, nu, target)
-        for mono, (const, lin) in cell.items():
-            if wlo <= mono.exp_t <= whi:
+        for nu, eq, et, coef in terms.get(mu, ()):
+            lo, hi = window[nu]
+            et += tau
+            if lo <= et <= hi:
                 continue
-            rows.append([lin.get(ui, Fraction(0)) for ui in range(len(unknowns))])
-            rhs.append(-const)
+            slot = lin.get((nu, eq + j, et))
+            if slot is None:
+                lin[nu, eq + j, et] = {ui: coef}
+            else:
+                slot[ui] = coef  # one row's shifted terms are distinct keys
+    # the order of the equations does not change the reduced row echelon form
+    rows, rhs = [], []
+    for key in [*const, *(key for key in lin if key not in const)]:
+        row = [0] * len(unknowns)
+        for ui, coef in lin.get(key, {}).items():
+            row[ui] = coef
+        rows.append(row)
+        rhs.append(-const.get(key, 0))
     if not unknowns:
         return ({}, 0) if all(v == 0 for v in rhs) else None
     if not rows:
@@ -292,6 +322,7 @@ def cross_wall(table: StableTable, w) -> tuple:
     upward = m < w or (m == w and side == -1)
     target = (w, 1 if upward else -1)
     order = enumerate_partitions(table.n)
+    terms = _row_terms(table)
     qs = [val.q_degree_range() for row in table.gamma.values() for val in row.values()]
     qlo0, qhi0 = min(q[0] for q in qs), max(q[1] for q in qs)
     b = w.denominator
@@ -307,7 +338,8 @@ def cross_wall(table: StableTable, w) -> tuple:
         solved = None
         for attempt in range(4):  # initial support, then <= 3 widenings by 2b
             margin = 2 * b * (attempt + 1)
-            solved = _solve_row(table, la, partners, target, qlo0 - margin, qhi0 + margin)
+            solved = _solve_row(table.n, terms, la, partners, target,
+                                qlo0 - margin, qhi0 + margin)
             if solved is not None and solved[1] == 0:
                 break
         if solved is None:

@@ -8,12 +8,16 @@ from wallcross.linalg import (
     identity,
     mat_inverse,
     mat_mul,
-    mat_vec,
     solve_rational,
 )
 from wallcross.scalars import one, q, t, zero
 
 F0, F1 = Fraction(0), Fraction(1)
+
+
+def mat_vec(A, v):
+    return [sum((x * y for x, y in zip(row, v)), F0) for row in A]
+
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 

@@ -1,0 +1,292 @@
+"""The wall-crossing solve against the dense route it replaced.
+
+Until the sparse rewrite, stable._solve_row built one dense Fraction row per
+equation, copying each partner row once per unknown, and
+linalg.solve_rational ran Gauss-Jordan over dense Fraction matrices.  Those
+bodies are kept here verbatim (solve_rational, _nullspace, _solve_row and
+cross_wall as they were), and the package must agree with them exactly:
+cross_wall's (table, B), the equations it poses (in any order) and their
+solutions at every candidate wall of the sweep for n <= 5, and
+solve_rational's (particular, nullspace) on every system the sweeps at
+n = 4, 5 pose and on random systems, rank-deficient and inconsistent ones
+included.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from wallcross import linalg, stable
+from wallcross.partitions import content_sum, dominates, enumerate_partitions
+from wallcross.scalars import Monomial, monomial, zero
+from wallcross.stable import StableTable, degree_window
+
+# ---------------------------------------------------------------------------
+# the dense route, verbatim
+# ---------------------------------------------------------------------------
+
+
+def solve_rational(A, b):
+    """Solve A x = b over Fraction-like entries.
+
+    Returns (particular, nullspace) where particular is one solution (or
+    None if the system is inconsistent) and nullspace is a basis of the
+    homogeneous solution space.  A may be non-square.
+    """
+    from fractions import Fraction
+
+    zero, one = Fraction(0), Fraction(1)
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    M = [list(A[i]) + [b[i]] for i in range(rows)]
+    pivots = []  # (row, col)
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = one / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [a - f * bb for a, bb in zip(M[i], M[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if M[i][cols]:
+            return None, _nullspace(M, pivots, cols, zero, one)
+    particular = [zero] * cols
+    for (pr, pc) in pivots:
+        particular[pc] = M[pr][cols]
+    return particular, _nullspace(M, pivots, cols, zero, one)
+
+
+def _nullspace(M, pivots, cols, zero, one):
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(cols):
+        if free in pivot_cols:
+            continue
+        v = [zero] * cols
+        v[free] = one
+        for (pr, pc) in pivots:
+            v[pc] = -M[pr][free]
+        basis.append(v)
+    return basis
+
+
+def _solve_row(table, la, partners, target, qlo, qhi):
+    """One unitriangular row of B: unknowns over a monomial support, kill
+    equations for out-of-window t-powers of the combined row.  Returns
+    (B_row dict, nullity) or None when inconsistent."""
+    n = table.n
+    m, _side = target
+    unknowns = []  # (mu, tau, j)
+    for mu in partners:
+        # window width equals the mu-diagonal width, so the t-degree of
+        # B_la^mu is forced: (c_la - c_mu) + m*(c_mu - c_la), an integer
+        # exactly on the block
+        dc = content_sum(mu) - content_sum(la)
+        tau_exact = -dc + m * dc
+        if tau_exact.denominator != 1:
+            continue
+        tau = int(tau_exact)
+        for j in range(qlo, qhi + 1):
+            if (j - tau) % 2 == 0:  # Laurent in q1, q2 forces this parity
+                unknowns.append((mu, tau, j))
+    # accumulate the symbolic row: monomial -> (const, {unknown-index: coeff})
+    sym = {}  # nu -> {Monomial: [Fraction, dict]}
+    for nu, val in table.gamma.get(la, {}).items():
+        cell = sym.setdefault(nu, {})
+        for mono, coef in val.num.terms().items():
+            cell.setdefault(mono, [Fraction(0), {}])[0] += coef
+    for ui, (mu, tau, j) in enumerate(unknowns):
+        for nu, val in table.gamma.get(mu, {}).items():
+            cell = sym.setdefault(nu, {})
+            for mono, coef in val.num.terms().items():
+                shifted = Monomial(mono.exp_q + j, mono.exp_t + tau)
+                slot = cell.setdefault(shifted, [Fraction(0), {}])
+                slot[1][ui] = slot[1].get(ui, Fraction(0)) + coef
+    rows, rhs = [], []
+    for nu, cell in sym.items():
+        wlo, whi = degree_window(n, la, nu, target)
+        for mono, (const, lin) in cell.items():
+            if wlo <= mono.exp_t <= whi:
+                continue
+            rows.append([lin.get(ui, Fraction(0)) for ui in range(len(unknowns))])
+            rhs.append(-const)
+    if not unknowns:
+        return ({}, 0) if all(v == 0 for v in rhs) else None
+    if not rows:
+        return ({}, len(unknowns))  # nothing pins the support: not unique
+    part, null = solve_rational(rows, rhs)
+    if part is None:
+        return None
+    brow = {}
+    for ui, (mu, tau, j) in enumerate(unknowns):
+        if part[ui]:
+            brow[mu] = brow.get(mu, zero()) + monomial(part[ui], j, tau)
+    return ({mu: v for mu, v in brow.items() if v}, len(null))
+
+
+def cross_wall(table: StableTable, w) -> tuple:
+    """Cross the wall at w to the other side; returns (new table, B).
+
+    B is the unique unitriangular matrix over the block support
+    {w*(c_la - c_mu) integral} making every combined row land in the target
+    side's windows; its strict part is returned as rows la -> {mu: Scalar}.
+    B = Id (all rows empty) exactly when w is not a wall.
+    """
+    w = Fraction(w)
+    m, side = table.slope
+    upward = m < w or (m == w and side == -1)
+    target = (w, 1 if upward else -1)
+    order = enumerate_partitions(table.n)
+    qs = [val.q_degree_range() for row in table.gamma.values() for val in row.values()]
+    qlo0, qhi0 = min(q[0] for q in qs), max(q[1] for q in qs)
+    b = w.denominator
+    brows = {}
+    for la in order:
+        partners = [
+            mu
+            for mu in order
+            if mu != la
+            and dominates(la, mu)
+            and (w * (content_sum(la) - content_sum(mu))).denominator == 1
+        ]
+        solved = None
+        for attempt in range(4):  # initial support, then <= 3 widenings by 2b
+            margin = 2 * b * (attempt + 1)
+            solved = _solve_row(table, la, partners, target, qlo0 - margin, qhi0 + margin)
+            if solved is not None and solved[1] == 0:
+                break
+        if solved is None:
+            raise ArithmeticError(
+                f"axioms unsatisfiable: no B row for {la} at wall {w} "
+                f"(n={table.n}, max support exhausted)"
+            )
+        brow, nullity = solved
+        if nullity:
+            raise ArithmeticError(
+                f"uniqueness failure at wall {w}, row {la}: solution space has "
+                f"dimension {nullity} after widening"
+            )
+        brows[la] = brow
+    gamma = {}
+    for la in order:
+        new_row = dict(table.gamma.get(la, {}))
+        for mu, coef in brows[la].items():
+            for nu, val in table.gamma.get(mu, {}).items():
+                acc = new_row.get(nu, zero()) + coef * val
+                if acc:
+                    new_row[nu] = acc
+                else:
+                    new_row.pop(nu, None)
+        for nu, val in new_row.items():
+            if not val.is_laurent():
+                raise ArithmeticError(f"crossing {w} leaves {la}|{nu} non-Laurent: {val}")
+        gamma[la] = new_row
+    return StableTable(table.n, target, gamma), brows
+
+
+# ---------------------------------------------------------------------------
+# the sweep: cross_wall and the systems it poses
+# ---------------------------------------------------------------------------
+
+
+def _recording(mp, module, solve):
+    """Route module.solve_rational through solve; returns the systems seen,
+    each as (A, b, solve's result)."""
+    seen = []
+
+    def spy(A, b):
+        result = solve(A, b)
+        seen.append(([list(row) for row in A], list(b), result))
+        return result
+
+    mp.setattr(module, "solve_rational", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cross_wall_matches_dense_route(n, monkeypatch):
+    new_systems = _recording(monkeypatch, stable, linalg.solve_rational)
+    old_systems = _recording(monkeypatch, sys.modules[__name__], solve_rational)
+    tbl = stable.seed_slope0(n)
+    for w in stable.candidate_walls(n, 0, 1):
+        new, B = stable.cross_wall(tbl, w)
+        old, B_old = cross_wall(tbl, w)
+        assert B == B_old, w
+        assert new == old and new.slope == old.slope, w
+        assert len(new_systems) == len(old_systems), w
+        for (A, b, got), (A_old, b_old, want) in zip(new_systems, old_systems):
+            # the same equations, in any order: the reduced row echelon form
+            # of [A | b] does not depend on it, nor does the solution
+            assert sorted(zip(A, b)) == sorted(zip(A_old, b_old)), w
+            assert got == want, w
+        new_systems.clear()
+        old_systems.clear()
+        tbl = new
+
+
+@pytest.fixture(scope="module")
+def sweep_systems():
+    """Every system solve_rational gets from _sweep(4) and _sweep(5)."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _recording(mp, stable, linalg.solve_rational)
+        mp.setattr(stable, "_SWEEPS", {})
+        stable._sweep(4)
+        stable._sweep(5)
+    return seen
+
+
+def test_solve_matches_dense_on_sweep_systems(sweep_systems):
+    assert len(sweep_systems) == 30 + 103  # the call pattern is unchanged
+    for A, b, got in sweep_systems:
+        assert got == solve_rational(A, b)
+
+
+# ---------------------------------------------------------------------------
+# random systems
+# ---------------------------------------------------------------------------
+
+entries = st.one_of(
+    st.just(0), st.just(0), st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def systems(draw):
+    """A = mix * K with K of at most `rank` rows, so A is often rank-deficient;
+    b is A y (consistent) or drawn freely (often inconsistent)."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rank = draw(st.integers(0, min(rows, cols)))
+    K = [[draw(entries) for _ in range(cols)] for _ in range(rank)]
+    mix = [[draw(entries) for _ in range(rank)] for _ in range(rows)]
+    A = [[sum((mix[i][k] * K[k][c] for k in range(rank)), 0) for c in range(cols)]
+         for i in range(rows)]
+    if draw(st.booleans()):
+        y = [draw(entries) for _ in range(cols)]
+        b = [sum((x * v for x, v in zip(row, y)), 0) for row in A]
+    else:
+        b = [draw(entries) for _ in range(rows)]
+    return A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example(([[1, 1], [1, 1]], [0, 1]))  # inconsistent, nullity 1
+@example(([[1, 2, 3], [2, 4, 6]], [1, 2]))  # rank 1 of 2, nullity 2
+@example(([[0, 0], [0, 0], [0, 0]], [0, 0, 0]))
+@example(([[2, -1], [Fraction(1, 2), 3], [1, 1]], [1, 0, 5]))  # tall, inconsistent
+@example(([[0, 3, 1, 0]], [Fraction(-2, 3)]))
+def test_solve_matches_dense_on_random_systems(system):
+    A, b = system
+    assert linalg.solve_rational(A, b) == solve_rational(A, b)

@@ -7,6 +7,7 @@ Everything else -- windows, block support, t-homogeneity of the crossing
 rows -- is structure the solver must exhibit on its own.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,17 @@ def test_window_gate_rejects_doctored_table():
         S._check_windows(S.StableTable(2, tbl.slope, bad), tbl.slope)
 
 
+def test_cross_wall_rejects_non_laurent_entry():
+    # the solve reads only numerators, so an entry with a denominator would
+    # give a wrong B; cross_wall refuses it before solving and names it
+    tbl = S.seed_slope0(3)
+    bad = {la: dict(row) for la, row in tbl.gamma.items()}
+    bad[(2, 1)][(1, 1, 1)] = bad[(2, 1)][(1, 1, 1)] / (one() - q2(1))
+    entry = re.escape("entry (2, 1)|(1, 1, 1) is not Laurent")
+    with pytest.raises(ArithmeticError, match=entry):
+        S.cross_wall(S.StableTable(3, tbl.slope, bad), F2(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # degree windows
 # ---------------------------------------------------------------------------
@@ -164,7 +176,7 @@ def test_is_wall():
     assert not S.is_wall(3, F2(5, 6))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_detected_walls_are_denominators_up_to_n(n):
     # A recorded finding, not an assumption of the code: candidate_walls
     # proposes every a/b with b <= n(n-1) that divides a content gap, and
