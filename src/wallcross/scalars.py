@@ -5,7 +5,11 @@ tables) is computed over the field Q(q, t), represented exactly.  Exponents
 are rationals, not integers: renormalization factors such as chi^(1/2) and
 the torus identification q1 = q*t, q2 = q*t^(-1) force powers like q^(1/2)
 into the picture, so a monomial is a pair of Fraction exponents and no root
-variables are ever introduced.
+variables are ever introduced.  Coefficients follow the same rule as
+exponents: a plain int when integral, a Fraction only when not (the 1/z_mu
+of the power-sum basis, say), so the integral polynomials that dominate
+every hot path never enter Fraction arithmetic, and the integer gcd and
+exact division take them without a conversion.
 
 Two coordinate frames share this representation.  Internally all modules
 work in the (q, t) frame, where the constructors :func:`q1` and :func:`q2`
@@ -57,15 +61,34 @@ __all__ = [
 ]
 
 
-def _fr(x) -> Fraction:
-    """Coerce int | str | Fraction to Fraction (exact)."""
-    if isinstance(x, Fraction):
-        return x
+def _fr(x):
+    """Coefficient normal form of int | str | Fraction: plain int when
+    integral, Fraction otherwise; TypeError on anything inexact."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {type(x).__name__}")
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"expected exact rational, got {type(x).__name__}")
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a, b):
+    """a / b for coefficients (b nonzero) in normal form; never a float."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    r = Fraction(a, b)
+    return r.numerator if r.denominator == 1 else r
+
+
+def _norm(terms: dict) -> dict:
+    """Restore int coefficients in place after Fraction arithmetic on terms."""
+    for m, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
 
 
 def _ex(x):
@@ -96,22 +119,27 @@ _UNIT = Monomial(0, 0)
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: finite map Monomial -> Fraction, no zeros."""
+    """Sparse Laurent polynomial: finite map Monomial -> coefficient, no zeros.
+
+    A coefficient is a plain int when it is integral and a Fraction only
+    when it is not, as _ex does for exponents; every operation keeps that
+    normal form, so integral polynomials never touch Fraction arithmetic.
+    """
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict = {}
         if terms:
             for m, c in terms.items():
                 if not isinstance(m, Monomial):
                     m = Monomial(_ex(m[0]), _ex(m[1]))
                 c = _fr(c)
                 if c:
-                    clean[m] = clean.get(m, Fraction(0)) + c
+                    clean[m] = clean.get(m, 0) + c
                     if not clean[m]:
                         del clean[m]
-        self._terms = clean
+        self._terms = _norm(clean)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -144,7 +172,7 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, int | Fraction]:
         """Lex-largest term; errors on zero."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
@@ -165,10 +193,12 @@ class LaurentPoly:
                 out[m] = c
             else:
                 s = s + c
-                if s:
+                if not s:
+                    del out[m]
+                elif type(s) is int or s.denominator != 1:
                     out[m] = s
                 else:
-                    del out[m]
+                    out[m] = s.numerator
         return _poly(out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -180,7 +210,7 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not self._terms or not other._terms:
             return LaurentPoly()
-        out: dict[Monomial, Fraction] = {}
+        out: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = Monomial(m1.exp_q + m2.exp_q, m1.exp_t + m2.exp_t)
@@ -193,22 +223,22 @@ class LaurentPoly:
                         out[m] = s
                     else:
                         del out[m]
-        return _poly(out)
+        return _poly(_norm(out))
 
     def scale(self, c) -> "LaurentPoly":
         c = _fr(c)
         if not c:
             return LaurentPoly()
-        return _poly({m: cc * c for m, cc in self._terms.items()})
+        return _poly(_norm({m: cc * c for m, cc in self._terms.items()}))
 
     def mul_term(self, coeff, mono: Monomial) -> "LaurentPoly":
         coeff = _fr(coeff)
         if not coeff:
             return LaurentPoly()
-        return _poly({
+        return _poly(_norm({
             Monomial(m.exp_q + mono.exp_q, m.exp_t + mono.exp_t): c * coeff
             for m, c in self._terms.items()
-        })
+        }))
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; ArithmeticError when divisor does not divide.
@@ -226,7 +256,7 @@ class LaurentPoly:
             return LaurentPoly()
         if divisor.is_term():
             (m, c), = divisor._terms.items()
-            return self.mul_term(Fraction(1) / c, m.inv())
+            return self.mul_term(_div(1, c), m.inv())
         dq, dt = _exp_lcms(self, divisor)
         P, ps, psh = _intize(self, dq, dt)
         D, ds, dsh = _intize(divisor, dq, dt)
@@ -234,17 +264,17 @@ class LaurentPoly:
         if Q is None:
             raise ArithmeticError("exact_div: not a divisor")
         return _unintize(
-            Q, dq, dt, ps / ds,
+            Q, dq, dt, _div(ps, ds),
             Monomial(_ex(psh.exp_q - dsh.exp_q), _ex(psh.exp_t - dsh.exp_t)),
         )
 
     # -- structure ---------------------------------------------------------
 
     def map_exponents(self, f: Callable[[Monomial], Monomial]) -> "LaurentPoly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict = {}
         for m, c in self._terms.items():
             n = f(m)
-            out[n] = out.get(n, Fraction(0)) + c
+            out[n] = out.get(n, 0) + c
         return LaurentPoly(out)
 
     def content_monomial(self) -> Monomial:
@@ -310,7 +340,7 @@ def _poly(terms: dict) -> LaurentPoly:
     return r
 
 
-_ONE = _poly({_UNIT: Fraction(1)})  # shared: no method mutates _terms
+_ONE = _poly({_UNIT: 1})  # shared: no method mutates _terms
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +384,33 @@ def _intize(p: LaurentPoly, dq: int, dt: int):
     p == scale * q^(shift.exp_q) * t^(shift.exp_t)
                * sum c[(u, v)] q^(u/dq) t^(v/dt)
     with per-variable minima at 0 and integer content 1 (sign of the
-    lex-leading coefficient preserved).  Returns (dict, scale, shift).
+    lex-leading coefficient preserved).  Returns (dict, scale, shift), the
+    scale an int when p's coefficients are.
     """
     shift = p.content_monomial()
     sq, st = shift.exp_q, shift.exp_t
-    raw = {}
+    out = {}
     for m, c in p._terms.items():
-        raw[(int((m.exp_q - sq) * dq), int((m.exp_t - st) * dt))] = c
-    den = _lcm([c.denominator for c in raw.values()])
-    out = {k: c.numerator * (den // c.denominator) for k, c in raw.items()}
+        out[(int((m.exp_q - sq) * dq), int((m.exp_t - st) * dt))] = c
+    den = 1
+    if not all(type(c) is int for c in out.values()):
+        den = _lcm([c.denominator for c in out.values()])
+        out = {k: c.numerator * (den // c.denominator) for k, c in out.items()}
     ic = _igcd(*out.values())
     if ic > 1:
         out = {k: c // ic for k, c in out.items()}
-    return out, Fraction(ic, den), shift
+    return out, _div(ic, den), shift
 
 
-def _unintize(d: dict, dq: int, dt: int, scale: Fraction, shift: Monomial) -> LaurentPoly:
+def _unintize(d: dict, dq: int, dt: int, scale, shift: Monomial) -> LaurentPoly:
+    """Inverse of _intize: scale * q^shift * sum d[(u, v)] q^(u/dq) t^(v/dt)."""
     sq, st = shift.exp_q, shift.exp_t
     terms = {}
     for (u, v), c in d.items():
         eq = sq + (u if dq == 1 else Fraction(u, dq))
         et = st + (v if dt == 1 else Fraction(v, dt))
         terms[Monomial(_ex(eq), _ex(et))] = scale * c
-    return _poly(terms)
+    return _poly(terms if type(scale) is int else _norm(terms))
 
 
 def _idiv(P: dict, D: dict):
@@ -501,16 +535,16 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     if base is not None:
         if base.is_zero():
             return LaurentPoly()
-        shifted = base.mul_term(Fraction(1), base.content_monomial().inv())
+        shifted = base.mul_term(1, base.content_monomial().inv())
         _, lc = shifted.leading()
-        return shifted.scale(Fraction(1) / lc)
+        return shifted.scale(_div(1, lc))
     if p.is_term() or q.is_term():
         return LaurentPoly.one()
 
     dq, dt = _exp_lcms(p, q)
     g = _gcd_int(_intize(p, dq, dt)[0], _intize(q, dq, dt)[0])[0]
     # minima are already 0 per variable: q | p would force min_u > 0 in both
-    return _unintize(g, dq, dt, Fraction(1, g[max(g)]), _UNIT)
+    return _unintize(g, dq, dt, _div(1, g[max(g)]), _UNIT)
 
 
 def laurent_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -545,7 +579,7 @@ def _unit_leading(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
     m, c = den.leading()
     if c == 1 and m == _UNIT:
         return num, den
-    c, m = Fraction(1) / c, m.inv()
+    c, m = _div(1, c), m.inv()
     return num.mul_term(c, m), den.mul_term(c, m)
 
 

@@ -226,9 +226,8 @@ def candidate_walls(n: int, lo, hi) -> list:
 
 
 def _row_terms(table) -> dict:
-    """Each row's entries as (nu, exp_q, exp_t, coef) terms, coef an int when
-    integral; raises on an entry that is not Laurent, since only numerators
-    are read."""
+    """Each row's entries as (nu, exp_q, exp_t, coef) terms; raises on an
+    entry that is not Laurent, since only numerators are read."""
     out = {}
     for la, row in table.gamma.items():
         terms = []
@@ -239,8 +238,6 @@ def _row_terms(table) -> dict:
                     f"is not Laurent: {val}"
                 )
             for mono, coef in val.num.terms().items():
-                if coef.denominator == 1:
-                    coef = coef.numerator
                 terms.append((nu, mono.exp_q, mono.exp_t, coef))
         out[la] = terms
     return out

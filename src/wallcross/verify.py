@@ -355,11 +355,9 @@ def _normalize_top(f: SymFunc) -> SymFunc:
         return f.scale(one() / coef)
     terms = coef.num.terms()
     amin, bmin = map(min, zip(*map(q1q2_exponents, terms)))
-    cs = sorted(terms.values())
-    content = Fraction(
-        math.gcd(*(c.numerator for c in cs)) if len(cs) > 1 else abs(cs[0].numerator),
-        math.lcm(*(c.denominator for c in cs)) if len(cs) > 1 else cs[0].denominator,
-    )
+    cs = terms.values()
+    content = Fraction(math.gcd(*(c.numerator for c in cs)),
+                       math.lcm(*(c.denominator for c in cs)))
     lead = terms[min(terms, key=lambda m: (m.exp_q, m.exp_t))]
     if lead < 0:
         content = -content

@@ -149,14 +149,23 @@ def test_jobs_capped_at_cpu_count(tmp_path):
     assert a.stdout == b.stdout
 
 
-def test_invariants_survive_optimized_mode():
-    # the mathematical guards are explicit errors, not asserts that -O strips
-    argv = ["-m", "wallcross.cli", "conjecture-check", "--n", "3", "--no-cache"]
+def assert_same_under_optimized_mode(*args):
+    argv = ["-m", "wallcross.cli", *args, "--no-cache"]
     plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
     optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True,
                                text=True)
     assert plain.returncode == optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout
+
+
+def test_invariants_survive_optimized_mode():
+    # the mathematical guards are explicit errors, not asserts that -O strips
+    assert_same_under_optimized_mode("conjecture-check", "--n", "3")
+
+
+def test_int_coefficients_survive_optimized_mode():
+    # the int/Fraction coefficient normal form is kept by code, not asserts
+    assert_same_under_optimized_mode("fock-bar", "--n", "4", "--b", "2")
 
 
 def test_package_has_no_assert_statements():

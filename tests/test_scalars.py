@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wallcross import scalars as S
+from wallcross.fock import bar_matrix
 from wallcross.scalars import (
     LaurentPoly,
     Monomial,
@@ -30,11 +31,14 @@ exponents = st.sampled_from(
     [Fraction(k) for k in range(-3, 4)]
     + [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3)]
 )
-coeffs = st.sampled_from([Fraction(n) for n in (-3, -2, -1, 1, 2, 3)] + [Fraction(1, 2)])
+# integral coefficients come as plain ints and as Fractions, which the
+# kernel must store alike
+int_coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3] + [Fraction(n) for n in (-3, -1, 2)])
+coeffs = st.one_of(int_coeffs, st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]))
 
 
 @st.composite
-def laurent_polys(draw, max_terms=4, allow_zero=True):
+def laurent_polys(draw, max_terms=4, allow_zero=True, coeffs=coeffs):
     n = draw(st.integers(0 if allow_zero else 1, max_terms))
     p = LaurentPoly()
     for _ in range(n):
@@ -45,9 +49,16 @@ def laurent_polys(draw, max_terms=4, allow_zero=True):
 
 
 @st.composite
-def scalars(draw):
-    num = draw(laurent_polys())
-    den = draw(laurent_polys(max_terms=2, allow_zero=False))
+def monic_polys(draw):
+    """Integer coefficients, lex-leading term 1*q^(4)*t^(k): above every drawn term."""
+    p = draw(laurent_polys(max_terms=3, coeffs=int_coeffs))
+    return p + LaurentPoly.term(1, 4, draw(exponents))
+
+
+@st.composite
+def scalars(draw, coeffs=coeffs):
+    num = draw(laurent_polys(coeffs=coeffs))
+    den = draw(laurent_polys(max_terms=2, allow_zero=False, coeffs=coeffs))
     return Scalar(num, den)
 
 
@@ -261,6 +272,82 @@ def test_negative_powers():
     assert x**-2 == one() / (x * x)
     assert x**0 == one()
     assert (q() * t(-1)) ** -3 == q(-3) * t(3)
+
+
+# ---------------------------------------------------------------------------
+# coefficient type: an int when integral, a Fraction only when not
+# ---------------------------------------------------------------------------
+
+
+def _coefficients(*xs):
+    for x in xs:
+        for p in (x.num, x.den) if isinstance(x, Scalar) else (x,):
+            yield from p.terms().values()
+
+
+def assert_ints(*xs):
+    assert all(type(c) is int for c in _coefficients(*xs))
+
+
+def assert_normal_form(*xs):
+    for c in _coefficients(*xs):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_polys(coeffs=int_coeffs), laurent_polys(coeffs=int_coeffs),
+       laurent_polys(max_terms=3, allow_zero=False, coeffs=int_coeffs))
+def test_integer_polynomials_keep_int_coefficients(a, b, d):
+    assert_ints(a, b, d, a + b, a - b, -a, a * b, a.scale(-3), a.mul_term(2, Monomial(1, 0)))
+    assert_ints((a * d).exact_div(d), (a * d).exact_div(d.scale(-1)))
+    assert_ints(d.exact_div(LaurentPoly.term(-1, 2, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_polys(max_terms=3, coeffs=int_coeffs), monic_polys(), monic_polys(), monic_polys())
+def test_monic_fractions_keep_int_coefficients(n1, d1, n2, d2):
+    # a denominator is normalized by its lex-leading coefficient, and a
+    # factor of a monic integer polynomial is monic: nothing leaves Z
+    a, b = Scalar(n1, d1), Scalar(n2, d2)
+    assert_ints(a, b, a + b, a - b, a * b, a / Scalar(d1, d2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(), scalars(), laurent_polys(), laurent_polys(max_terms=3, allow_zero=False))
+def test_mixed_coefficients_are_fractions_only_when_not_integral(a, b, p, d):
+    assert_normal_form(a, b, a + b, a - b, a * b, p, d, p + d, p - d, p * d,
+                       (p * d).exact_div(d), p.scale(Fraction(2, 3)), p.scale(Fraction(3, 2)),
+                       p.mul_term(Fraction(1, 2), Monomial(0, 1)),
+                       a.bar_substitute("q"), change_coordinates(a, "qt_to_q1q2"))
+    if b:
+        assert_normal_form(a / b)
+    if p and d:
+        assert_normal_form(laurent_gcd(p, d), *S.laurent_reduce(p, d))
+
+
+def test_inexact_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        LaurentPoly.term(0.5)
+    with pytest.raises(TypeError):
+        rational(1.0)
+    with pytest.raises(TypeError):
+        LaurentPoly.one().scale(0.5)
+
+
+def test_integral_inputs_become_ints():
+    assert [type(S._fr(x)) for x in (Fraction(4, 2), "6/3", True, 5)] == [int] * 4
+    assert_ints(rational(Fraction(4, 2)), LaurentPoly.term("6/3", 1, 0),
+                LaurentPoly.term(True), LaurentPoly({(0, 0): Fraction(1, 2), (1, 0): 2})
+                + LaurentPoly.term(Fraction(1, 2)), rational(Fraction(3, 2)) * rational(2))
+    assert repr(LaurentPoly.term(True)) == "LaurentPoly('1*q^(0)*t^(0)')"
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_bar_matrix_coefficients_are_ints(n):
+    for b in range(2, max(n, 2) + 1):
+        A = bar_matrix(n, b)
+        assert all(x.is_laurent() for row in A for x in row)
+        assert_ints(*(x for row in A for x in row))
 
 
 def test_exact_div_guard():
