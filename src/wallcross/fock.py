@@ -5,15 +5,9 @@ polynomials in q alone (the t-direction is never touched here).  The
 standard action is the Kashiwara-Miwa-Stern one, and every operator is a
 bead move on the abacus: f_i adds an i-node (content congruent to i mod b)
 with exponent N^r counting addable-minus-removable i-nodes strictly right
-of the new node, e_i removes one with exponent -N^l counting the same
-difference strictly to the left, both read off by partitions.i_nodes, and
-the Heisenberg operators V_k add or remove horizontal k-strips of b-ribbons
-weighted by (-q)^(-spin), read off by partitions.horizontal_strips.
-
-The sign on e's exponent is forced: with +N^l the quantum sl_2 relation
-[e_i, f_i] = (q^(h_i) - q^(-h_i))/(q - q^(-1)) already fails on the degree-2
-piece at b = 2, while the flipped sign satisfies it everywhere we test.  The
-bar involution never sees e, so nothing downstream depends on the choice.
+of the new node, read off by partitions.i_nodes, and the Heisenberg
+operators V_k add or remove horizontal k-strips of b-ribbons weighted by
+(-q)^(-spin), read off by partitions.horizontal_strips.
 
 bar_matrix spans each degree by bar-invariant vectors (the f_i and V_k
 applied to the vectors kept at the degrees below, starting from the vacuum),
@@ -42,9 +36,7 @@ from .scalars import LaurentPoly, Scalar, laurent_gcd, monomial, one, zero
 __all__ = [
     "vacuum",
     "apply_f",
-    "apply_e",
     "apply_V",
-    "apply_B",
     "bar_matrix",
     "canonical_basis",
     "lt_property_check",
@@ -76,17 +68,6 @@ def apply_f(i: int, v: dict, b: int) -> dict:
     return out
 
 
-def apply_e(i: int, v: dict, b: int) -> dict:
-    """e_i: remove an i-node with coefficient q^(-n), n as in partitions.i_nodes."""
-    if not 0 <= i < b:
-        raise ValueError(f"generator index {i} out of range for b={b}")
-    out: dict = {}
-    for la, c in v.items():
-        for mu, n in i_nodes(la, i, b, down=True):
-            _add_term(out, mu, c * monomial(1, -n, 0))
-    return out
-
-
 def apply_V(k: int, v: dict, b: int) -> dict:
     """V_k (k > 0 creates, k < 0 annihilates) with coefficient (-q)^(-spin)."""
     if k == 0:
@@ -96,28 +77,6 @@ def apply_V(k: int, v: dict, b: int) -> dict:
         for target, sp in horizontal_strips(la, abs(k), b, down=k < 0):
             _add_term(out, target, c * monomial((-1) ** sp, -sp, 0))
     return out
-
-
-def apply_B(k: int, v: dict, b: int) -> dict:
-    """Heisenberg generator B_k; B_(-k) for k > 0 is built from V_1..V_k.
-
-    The generating series sum V_k z^k = exp(sum B_(-k) z^k / k) inverts to
-    the Newton-style recursion B_(-k) = k V_k - sum_{i<k} V_i B_(-(k-i)),
-    and same-sign V's commute so the order inside is immaterial.  The
-    annihilation side mirrors with V_(-k).  The vectors B_(-j) v are built
-    bottom-up for j = 1..k, so V is applied k(k+1)/2 times in all.
-    """
-    if k == 0:
-        raise ValueError("B_0 is not a generator")
-    sgn = -1 if k > 0 else 1  # V's carrying the same sign of degree change
-    below: list[dict] = []  # below[j - 1] = B_(-sgn*j) v
-    for j in range(1, abs(k) + 1):
-        out = {la: c * monomial(j) for la, c in apply_V(sgn * j, v, b).items()}
-        for i in range(1, j):
-            for la, c in apply_V(sgn * i, below[j - i - 1], b).items():
-                _add_term(out, la, -c)
-        below.append(out)
-    return below[-1]
 
 
 # ---------------------------------------------------------------------------

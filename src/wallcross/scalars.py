@@ -13,9 +13,8 @@ exact division take them without a conversion.
 
 Two coordinate frames share this representation.  Internally all modules
 work in the (q, t) frame, where the constructors :func:`q1` and :func:`q2`
-return the monomials q*t and q*t^(-1).  :func:`change_coordinates`
-reinterprets stored exponent pairs between the frames (an invertible linear
-map on exponents, hence a ring isomorphism).
+return the monomials q*t and q*t^(-1), and :func:`q1q2_exponents` reads a
+monomial's exponents back in the (q1, q2) frame.
 
 >>> x = q2() - q1() ** -1          # q2 - 1/q1, already in the (q,t) frame
 >>> print(x)
@@ -56,7 +55,6 @@ __all__ = [
     "zero",
     "rational",
     "monomial",
-    "change_coordinates",
     "q1q2_exponents",
 ]
 
@@ -766,24 +764,6 @@ class Scalar:
 # ---------------------------------------------------------------------------
 # coordinate frames and convenience constructors
 # ---------------------------------------------------------------------------
-
-
-def change_coordinates(x: Scalar, direction: str) -> Scalar:
-    """Reinterpret exponents between the (q1, q2) and (q, t) frames.
-
-    ``"q1q2_to_qt"`` reads stored exponent pairs (a, b) as q1^a q2^b and
-    returns the same value written in (q, t): q1 = q*t, q2 = q*t^(-1), so
-    (a, b) -> (a+b, a-b).  ``"qt_to_q1q2"`` is the inverse half-integer map
-    (a, b) -> ((a+b)/2, (a-b)/2).  Both are ring isomorphisms and exact
-    round-trip inverses.
-    """
-    if direction == "q1q2_to_qt":
-        f = lambda m: Monomial(_ex(m.exp_q + m.exp_t), _ex(m.exp_q - m.exp_t))
-    elif direction == "qt_to_q1q2":
-        f = lambda m: Monomial(*map(_ex, q1q2_exponents(m)))
-    else:
-        raise ValueError("direction must be 'q1q2_to_qt' or 'qt_to_q1q2'")
-    return Scalar(x.num.map_exponents(f), x.den.map_exponents(f))
 
 
 def q1q2_exponents(m: Monomial) -> tuple[Fraction, Fraction]:

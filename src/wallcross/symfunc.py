@@ -10,13 +10,11 @@ every coefficient is an integer polynomial.  The Htilde are the fixed-point
 classes of Hilb_n, so the way into Htilde is localization: the Htilde_la
 coordinate of f is f|_la / [T_la].
 
-Pairings.  inner_plain is the deformed Hall pairing
-    <p_k, p_k> = k (1 - q1^k)/(1 - q2^(-k));
-inner_mod is the localization pairing in which the Htilde are orthogonal,
-    <p_k, p_k> = (-1)^(k-1) k (1 - q1^k)(1 - q2^k).
-Fixed-point restrictions diagonalize inner_mod: restrict(Htilde_mu, la) is
-[T_la] when la = mu and 0 otherwise, and euler_form sums the pointwise
-products over fixed points against 1/[T].
+Localization.  restrictions(f, n) reads f at every fixed point of Hilb_n
+through the pairing in which the Htilde are orthogonal,
+    <p_k, p_k> = (-1)^(k-1) k (1 - q1^k)(1 - q2^k),
+so restrictions(Htilde_mu, n)[la] is [T_la] when la = mu and 0 otherwise,
+and from_restrictions divides each restriction by [T_la].
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .partitions import (
     arm,
     boxes,
     bracket,
-    chi,
     conjugate,
     enumerate_partitions,
     leg,
@@ -85,9 +82,6 @@ class SymFunc:
     def __hash__(self):
         return hash(frozenset(self.to_basis("p").coeffs.items()))
 
-    def degrees(self) -> set:
-        return {sum(la) for la in self.coeffs}
-
     def coeff(self, la) -> Scalar:
         return self.coeffs.get(tuple(la), zero())
 
@@ -136,10 +130,6 @@ class SymFunc:
 
 def basis_element(basis: str, la) -> SymFunc:
     return SymFunc(basis, {tuple(la): one()})
-
-
-def m_(la):
-    return basis_element("m", la)
 
 
 def p_(la):
@@ -309,27 +299,8 @@ def _p_in_basis(basis: str, mu: Partition) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pairings, twists, localization
+# twists, localization
 # ---------------------------------------------------------------------------
-
-
-def _pair_diag(f: SymFunc, g: SymFunc, weight) -> Scalar:
-    a, b = f.to_basis("p").coeffs, g.to_basis("p").coeffs
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    acc = zero()
-    for mu, c in small.items():
-        d = big.get(mu)
-        if d is not None:
-            acc = acc + c * d * weight(mu)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _plain_weight(mu: Partition) -> Scalar:
-    out = rational(z_stat(mu))
-    for k in mu:
-        out = out * (one() - q1(k)) / (one() - q2(-k))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -338,25 +309,6 @@ def _mod_weight(mu: Partition) -> Scalar:
     for k in mu:
         out = out * (one() - q1(k)) * (one() - q2(k))
     return out
-
-
-def _require_same_degree(f: SymFunc, g: SymFunc) -> None:
-    if f and g and f.degrees() != g.degrees():
-        raise ValueError(
-            f"pairing of unequal degrees {sorted(f.degrees())} vs {sorted(g.degrees())}"
-        )
-
-
-def inner_plain(f: SymFunc, g: SymFunc) -> Scalar:
-    """Deformed Hall pairing; P's are orthogonal, p's diagonal."""
-    _require_same_degree(f, g)
-    return _pair_diag(f, g, _plain_weight)
-
-
-def inner_mod(f: SymFunc, g: SymFunc) -> Scalar:
-    """Localization pairing; Htilde's are orthogonal, p's diagonal."""
-    _require_same_degree(f, g)
-    return _pair_diag(f, g, _mod_weight)
 
 
 def omega(f: SymFunc) -> SymFunc:
@@ -380,18 +332,17 @@ def scale_powersums(f: SymFunc, factor) -> SymFunc:
     return SymFunc("p", out)
 
 
-def torus_factor(la) -> Scalar:
-    """[T_la]: the bracket of the tangent character at the fixed point."""
-    return _torus_factor(tuple(la))
-
-
 @lru_cache(maxsize=None)
-def _torus_factor(la: Partition) -> Scalar:
+def torus_factor(la: Partition) -> Scalar:
+    """[T_la]: the bracket of the tangent character at the fixed point.
+
+    ``la`` is a partition tuple, the cache key; a list raises ``TypeError``.
+    """
     return bracket(tangent_character(la))
 
 
 def _mod_weighted(f: SymFunc, n: int) -> dict:
-    """f's degree-n p-coefficients times the inner_mod weight."""
+    """f's degree-n p-coefficients times the localization-pairing weight."""
     return {
         mu: c * _mod_weight(mu) for mu, c in f.to_basis("p").coeffs.items() if sum(mu) == n
     }
@@ -405,12 +356,6 @@ def _restrict_weighted(weighted: dict, la: Partition) -> Scalar:
             acc = acc + c * d
     # prod over boxes of q1^-arm q2^-leg
     return acc * q1(-n_stat(conjugate(la))) * q2(-n_stat(la))
-
-
-def restrict(f: SymFunc, la) -> Scalar:
-    """Restriction of f to the torus fixed point la."""
-    la = tuple(la)
-    return _restrict_weighted(_mod_weighted(f, sum(la)), la)
 
 
 def restrictions(f: SymFunc, n: int) -> dict:
@@ -436,29 +381,3 @@ def from_restrictions(values: dict) -> SymFunc:
         if v:
             out[la] = v / torus_factor(la)
     return SymFunc("Htilde", out)
-
-
-def euler_form(f: SymFunc, g: SymFunc) -> Scalar:
-    """Sum over fixed points of f|_la g|_la / [T_la]."""
-    _require_same_degree(f, g)
-    acc = zero()
-    for n in sorted(f.degrees() & g.degrees()):
-        for la in enumerate_partitions(n):
-            a = restrict(f, la)
-            if a:
-                b = restrict(g, la)
-                if b:
-                    acc = acc + a * b / torus_factor(la)
-    return acc
-
-
-def nabla(f: SymFunc) -> SymFunc:
-    """Diagonal on Htilde: multiplies Htilde_la by the monomial chi(la)."""
-    h = f.to_basis("Htilde")
-    out = {la: c * chi(la) for la, c in h.coeffs.items()}
-    return SymFunc("Htilde", out).to_basis(f.basis)
-
-
-def integral_form(la) -> SymFunc:
-    """The integral Macdonald form J_la: Htilde_la with p_k -> (1 - q2^(-k)) p_k."""
-    return scale_powersums(Ht_(la), lambda k: one() - q2(-k))

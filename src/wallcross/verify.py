@@ -268,11 +268,11 @@ def _series_coefficients(val: Scalar, order: int) -> dict:
         for k, v in power.items():
             series[k] = series.get(k, Fraction(0)) + v
     shifted_num = {(a - ca, b - cb): Fraction(v, cc) for (a, b), v in num.items()}
-    out = _trunc_mul(shifted_num, series, order, shift=min_corner(shifted_num))
+    out = _trunc_mul(shifted_num, series, order, shift=_min_corner(shifted_num))
     return out
 
 
-def min_corner(d: dict) -> tuple:
+def _min_corner(d: dict) -> tuple:
     if not d:
         return (0, 0)
     return min((a for a in d), key=lambda ab: (ab[0] + ab[1], ab))

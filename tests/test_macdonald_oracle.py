@@ -27,16 +27,14 @@ from wallcross.symfunc import (
     _Htilde_in_m,
     _m_in_p,
     _p_in_m,
-    _plain_weight,
     _to_p,
-    inner_mod,
-    restrict,
     restrictions,
     s_,
     scale_powersums,
     torus_factor,
 )
 
+from api_oracles import _plain_weight, inner_mod
 from test_symfunc import P_, integral_factor, mod_pair_formula, random_symfunc
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,6 @@ def test_restrictions_match_old_route(n):
             for la in enumerate_partitions(n):
                 want = old_restrict(h, la)
                 assert got[la] == want, (n, la)
-                assert restrict(h, la) == want, (n, la)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -10,7 +10,6 @@ from wallcross.scalars import (
     LaurentPoly,
     Monomial,
     Scalar,
-    change_coordinates,
     laurent_gcd,
     monomial,
     one,
@@ -21,6 +20,8 @@ from wallcross.scalars import (
     t,
     zero,
 )
+
+from api_oracles import change_coordinates
 
 # ---------------------------------------------------------------------------
 # strategies: small exact scalars.  Exponents mix integers and halves/thirds

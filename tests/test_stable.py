@@ -14,6 +14,7 @@ import pytest
 
 from wallcross import fock as F
 from wallcross import stable as S
+from wallcross import verify
 from wallcross.linalg import mat_mul
 from wallcross.partitions import b_core, chi, content_sum, enumerate_partitions
 from wallcross.scalars import monomial, one, q1, q2, zero
@@ -176,7 +177,7 @@ def test_is_wall():
     assert not S.is_wall(3, F2(5, 6))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_detected_walls_are_denominators_up_to_n(n):
     # A recorded finding, not an assumption of the code: candidate_walls
     # proposes every a/b with b <= n(n-1) that divides a content gap, and
@@ -187,6 +188,10 @@ def test_detected_walls_are_denominators_up_to_n(n):
     assert detected == expected
     if n > 2:
         assert len(S.candidate_walls(n, 0, 1)) > len(detected)
+    # every detected wall matches the bar involution, which at n = 6, 7 is
+    # the conjecture's evidence beyond the n <= 5 acceptance sweep
+    for w in detected:
+        assert verify.conjecture_check(n, w)["status"] == "match", w
 
 
 def test_crossing_rows_are_t_homogeneous():
