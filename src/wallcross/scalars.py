@@ -223,12 +223,6 @@ class LaurentPoly:
                         del out[m]
         return _poly(_norm(out))
 
-    def scale(self, c) -> "LaurentPoly":
-        c = _fr(c)
-        if not c:
-            return LaurentPoly()
-        return _poly(_norm({m: cc * c for m, cc in self._terms.items()}))
-
     def mul_term(self, coeff, mono: Monomial) -> "LaurentPoly":
         coeff = _fr(coeff)
         if not coeff:
@@ -528,14 +522,8 @@ def _exp_lcms(p: LaurentPoly, q: LaurentPoly) -> tuple[int, int]:
 
 
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """gcd up to units, canonicalized: min exponents 0, leading coefficient 1."""
-    base = q if p.is_zero() else (p if q.is_zero() else None)
-    if base is not None:
-        if base.is_zero():
-            return LaurentPoly()
-        shifted = base.mul_term(1, base.content_monomial().inv())
-        _, lc = shifted.leading()
-        return shifted.scale(_div(1, lc))
+    """gcd of nonzero p and q up to units, canonicalized: min exponents 0,
+    leading coefficient 1."""
     if p.is_term() or q.is_term():
         return LaurentPoly.one()
 

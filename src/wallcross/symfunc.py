@@ -82,9 +82,6 @@ class SymFunc:
     def __hash__(self):
         return hash(frozenset(self.to_basis("p").coeffs.items()))
 
-    def coeff(self, la) -> Scalar:
-        return self.coeffs.get(tuple(la), zero())
-
     def __add__(self, other):
         o = other.to_basis(self.basis)
         out = dict(self.coeffs)

@@ -271,12 +271,13 @@ def recorded():
         seen.append((P, Q))
         return _gcd_int(P, Q)
 
+    stable._sweep.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scalars, "_gcd_int", spy)
-        mp.setattr(stable, "_SWEEPS", {})
         for b in (2, 3, 4):
             fock.bar_matrix(6, b)
         stable._sweep(4)
+    stable._sweep.cache_clear()
     return seen
 
 

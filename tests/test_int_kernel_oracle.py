@@ -34,8 +34,7 @@ def _clear_caches():
     for mod in (stable, symfunc):
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-    stable._SWEEPS.clear()
+                obj.cache_clear()  # stable._sweep among them
 
 
 def _integral_fractions(values) -> int:

@@ -115,7 +115,7 @@ def _solve_row(table, la, partners, target, qlo, qhi):
                 slot[1][ui] = slot[1].get(ui, Fraction(0)) + coef
     rows, rhs = [], []
     for nu, cell in sym.items():
-        wlo, whi = degree_window(n, la, nu, target)
+        wlo, whi = degree_window(la, nu, target)
         for mono, (const, lin) in cell.items():
             if wlo <= mono.exp_t <= whi:
                 continue
@@ -238,11 +238,12 @@ def test_cross_wall_matches_dense_route(n, monkeypatch):
 @pytest.fixture(scope="module")
 def sweep_systems():
     """Every system solve_rational gets from _sweep(4) and _sweep(5)."""
+    stable._sweep.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         seen = _recording(mp, stable, linalg.solve_rational)
-        mp.setattr(stable, "_SWEEPS", {})
         stable._sweep(4)
         stable._sweep(5)
+    stable._sweep.cache_clear()
     return seen
 
 

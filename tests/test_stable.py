@@ -104,6 +104,24 @@ def test_cross_wall_rejects_non_laurent_entry():
         S.cross_wall(S.StableTable(3, tbl.slope, bad), F2(1, 2))
 
 
+def test_cross_wall_rejects_unsatisfiable_row():
+    # a diagonal t-power far outside every window: no B row can cancel it
+    tbl = S.seed_slope0(2)
+    bad = {la: dict(row) for la, row in tbl.gamma.items()}
+    bad[(1, 1)][(1, 1)] = bad[(1, 1)][(1, 1)] + monomial(1, 0, 50)
+    with pytest.raises(ArithmeticError, match="axioms unsatisfiable"):
+        S.cross_wall(S.StableTable(2, tbl.slope, bad), F2(1, 2))
+
+
+def test_cross_wall_rejects_non_unique_row():
+    # an empty row pins no unknown that multiplies it
+    tbl = S.seed_slope0(3)
+    bad = {la: dict(row) for la, row in tbl.gamma.items()}
+    bad[(1, 1, 1)] = {}
+    with pytest.raises(ArithmeticError, match="uniqueness failure"):
+        S.cross_wall(S.StableTable(3, tbl.slope, bad), F2(1, 6))
+
+
 # ---------------------------------------------------------------------------
 # degree windows
 # ---------------------------------------------------------------------------
@@ -111,21 +129,21 @@ def test_cross_wall_rejects_non_laurent_entry():
 
 def test_window_diagonal_equality():
     # at mu = la the window is the diagonal's exact t-range, any slope
-    assert S.degree_window(2, (2,), (2,), (F2(1, 2), 1)) == (0, 3)
-    assert S.degree_window(2, (1, 1), (1, 1), (F2(7, 3), -1)) == (-1, 2)
+    assert S.degree_window((2,), (2,), (F2(1, 2), 1)) == (0, 3)
+    assert S.degree_window((1, 1), (1, 1), (F2(7, 3), -1)) == (-1, 2)
 
 
 def test_window_off_diagonal_pair():
     # raw bounds [-1,2] + (c_la - c_mu) + m*(c_mu - c_la) = [0,3] at m=1/2;
     # the strict boundary flips with the side
-    assert S.degree_window(2, (2,), (1, 1), half(+1)) == (0, 2)
-    assert S.degree_window(2, (2,), (1, 1), half(-1)) == (1, 3)
+    assert S.degree_window((2,), (1, 1), half(+1)) == (0, 2)
+    assert S.degree_window((2,), (1, 1), half(-1)) == (1, 3)
 
 
 def test_window_nonblock_sides_agree():
     # w*dc not integral: both sides round to the same closed window
-    lo = S.degree_window(3, (3,), (2, 1), (F2(1, 6), -1))
-    hi = S.degree_window(3, (3,), (2, 1), (F2(1, 6), 1))
+    lo = S.degree_window((3,), (2, 1), (F2(1, 6), -1))
+    hi = S.degree_window((3,), (2, 1), (F2(1, 6), 1))
     assert lo == hi
 
 

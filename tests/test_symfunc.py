@@ -115,7 +115,7 @@ def test_schur_goldens():
     assert p_((2,)).to_basis("s") == s_((2,)) - s_((1, 1))
     assert s_((2, 1)).to_basis("m") == m_((2, 1)) + m_((1, 1, 1)).scale(rational(2))
     # hook character chi^{(2,1)} at the identity class = dim of the 2-dim rep
-    assert s_((2, 1)).to_basis("p").coeff((1, 1, 1)) == rational(Fraction(2, 6))
+    assert s_((2, 1)).to_basis("p").coeffs[(1, 1, 1)] == rational(Fraction(2, 6))
 
 
 def test_round_trips_all_bases():
@@ -141,17 +141,17 @@ def test_omega_conjugates_schurs():
             assert omega(s_(la)) == s_(conjugate(la)), la
     # and is a sign on power sums
     f = omega(p_((3, 2)))
-    assert f.to_basis("p").coeff((3, 2)) == rational(-1)
+    assert f.to_basis("p").coeffs[(3, 2)] == rational(-1)
 
 
 def test_scale_powersums():
     f = p_((2, 1))
     assert scale_powersums(f, lambda k: one()) == f
     g = scale_powersums(p_((1,)), lambda k: (one() - q2(-k)).inverse())
-    assert g.coeff((1,)) == (one() - q2(-1)).inverse()
+    assert g.coeffs[(1,)] == (one() - q2(-1)).inverse()
     # multiplicative over parts
     h = scale_powersums(f, lambda k: q1(k))
-    assert h.coeff((2, 1)) == q1(2) * q1(1)
+    assert h.coeffs[(2, 1)] == q1(2) * q1(1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_P_unitriangular_in_m():
     for n in range(2, 5):
         for la in enumerate_partitions(n):
             md = P_(la).to_basis("m")
-            assert md.coeff(la) == one(), la
+            assert md.coeffs[la] == one(), la
             for mu in md.coeffs:
                 assert dominates(la, mu), (la, mu)
 
