@@ -84,10 +84,6 @@ def apply_V(k: int, v: dict, b: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _bar_scalar(c: Scalar) -> Scalar:
-    return c.bar_substitute("q")
-
-
 def _generators(b: int, n: int) -> list:
     """(label, degree) pairs: f_0 < ... < f_(b-1) < V_1 < V_2 < ..."""
     gens = [(("f", i), 1) for i in range(b)]
@@ -183,7 +179,7 @@ def bar_matrix(n: int, b: int) -> list:
     if n == 0:
         return [[one()]]
     T = _spanning_matrix(n, b)
-    Tbar = [[_bar_scalar(c) for c in row] for row in T]
+    Tbar = [[c.bar() for c in row] for row in T]
     A = _laurent_product(T, mat_inverse(Tbar, one(), zero()), n, b)
     bad = lt_property_check(A, n, b)
     if bad:
@@ -198,7 +194,7 @@ def bar_vector(v: dict, A: list, n: int) -> dict:
     order = enumerate_partitions(n)
     out: dict = {}
     for la, c in v.items():
-        cb = _bar_scalar(c)
+        cb = c.bar()
         j = order.index(la)
         for i, mu in enumerate(order):
             a = A[i][j]

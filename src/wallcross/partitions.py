@@ -25,10 +25,9 @@ i-nodes passed is the Kashiwara-Miwa-Stern exponent of f_i (of e_i).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import LaurentPoly, Monomial, Scalar, monomial, one
+from .scalars import Scalar, monomial
 
 Partition = tuple  # tuple[int, ...], weakly decreasing, no zeros
 
@@ -252,38 +251,3 @@ def _strip(beta: list, moves: dict, b: int, down: bool) -> tuple:
             pending[v + b] = s - 1
     return _from_beta(beta if down else beads), spin
 
-
-# ---------------------------------------------------------------------------
-# torus weights at fixed points
-# ---------------------------------------------------------------------------
-
-
-def tangent_character(la: Partition) -> LaurentPoly:
-    """Tangent-space character at the fixed point la, in (q,t) exponents.
-
-    Each box contributes q1^a q2^(-l-1) + q1^(-a-1) q2^l; with q1 = qt and
-    q2 = q/t these are the (q,t) monomials q^(a-l-1) t^(a+l+1) and
-    q^(l-a-1) t^(-a-l-1).
-    """
-    acc = LaurentPoly()
-    for x, y in boxes(la):
-        a, l = arm(la, x, y), leg(la, x, y)
-        acc = acc + LaurentPoly.term(1, a - l - 1, a + l + 1)
-        acc = acc + LaurentPoly.term(1, l - a - 1, -a - l - 1)
-    return acc
-
-
-def bracket(char: LaurentPoly) -> Scalar:
-    """Multiplicative [V] = prod over weights m of (1 - m^(-1))^mult.
-
-    Characters must not contain the trivial weight (its bracket vanishes).
-    """
-    out = one()
-    for m, c in char.terms().items():
-        if m == Monomial(Fraction(0), Fraction(0)):
-            raise ValueError("bracket of a character containing the trivial weight")
-        if c.denominator != 1:
-            raise ValueError(f"character multiplicity {c} of {m} is not an integer")
-        factor = one() - monomial(1, -m.exp_q, -m.exp_t)
-        out = out * factor ** int(c)
-    return out

@@ -19,7 +19,7 @@ monomial's exponents back in the (q1, q2) frame.
 >>> x = q2() - q1() ** -1          # q2 - 1/q1, already in the (q,t) frame
 >>> print(x)
 1*q^(1)*t^(-1) - 1*q^(-1)*t^(-1)
->>> print(t() * x)                 # t * (q2 - 1/q1) = q - 1/q
+>>> print(monomial(1, 0, 1) * x)   # t * (q2 - 1/q1) = q - 1/q
 1*q^(1)*t^(0) - 1*q^(-1)*t^(0)
 
 A :class:`Scalar` is a reduced fraction num/den of sparse Laurent
@@ -28,7 +28,7 @@ of the denominator, so a denominator that is a single term disappears into
 the numerator ("Laurent" literally means ``den == 1``) and two equal values
 always have identical term dictionaries:
 
->>> print((one() - q(2)) / (one() - q()))
+>>> print((one() - q1() * q2()) / (one() - monomial(1, 1, 0)))  # (1 - q^2)/(1 - q)
 1*q^(1)*t^(0) + 1*q^(0)*t^(0)
 
 Serialization (:meth:`Scalar.dumps`) emits terms in descending
@@ -47,8 +47,6 @@ __all__ = [
     "Monomial",
     "LaurentPoly",
     "Scalar",
-    "q",
-    "t",
     "q1",
     "q2",
     "one",
@@ -346,9 +344,17 @@ _ONE = _poly({_UNIT: 1})  # shared: no method mutates _terms
 # the integer content, rebuild each u-coefficient from its symmetric
 # xi-adic digits (|digit| <= xi/2), and accept the primitive part G (lex-
 # leading coefficient positive) only if it divides both inputs.  Otherwise
-# xi grows, _HEU_TRIES times at most, and then ArithmeticError is raised.
+# xi grows and the next point is tried.
 # One substitution v = u^K would not do: the images of (1+q)(1+q+t) and
 # (1+t)(1+q+t) share the spurious factor 1 + u at every xi.
+#
+# The loop ends.  Write P = G P' and Q = G Q' with P' and Q' coprime.  Away
+# from the finitely many xi that are roots of their resultant in the
+# evaluated variable (or of a leading coefficient), P'(xi) and Q'(xi) share
+# no factor of positive degree, so the image gcd is e G(xi) with e an
+# integer dividing a constant fixed by P' and Q' (the resultant, for one
+# variable).  Once xi is past twice the height of e G, the symmetric digits
+# of e G(xi) are the coefficients of e G, so the rebuilt candidate is G.
 #
 # A G that divides is the gcd.  Say gcd(P, Q) = G E, P of smaller norm m.
 # The image gcd is G(u, xi) times the content c of the rebuilt polynomial,
@@ -358,8 +364,6 @@ _ONE = _poly({_UNIT: 1})  # shared: no method mutates _terms
 # u-coefficient of P, of modulus below m + 1 <= xi/2, so a nonconstant E
 # has |E(xi)| > xi/2.  So E is an integer, and +-1 as P is primitive.
 # ---------------------------------------------------------------------------
-
-_HEU_TRIES = 6
 
 
 def _lcm(nums: Iterable[int]) -> int:
@@ -490,7 +494,7 @@ def _heu_gcd(P: dict, Q: dict, var: int) -> tuple[dict, dict, dict]:
     c = _igcd(*P.values(), *Q.values())
     p, q = _primitive(P), _primitive(Q)
     xi = 2 * min(max(map(abs, p.values())), max(map(abs, q.values()))) + 2
-    for _ in range(_HEU_TRIES):
+    while True:
         a, b = _evaluate(p, var, xi), _evaluate(q, var, xi)
         if a and b:
             h = _heu_gcd(a, b, 0)[0] if var else {(0, 0): _igcd(a[(0, 0)], b[(0, 0)])}
@@ -503,7 +507,6 @@ def _heu_gcd(P: dict, Q: dict, var: int) -> tuple[dict, dict, dict]:
             if cq is not None:
                 return G, cp, cq
         xi = xi * 73794 // 27011
-    raise ArithmeticError("heuristic gcd found no candidate dividing both inputs")
 
 
 def _gcd_int(P: dict, Q: dict) -> tuple[dict, dict, dict]:
@@ -725,14 +728,9 @@ class Scalar:
             raise ValueError("q_degree_range needs a Laurent polynomial (den == 1)")
         return self.num.q_degree_range()
 
-    def bar_substitute(self, var: str) -> "Scalar":
-        """Substitute var -> var^(-1) for var in {'q','t'} (exponent negation)."""
-        if var not in ("q", "t"):
-            raise ValueError("var must be 'q' or 't'")
-        if var == "q":
-            f = lambda m: Monomial(-m.exp_q, m.exp_t)
-        else:
-            f = lambda m: Monomial(m.exp_q, -m.exp_t)
+    def bar(self) -> "Scalar":
+        """The bar involution q -> q^(-1) (negates every q-exponent)."""
+        f = lambda m: Monomial(-m.exp_q, m.exp_t)
         return Scalar(self.num.map_exponents(f), self.den.map_exponents(f))
 
     # -- serialization -----------------------------------------------------
@@ -761,14 +759,6 @@ def q1q2_exponents(m: Monomial) -> tuple[Fraction, Fraction]:
 
 def monomial(coeff, exp_q=0, exp_t=0) -> Scalar:
     return Scalar.from_laurent(LaurentPoly.term(coeff, exp_q, exp_t))
-
-
-def q(k=1) -> Scalar:
-    return monomial(1, _ex(k), 0)
-
-
-def t(k=1) -> Scalar:
-    return monomial(1, 0, _ex(k))
 
 
 def q1(k=1) -> Scalar:

@@ -9,8 +9,11 @@ basis and every operation here acts on tables.
 Frames: the internal tables seed from c_la * s_{la'}[X/(1-q2)] (conjugate
 Schur index), which is what makes them dominance-triangular; the printed
 basis of the literature applies omega and a per-row scalar rho_la =
-c_la/(1-q2) on top, see printed_expansion.  Transition matrices are emitted
-in the printed frame, columns indexing the expanded basis element.
+c_la/(1-q2) on top, which at slope 0 gives (1-q2) s_la[X/(1-q2)].
+Transition matrices are emitted in the printed frame, columns indexing the
+expanded basis element; printed_basis expands the printed elements at any
+slope over those at slope 0 by one such matrix, and rebuilds no class
+from its table.
 
 Wall crossing is a linear solve: the unknown unitriangular matrix B couples
 rows within blocks where w*(c_la - c_mu) is an integer, and is pinned by
@@ -60,7 +63,7 @@ from .partitions import (
     ribbon_decomposition,
 )
 from .scalars import Scalar, monomial, one, q1, q2, zero
-from .symfunc import from_restrictions, omega, restrictions, s_, scale_powersums
+from .symfunc import SymFunc, restrictions, s_, scale_powersums
 
 __all__ = [
     "StableTable",
@@ -73,7 +76,7 @@ __all__ = [
     "renorm_factor",
     "seed_normalizer",
     "transition_matrix",
-    "printed_expansion",
+    "printed_basis",
     "is_wall",
 ]
 
@@ -500,13 +503,33 @@ def transition_matrix(n: int, slope1, slope2, renormalized: bool = False):
     return out
 
 
-def printed_expansion(table: StableTable, la):
-    """The printed-frame basis element as a Schur expansion (SymFunc).
+@functools.cache
+def _printed_seed(nu: Partition) -> SymFunc:
+    """(1 - q2) s_nu[X/(1 - q2)]: the printed element nu at slope 0, in s."""
+    return _phi_prime(s_(nu)).scale(one() - q2(1)).to_basis("s")
 
-    Reconstructs the symmetric function from the row's restrictions, applies
-    omega, and divides by rho_la = c_la/(1-q2).
+
+def printed_basis(n: int, slope) -> dict:
+    """The printed-frame basis elements at the slope point, {la: Schur expansion}.
+
+    P_la = sum over nu of T[nu][la] (1 - q2) s_nu[X/(1 - q2)], with
+    T = transition_matrix(n, slope, (0, +1)).  The identity is exact.
+    Restriction to the fixed points is linear and injective, so the class
+    behind a table row at the slope is the same combination of the seed
+    classes that its row is of the seed rows, and T is that combination in
+    the printed frame.  The printed seed element is
+    (1 - q2) omega(s_nu'[X/(1 - q2)]), the seed class c_nu s_nu'[X/(1 - q2)]
+    with omega applied and rho_nu = c_nu/(1 - q2) divided out, and it equals
+    (1 - q2) s_nu[X/(1 - q2)]: omega commutes with p_k -> p_k/(1 - q2^k),
+    both maps being diagonal on power sums.
     """
-    la = tuple(la)
-    f = from_restrictions(table.gamma[la])
-    rho = seed_normalizer(la) / (one() - q2(1))
-    return omega(f.to_basis("p")).scale(one() / rho).to_basis("s")
+    order = enumerate_partitions(n)
+    T = transition_matrix(n, slope, (Fraction(0), 1))
+    out = {}
+    for j, la in enumerate(order):
+        f = SymFunc("s", {})
+        for i, nu in enumerate(order):
+            if T[i][j]:
+                f = f + _printed_seed(nu).scale(T[i][j])
+        out[la] = f
+    return out

@@ -6,15 +6,16 @@ through p.  s uses the symmetric-group character table (ribbon recursion), m
 the multiplication rule for m_nu * p_k, both cached per degree.  Htilde comes
 from the Haglund-Haiman-Loehr filling formula (J. AMS 18 (2005)): its m_nu
 coefficient is the sum of q1^inv q2^maj over the fillings of content nu, so
-every coefficient is an integer polynomial.  The Htilde are the fixed-point
-classes of Hilb_n, so the way into Htilde is localization: the Htilde_la
-coordinate of f is f|_la / [T_la].
+every coefficient is an integer polynomial.  Conversions run out of
+Htilde, never into it: no computation here needs Htilde coordinates.
 
-Localization.  restrictions(f, n) reads f at every fixed point of Hilb_n
-through the pairing in which the Htilde are orthogonal,
+Localization.  The Htilde are the fixed-point classes of Hilb_n, and
+restrictions(f, n) reads f at every fixed point through the pairing in
+which the Htilde are orthogonal,
     <p_k, p_k> = (-1)^(k-1) k (1 - q1^k)(1 - q2^k),
-so restrictions(Htilde_mu, n)[la] is [T_la] when la = mu and 0 otherwise,
-and from_restrictions divides each restriction by [T_la].
+so restrictions(Htilde_mu, n)[la] is [T_la] when la = mu and 0 otherwise.
+The slope-0 stable-basis table is read this way; nothing is rebuilt from
+restrictions.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from .partitions import (
     Partition,
     arm,
     boxes,
-    bracket,
     conjugate,
     enumerate_partitions,
     leg,
     n_stat,
     removable_ribbons,
-    tangent_character,
 )
 from .scalars import LaurentPoly, Scalar, one, q1, q2, rational, zero
 
@@ -127,10 +126,6 @@ class SymFunc:
 
 def basis_element(basis: str, la) -> SymFunc:
     return SymFunc(basis, {tuple(la): one()})
-
-
-def p_(la):
-    return basis_element("p", la)
 
 
 def s_(la):
@@ -290,9 +285,7 @@ def _p_in_basis(basis: str, mu: Partition) -> dict:
             for la in enumerate_partitions(n)
             if _character(la, mu)
         }
-    if basis == "Htilde":
-        return from_restrictions(restrictions(p_(mu), n)).coeffs
-    raise ValueError(f"unknown basis {basis!r}")
+    raise ValueError(f"no conversion into the {basis!r} basis")
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +301,6 @@ def _mod_weight(mu: Partition) -> Scalar:
     return out
 
 
-def omega(f: SymFunc) -> SymFunc:
-    """The sign twist p_k -> (-1)^(k-1) p_k (sends s_la to s_la')."""
-    p = f.to_basis("p")
-    out = {mu: c * rational((-1) ** (sum(mu) - len(mu))) for mu, c in p.coeffs.items()}
-    return SymFunc("p", out).to_basis(f.basis)
-
-
 def scale_powersums(f: SymFunc, factor) -> SymFunc:
     """Diagonal operator p_k -> factor(k) * p_k, multiplicative over parts.
 
@@ -327,15 +313,6 @@ def scale_powersums(f: SymFunc, factor) -> SymFunc:
             c = c * factor(k)
         out[mu] = c
     return SymFunc("p", out)
-
-
-@lru_cache(maxsize=None)
-def torus_factor(la: Partition) -> Scalar:
-    """[T_la]: the bracket of the tangent character at the fixed point.
-
-    ``la`` is a partition tuple, the cache key; a list raises ``TypeError``.
-    """
-    return bracket(tangent_character(la))
 
 
 def _mod_weighted(f: SymFunc, n: int) -> dict:
@@ -364,17 +341,9 @@ def restrictions(f: SymFunc, n: int) -> dict:
     product of the weighted p-coefficients of f with those of Htilde_la,
     times that monomial, and nothing is divided.  When the weighted
     coefficients are Laurent (as for s_la[X/(1-q2)], whose 1/(1 - q2^k)
-    cancel against the weight), so is every restriction.
+    cancel against the weight), so is every restriction.  The slope-0 seed
+    is the one caller: its table rows are these restrictions.
     """
     weighted = _mod_weighted(f, n)
     return {la: _restrict_weighted(weighted, la) for la in enumerate_partitions(n)}
 
-
-def from_restrictions(values: dict) -> SymFunc:
-    """Rebuild f (in the Htilde basis) from its fixed-point restrictions."""
-    out = {}
-    for la, v in values.items():
-        la = tuple(la)
-        if v:
-            out[la] = v / torus_factor(la)
-    return SymFunc("Htilde", out)

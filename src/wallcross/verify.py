@@ -187,10 +187,10 @@ def appendix_check() -> dict:
     checks.append(("n2 factorization 3/2", matrix_entries(mat_mul(f32, f12), o2),
                    matrix_entries(g["n2 matrix 3/2"], o2)))
 
-    seed2 = stable.stable_basis(2, (F2(0), 1))
-    up12 = stable.stable_basis(2, (F2(1, 2), 1))
-    up32 = stable.stable_basis(2, (F2(3, 2), 1))
-    for label, tbl, la in [
+    seed2 = stable.printed_basis(2, (F2(0), 1))
+    up12 = stable.printed_basis(2, (F2(1, 2), 1))
+    up32 = stable.printed_basis(2, (F2(3, 2), 1))
+    for label, printed, la in [
         ("n2 s0_(2)", seed2, (2,)),
         ("n2 s0_(1,1)", seed2, (1, 1)),
         ("n2 s(1/2+e)_(2)", up12, (2,)),
@@ -198,8 +198,7 @@ def appendix_check() -> dict:
         ("n2 s(3/2+e)_(2)", up32, (2,)),
         ("n2 s(3/2+e)_(1,1)", up32, (1, 1)),
     ]:
-        checks.append((label, _ser_sym(stable.printed_expansion(tbl, la)),
-                       _ser_sym(g[label])))
+        checks.append((label, _ser_sym(printed[la]), _ser_sym(g[label])))
 
     for m in (F2(1, 3), F2(1, 2), F2(2, 3)):
         label = f"n3 matrix {m.numerator}/{m.denominator}"
@@ -305,10 +304,12 @@ def positivity_report(n: int, slope, order: int = 8) -> dict:
     if Fraction(m) <= 0:
         return _report("positivity", params, "skipped",
                        {"reason": "positive slopes only"}, t0)
-    tbl = stable.stable_basis(n, slope)
-    for la in enumerate_partitions(n):
-        f = stable.printed_expansion(tbl, la)
-        for mu, coef in f.coeffs.items():
+    for la, f in stable.printed_basis(n, slope).items():
+        # partition order, so the witness does not depend on how f was built
+        for mu in enumerate_partitions(n):
+            coef = f.coeffs.get(mu)
+            if coef is None:
+                continue
             try:
                 series = _series_coefficients(coef, order)
             except ValueError as err:
@@ -374,12 +375,12 @@ def finite_dimensional_class(a: int, b: int):
     m = Fraction(a, b)
     if m <= 0 or b < 1:
         raise ValueError("need a positive slope a/b")
-    tbl = stable.stable_basis(b, (m, 1))
+    printed = stable.printed_basis(b, (m, 1))
     total = SymFunc("s", {})
     for la in hook_partitions(b):
         h = len(la) - 1
         fac = stable.renorm_factor(la, m)
-        term = stable.printed_expansion(tbl, la).scale(
+        term = printed[la].scale(
             monomial((-1) ** h, -h, 0) * fac
         )
         total = total + term

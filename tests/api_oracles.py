@@ -3,19 +3,29 @@
 The pipeline needs stable-basis tables from localization, wall crossings,
 and the Leclerc-Thibon bar involution built from f_i and V_k.  The
 Macdonald pairings, nabla, the Euler form, the integral form J, e_i, the
-Heisenberg B_k and the (q1, q2) frame change take part in none of that, so
-they live here, next to the tests that state their acceptance properties,
-and are built from the package's public layers and a few of its private
-helpers.
+Heisenberg B_k, the monomials q and t and the (q1, q2) frame change take
+part in none of that, so they live here, next to the tests that state
+their acceptance properties, and are built from the package's public
+layers and a few of its private helpers.
+
+So does inverse localization, the way into Htilde: the tangent character,
+its bracket [T_la], from_restrictions (each restriction divided by [T_la])
+and the conversion of p into Htilde built on them.  printed_expansion
+rebuilds a printed basis element that way from its table row, applies
+omega and divides by rho_la = c_la/(1 - q2); it is the differential oracle
+of stable.printed_basis, which reads the elements off the chain of wall
+factors instead.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from wallcross.fock import _add_term, apply_V
-from wallcross.partitions import Partition, chi, i_nodes
+from wallcross.partitions import Partition, arm, boxes, chi, i_nodes, leg
 from wallcross.scalars import (
+    LaurentPoly,
     Monomial,
     Scalar,
     _ex,
@@ -27,6 +37,7 @@ from wallcross.scalars import (
     rational,
     zero,
 )
+from wallcross.stable import StableTable, seed_normalizer
 from wallcross.symfunc import (
     Ht_,
     SymFunc,
@@ -34,9 +45,103 @@ from wallcross.symfunc import (
     basis_element,
     restrictions,
     scale_powersums,
-    torus_factor,
     z_stat,
 )
+
+
+# ---------------------------------------------------------------------------
+# inverse localization: the way into Htilde
+# ---------------------------------------------------------------------------
+
+
+def tangent_character(la: Partition) -> LaurentPoly:
+    """Tangent-space character at the fixed point la, in (q,t) exponents.
+
+    Each box contributes q1^a q2^(-l-1) + q1^(-a-1) q2^l; with q1 = qt and
+    q2 = q/t these are the (q,t) monomials q^(a-l-1) t^(a+l+1) and
+    q^(l-a-1) t^(-a-l-1).
+    """
+    acc = LaurentPoly()
+    for x, y in boxes(la):
+        a, l = arm(la, x, y), leg(la, x, y)
+        acc = acc + LaurentPoly.term(1, a - l - 1, a + l + 1)
+        acc = acc + LaurentPoly.term(1, l - a - 1, -a - l - 1)
+    return acc
+
+
+def bracket(char: LaurentPoly) -> Scalar:
+    """Multiplicative [V] = prod over weights m of (1 - m^(-1))^mult.
+
+    Characters must not contain the trivial weight (its bracket vanishes).
+    """
+    out = one()
+    for m, c in char.terms().items():
+        if m == Monomial(Fraction(0), Fraction(0)):
+            raise ValueError("bracket of a character containing the trivial weight")
+        if c.denominator != 1:
+            raise ValueError(f"character multiplicity {c} of {m} is not an integer")
+        factor = one() - monomial(1, -m.exp_q, -m.exp_t)
+        out = out * factor ** int(c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def torus_factor(la: Partition) -> Scalar:
+    """[T_la]: the bracket of the tangent character at the fixed point.
+
+    ``la`` is a partition tuple, the cache key; a list raises ``TypeError``.
+    """
+    return bracket(tangent_character(la))
+
+
+def from_restrictions(values: dict) -> SymFunc:
+    """Rebuild f (in the Htilde basis) from its fixed-point restrictions."""
+    out = {}
+    for la, v in values.items():
+        la = tuple(la)
+        if v:
+            out[la] = v / torus_factor(la)
+    return SymFunc("Htilde", out)
+
+
+def p_(la):
+    return basis_element("p", la)
+
+
+def omega(f: SymFunc) -> SymFunc:
+    """The sign twist p_k -> (-1)^(k-1) p_k (sends s_la to s_la')."""
+    p = f.to_basis("p")
+    out = {mu: c * rational((-1) ** (sum(mu) - len(mu))) for mu, c in p.coeffs.items()}
+    return SymFunc("p", out).to_basis(f.basis)
+
+
+def _p_in_Htilde(mu: Partition) -> dict:
+    return from_restrictions(restrictions(p_(mu), sum(mu))).coeffs
+
+
+def convert(f: SymFunc, basis: str) -> SymFunc:
+    """f.to_basis(basis), with the way into Htilde the package no longer has."""
+    if basis != "Htilde" or f.basis == "Htilde":
+        return f.to_basis(basis)
+    out: dict = {}
+    for mu, c in f.to_basis("p").coeffs.items():
+        for la, d in _p_in_Htilde(mu).items():
+            acc = out.get(la)
+            v = c * d
+            out[la] = v if acc is None else acc + v
+    return SymFunc("Htilde", out)
+
+
+def printed_expansion(table: StableTable, la):
+    """The printed-frame basis element as a Schur expansion (SymFunc).
+
+    Reconstructs the symmetric function from the row's restrictions, applies
+    omega, and divides by rho_la = c_la/(1-q2).
+    """
+    la = tuple(la)
+    f = from_restrictions(table.gamma[la])
+    rho = seed_normalizer(la) / (one() - q2(1))
+    return omega(f.to_basis("p")).scale(one() / rho).to_basis("s")
 
 # ---------------------------------------------------------------------------
 # Fock space: e_i and the Heisenberg B_k
@@ -155,7 +260,7 @@ def euler_form(f: SymFunc, g: SymFunc) -> Scalar:
 
 def nabla(f: SymFunc) -> SymFunc:
     """Diagonal on Htilde: multiplies Htilde_la by the monomial chi(la)."""
-    h = f.to_basis("Htilde")
+    h = convert(f, "Htilde")
     out = {la: c * chi(la) for la, c in h.coeffs.items()}
     return SymFunc("Htilde", out).to_basis(f.basis)
 
@@ -166,8 +271,16 @@ def integral_form(la) -> SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# scalars: the (q1, q2) frame
+# scalars: q, t and the (q1, q2) frame
 # ---------------------------------------------------------------------------
+
+
+def q(k=1) -> Scalar:
+    return monomial(1, _ex(k), 0)
+
+
+def t(k=1) -> Scalar:
+    return monomial(1, 0, _ex(k))
 
 
 def change_coordinates(x: Scalar, direction: str) -> Scalar:

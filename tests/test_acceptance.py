@@ -146,7 +146,7 @@ def test_criterion_4a_bar_matrix_properties(capsys):
             for b in (2, 3, 4):
                 A = fock.bar_matrix(n, b)
                 assert fock.lt_property_check(A, n, b) == [], (n, b)
-                Abar = [[c.bar_substitute("q") for c in row] for row in A]
+                Abar = [[c.bar() for c in row] for row in A]
                 P = mat_mul(A, Abar)
                 for i in range(len(P)):
                     for j in range(len(P)):

@@ -215,6 +215,8 @@ STDOUT_SHA256 = {
         "468cc16a67dd2238976124c3a3a68e2e8b2c72f285b46596073556ff8d638117",
     ("characters", "--slope", "5/3", "--verma", "2,1", "--format", "csv"):
         "8ebfc8f3ccb51ba4d80faafad36e88007916c994961ca74c629d77f7defc8d3b",
+    ("characters", "--slope", "7/6"):
+        "0b7b0dd63864515beb371957be783e9ade41e34d77a569c5cd97704700bcb7cc",
     ("stable", "--n", "3", "--slope", "1/2", "--format", "csv"):
         "3adc705c2bb4453c94541090dd8c8522cf38422d4346858abed513739c470506",
     ("stable", "--n", "3", "--slope", "1/2", "--format", "latex"):

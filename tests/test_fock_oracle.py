@@ -48,7 +48,7 @@ def bfs_bar_matrix(n, b):
     if n == 0:
         return [[one()]]
     T = bfs_spanning_matrix(n, b)
-    Tbar = [[c.bar_substitute("q") for c in row] for row in T]
+    Tbar = [[c.bar() for c in row] for row in T]
     return mat_mul(T, mat_inverse(Tbar, one(), zero()))
 
 
@@ -60,7 +60,7 @@ def test_bar_matrix_matches_breadth_first_reference(n, b):
 
 def field_bar_matrix(n, b):
     T = F._spanning_matrix(n, b)
-    Tbar = [[c.bar_substitute("q") for c in row] for row in T]
+    Tbar = [[c.bar() for c in row] for row in T]
     return mat_mul(T, mat_inverse(Tbar, one(), zero()))
 
 

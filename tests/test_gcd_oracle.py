@@ -16,6 +16,8 @@ import pytest
 from wallcross import fock, scalars, stable
 from wallcross.scalars import _gcd_int, _idiv
 
+from test_scalars import gcd_pairs_once_refused
+
 # ---------------------------------------------------------------------------
 # Brown's modular gcd
 # ---------------------------------------------------------------------------
@@ -336,6 +338,14 @@ def test_planted_pairs_match_brown():
         g, p, q = _gcd_int(P, Q)
         assert g == brown_gcd_int(P, Q)
         assert _idiv(g, G) is not None
+        assert _mul(g, p) == P and _mul(g, q) == Q
+
+
+def test_pairs_once_refused_match_brown():
+    for a, b, _ in gcd_pairs_once_refused():
+        P, Q = (scalars._intize(x.num, 1, 1)[0] for x in (a, b))
+        g, p, q = _gcd_int(P, Q)
+        assert g == brown_gcd_int(P, Q)
         assert _mul(g, p) == P and _mul(g, q) == Q
 
 

@@ -10,7 +10,9 @@ from wallcross.linalg import (
     mat_mul,
     solve_rational,
 )
-from wallcross.scalars import one, q, t, zero
+from wallcross.scalars import one, zero
+
+from api_oracles import q, t
 
 F0, F1 = Fraction(0), Fraction(1)
 

@@ -1,12 +1,12 @@
 """Gram-Schmidt Macdonald polynomials as the reference for the HHL layer.
 
-The library builds Htilde from the Haglund-Haiman-Loehr filling formula,
-restricts to fixed points with one polynomial dot product per point, and
-reads Htilde coordinates off those restrictions.  The routes it replaced
-are kept here: P by Gram-Schmidt against dominance order in the deformed
-Hall pairing, Htilde as the p-twisted integral form of P, restriction as
-[T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod, and Htilde
-coordinates by triangular back-substitution of m into P.  New and old must
+The library builds Htilde from the Haglund-Haiman-Loehr filling formula
+and restricts to fixed points with one polynomial dot product per point,
+and api_oracles reads Htilde coordinates off those restrictions.  The
+routes these replaced are kept here: P by Gram-Schmidt against dominance
+order in the deformed Hall pairing, Htilde as the p-twisted integral form
+of P, restriction as [T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod,
+and Htilde coordinates by triangular back-substitution of m into P.  New and old must
 agree exactly at n <= 4 (n <= 5 for the coordinates).  At n = 6, where the
 reference is too slow, properties that need no reference stand in.
 """
@@ -31,10 +31,9 @@ from wallcross.symfunc import (
     restrictions,
     s_,
     scale_powersums,
-    torus_factor,
 )
 
-from api_oracles import _plain_weight, inner_mod
+from api_oracles import _plain_weight, convert, inner_mod, torus_factor
 from test_symfunc import P_, integral_factor, mod_pair_formula, random_symfunc
 
 # ---------------------------------------------------------------------------
@@ -168,7 +167,7 @@ def test_P_matches_gram_schmidt(mu):
     "mu", [mu for n in range(6) for mu in enumerate_partitions(n)], ids=str
 )
 def test_Htilde_coordinates_match_back_substitution(mu):
-    got = SymFunc("p", {mu: one()}).to_basis("Htilde")
+    got = convert(SymFunc("p", {mu: one()}), "Htilde")
     assert got.coeffs == old_p_in_Htilde(mu)
 
 

@@ -4,15 +4,17 @@ The package is what the command line and the chamber/Fock pipeline reach;
 an operator that only tests call belongs with the tests (api_oracles.py).
 The scan reads src/wallcross/*.py with ast and collects each public (not
 underscore-prefixed) top-level function and class, and each public method
-of a top-level class.  A function or class counts as used when some
-ast.Name or ast.Attribute anywhere in the package spells it, outside the
-definition's own body; a method only through an ast.Attribute, since a
-bare Name of the same spelling (a parameter, say) cannot reach it.  Import
-statements, __all__ strings and docstrings are not Name or Attribute
-nodes, so they never count.
+of a top-level class.  A function or class counts as used when, outside
+the definition's own body, some ast.Attribute anywhere in the package
+spells it, or some scope reads a name of that spelling that resolves to a
+module global.  symtable decides the resolution, so a parameter or a local
+of the same spelling does not count.  A method counts only through an
+ast.Attribute, since a bare name cannot reach it.  Import statements,
+__all__ strings and docstrings are neither, so they never count.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wallcross"
@@ -24,33 +26,51 @@ def _public_definitions(trees):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
-                yield f"{mod}.{node.name}", node, (ast.Name, ast.Attribute)
+                yield mod, f"{mod}.{node.name}", node, True
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        yield f"{mod}.{node.name}.{sub.name}", sub, ast.Attribute
+                        yield mod, f"{mod}.{node.name}.{sub.name}", sub, False
 
 
-def _spellings(trees):
-    """Each Name id / Attribute attr in the package, with the nodes spelling it."""
+def _attributes(trees):
+    """Each Attribute attr in the package, with the nodes spelling it."""
     out: dict = {}
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                out.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 out.setdefault(node.attr, []).append(node)
     return out
 
 
+def _global_reads(table, path=()):
+    """(scope ids from the module down, names the scope reads as module globals),
+    for table and every scope below it."""
+    path += (table.get_id(),)
+    yield path, {s.get_name() for s in table.get_symbols()
+                 if s.is_referenced() and s.is_global()}
+    for child in table.get_children():
+        yield from _global_reads(child, path)
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    assert "cli" in trees, SRC
-    spelled = _spellings(trees)
+    texts = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert "cli" in texts, SRC
+    trees = {mod: ast.parse(text) for mod, text in texts.items()}
+    tables = {mod: symtable.symtable(text, f"{mod}.py", "exec") for mod, text in texts.items()}
+    reads = [(mod, path, names) for mod, table in tables.items()
+             for path, names in _global_reads(table)]
+    attributes = _attributes(trees)
     unused = []
-    for qualname, node, kinds in _public_definitions(trees):
+    for mod, qualname, node, by_name in _public_definitions(trees):
         own = {id(n) for n in ast.walk(node)}
-        refs = spelled.get(node.name, ())
-        if not any(isinstance(ref, kinds) and id(ref) not in own for ref in refs):
-            unused.append(qualname)
+        if any(id(ref) not in own for ref in attributes.get(node.name, ())):
+            continue
+        if by_name:
+            scope, = (t.get_id() for t in tables[mod].get_children()
+                      if (t.get_name(), t.get_lineno()) == (node.name, node.lineno))
+            if any(node.name in names and not (m == mod and scope in path)
+                   for m, path, names in reads):
+                continue
+        unused.append(qualname)
     assert not unused, f"public names with no caller in src/: {unused}"

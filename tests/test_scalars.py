@@ -13,15 +13,13 @@ from wallcross.scalars import (
     laurent_gcd,
     monomial,
     one,
-    q,
     q1,
     q2,
     rational,
-    t,
     zero,
 )
 
-from api_oracles import change_coordinates
+from api_oracles import change_coordinates, q, t
 
 # ---------------------------------------------------------------------------
 # strategies: small exact scalars.  Exponents mix integers and halves/thirds
@@ -204,15 +202,12 @@ def test_change_coordinates_rejects_unknown_direction():
 @settings(max_examples=50, deadline=None)
 @given(scalars())
 def test_bar_substitute_involution(a):
-    assert a.bar_substitute("q").bar_substitute("q") == a
-    assert a.bar_substitute("t").bar_substitute("t") == a
+    assert a.bar().bar() == a
 
 
 def test_bar_substitute_example():
     x = (q() + t(2)) / (one() - q() * t())
-    assert x.bar_substitute("q") == (q(-1) + t(2)) / (one() - q(-1) * t())
-    with pytest.raises(ValueError):
-        x.bar_substitute("u")
+    assert x.bar() == (q(-1) + t(2)) / (one() - q(-1) * t())
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +316,7 @@ def test_mixed_coefficients_are_fractions_only_when_not_integral(a, b, p, d):
                        (p * d).exact_div(d), p.mul_term(Fraction(2, 3), Monomial(0, 0)),
                        p.mul_term(Fraction(3, 2), Monomial(0, 0)),
                        p.mul_term(Fraction(1, 2), Monomial(0, 1)),
-                       a.bar_substitute("q"), change_coordinates(a, "qt_to_q1q2"))
+                       a.bar(), change_coordinates(a, "qt_to_q1q2"))
     if b:
         assert_normal_form(a / b)
     if p and d:
@@ -415,22 +410,53 @@ def test_gcd_skips_a_point_where_the_larger_input_vanishes():
     assert laurent_gcd((one() + t()).num, ((t() - rational(4)) * (one() + q())).num).is_one()
 
 
-def test_gcd_raises_when_no_candidate_divides(monkeypatch):
-    # refuse every bivariate candidate: the gcd must give up, never return one
-    idiv, tries = S._idiv, []
+def test_gcd_keeps_growing_xi_until_a_candidate_divides(monkeypatch):
+    # refuse the first six bivariate candidates, as many points as the gcd
+    # once tried before giving up: it must go on to a seventh
+    idiv, refused = S._idiv, []
 
-    def refuse_bivariate(P, D):
-        if any(v for _, v in D):
-            tries.append(D)
+    def refuse_six(P, D):
+        if any(v for _, v in D) and len(refused) < 6:
+            refused.append(D)
             return None
         return idiv(P, D)
 
-    monkeypatch.setattr(S, "_idiv", refuse_bivariate)
+    monkeypatch.setattr(S, "_idiv", refuse_six)
     a = (one() + q()) * (one() + q() + t())
     b = (one() + t()) * (one() + q() + t())
-    with pytest.raises(ArithmeticError):
-        laurent_gcd(a.num, b.num)
-    assert len(tries) == S._HEU_TRIES
+    assert laurent_gcd(a.num, b.num) == (one() + q() + t()).num
+    assert len(refused) == 6
+
+
+def _hsum(d):
+    """q^d + q^(d-1) t + ... + t^d."""
+    acc = zero()
+    for i in range(d + 1):
+        acc = acc + q(d - i) * t(i)
+    return acc
+
+
+def gcd_pairs_once_refused():
+    """(a, b, gcd) on which the gcd used to raise.
+
+    In the first, the univariate gcd of the images gave up at the first
+    point, xi = 4, and the failure left the bivariate loop; xi = 10 works.
+    In the second, the gcd is a itself, whose largest coefficient is 573,
+    so rebuilding it needs xi > 1146: the seventh point, 2379.
+    """
+    c3, c6 = q(2) + q() * t() + t(2), q(2) - q() * t() + t(2)
+    a1 = (one() - q(2)) * c3
+    b1 = (q() - t()) ** 5 * (q() + t()) ** 3 * (q(2) + t(2)) * c6 * c3 ** 2
+    a2 = (q() + t()) ** 3 * (q(2) + t(2)) * c6 * c3 ** 2 * _hsum(4) * _hsum(6)
+    b2 = a2 * (q() - t()) ** 7 * (q(5) - t(7))
+    return [(a1, b1, c3), (a2, b2, a2)]
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["inner-failure", "seventh-point"])
+def test_gcd_of_pairs_once_refused(k):
+    a, b, g = gcd_pairs_once_refused()[k]
+    assert laurent_gcd(a.num, b.num) == g.num
+    assert laurent_gcd(b.num, a.num) == g.num
 
 
 def test_gcd_with_fractional_exponents():

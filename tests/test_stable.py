@@ -75,12 +75,12 @@ def test_seed_normalizer_closed_form(n):
 
 
 def test_seed_printed_expansion_n2():
-    tbl = S.seed_slope0(2)
+    printed = S.printed_basis(2, (F2(0), 1))
     den = one() - q2(2)
-    assert S.printed_expansion(tbl, (2,)) == s_((2,)).scale(one() / den) + s_(
+    assert printed[(2,)] == s_((2,)).scale(one() / den) + s_(
         (1, 1)
     ).scale(q2(1) / den)
-    assert S.printed_expansion(tbl, (1, 1)) == s_((2,)).scale(q2(1) / den) + s_(
+    assert printed[(1, 1)] == s_((2,)).scale(q2(1) / den) + s_(
         (1, 1)
     ).scale(one() / den)
 
@@ -261,21 +261,17 @@ def test_cumulative_n2():
 
 def test_printed_expansions_n2_crossed():
     den = one() - q2(2)
-    up = S.stable_basis(2, half(+1))
-    assert S.printed_expansion(up, (2,)) == s_((2,)).scale(
+    up = S.printed_basis(2, half(+1))
+    assert up[(2,)] == s_((2,)).scale(
         one() + q2(1) / (q1(1) * den)
     ) + s_((1, 1)).scale(one() / (q1(1) * den))
     # the bottom row never moves: its block is a singleton at every wall
-    assert S.printed_expansion(up, (1, 1)) == S.printed_expansion(
-        S.seed_slope0(2), (1, 1)
-    )
-    up32 = S.stable_basis(2, (F2(3, 2), 1))
-    assert S.printed_expansion(up32, (2,)) == s_((2,)).scale(
+    assert up[(1, 1)] == S.printed_basis(2, (F2(0), 1))[(1, 1)]
+    up32 = S.printed_basis(2, (F2(3, 2), 1))
+    assert up32[(2,)] == s_((2,)).scale(
         one() + q2(1) * q1(-1) + q2(2) / (q1(2) * den)
     ) + s_((1, 1)).scale(q1(-1) + q2(1) / (q1(2) * den))
-    assert S.printed_expansion(up32, (1, 1)) == S.printed_expansion(
-        S.seed_slope0(2), (1, 1)
-    )
+    assert up32[(1, 1)] == S.printed_basis(2, (F2(0), 1))[(1, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,24 +21,25 @@ from wallcross.symfunc import (
     Ht_,
     SymFunc,
     basis_element,
-    from_restrictions,
-    omega,
-    p_,
     restrictions,
     s_,
     scale_powersums,
-    torus_factor,
     z_stat,
 )
 
 from api_oracles import (
     change_coordinates,
+    convert,
     euler_form,
+    from_restrictions,
     inner_mod,
     inner_plain,
     integral_form,
     m_,
     nabla,
+    omega,
+    p_,
+    torus_factor,
 )
 
 def mod_pair_formula(la):
@@ -125,7 +126,13 @@ def test_round_trips_all_bases():
             for src in BASES:
                 f = basis_element(src, la)
                 tgt = rng.choice([b for b in BASES if b != src])
-                assert f.to_basis(tgt).to_basis(src) == f, (src, tgt, la)
+                assert convert(convert(f, tgt), src) == f, (src, tgt, la)
+
+
+def test_no_conversion_into_Htilde():
+    for basis in ("m", "p", "s"):
+        with pytest.raises(ValueError, match="'Htilde'"):
+            basis_element(basis, (2, 1)).to_basis("Htilde")
 
 
 def test_unknown_basis_rejected():
@@ -336,7 +343,7 @@ def test_restrictions_skyscraper():
 def test_localization_round_trip():
     rng = random.Random(11)
     for n in range(1, 5):
-        f = random_symfunc(n, rng).to_basis("Htilde")
+        f = convert(random_symfunc(n, rng), "Htilde")
         back = from_restrictions(restrictions(f, n))
         assert back == f, n
 

@@ -7,7 +7,9 @@ import pytest
 
 from wallcross import cli, verify
 from wallcross.scalars import monomial, one, q1, q2, rational
-from wallcross.symfunc import SymFunc, p_, s_
+from wallcross.symfunc import SymFunc, s_
+
+from api_oracles import p_
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +123,18 @@ def test_positivity_small_slopes():
     for n, m in [(2, F2(1, 2)), (2, F2(3, 2)), (3, F2(1, 3))]:
         r = verify.positivity_report(n, (m, 1), 6)
         assert r["status"] == "match", r
+
+
+def test_positivity_witness_is_first_in_partition_order(monkeypatch):
+    # two negative coefficients, inserted in reverse partition order
+    neg = -one()
+    f = SymFunc("s", {(1, 1): neg, (2,): neg})
+    assert list(f.coeffs) == [(1, 1), (2,)]
+    monkeypatch.setattr(verify.stable, "printed_basis",
+                        lambda n, slope: {(2,): f, (1, 1): s_((1, 1))})
+    r = verify.positivity_report(2, (F2(1, 2), 1), 4)
+    assert r["status"] == "mismatch"
+    assert r["witness"]["la"] == [2] and r["witness"]["mu"] == [2]
 
 
 def test_positivity_rejects_nonpositive_slope():
