@@ -3,8 +3,8 @@
 One binary, subcommand style.  Everything written to stdout is a
 deterministic artifact (canonical Scalar serialization, sorted JSON
 keys, fixed orders); timings and cache diagnostics go to stderr so that
-repeated runs are byte-identical.  Report `millis` fields are stripped
-from emitted JSON for the same reason.
+repeated runs are byte-identical.  Reports carry no timing of their own:
+the command line times each check it runs and logs the time on stderr.
 
 Formats: json (documents as described in the module docstrings), csv
 (flattened entries, one row per matrix entry), latex (pmatrix in the
@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+import time
 from fractions import Fraction
 
 from . import __version__, cache, fock, stable, verify
@@ -264,11 +265,13 @@ def _emit_matrix(args, header: dict, order, M, key="entries") -> str:
     return out.getvalue()
 
 
-def _logged(label: str, report: dict) -> dict:
-    """Print the report's status and time to stderr; return it without `millis`."""
-    print(f"wallcross: {label}: {report['status']} ({report['millis']}ms)",
-          file=sys.stderr)
-    return {k: v for k, v in report.items() if k != "millis"}
+def _logged(label: str, check, *args) -> dict:
+    """Run check(*args), print its status and time to stderr, return its report."""
+    t0 = time.monotonic()
+    report = check(*args)
+    millis = int((time.monotonic() - t0) * 1000)
+    print(f"wallcross: {label}: {report['status']} ({millis}ms)", file=sys.stderr)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +328,8 @@ def cmd_conjecture_check(args) -> tuple:
     else:
         walls = [w for w in stable.candidate_walls(args.n, 0, 1)
                  if stable.is_wall(args.n, w)]
-    reports = [verify.conjecture_check(args.n, w) for w in walls]
-    reports = [_logged(f"conjecture n={args.n} m={r['params']['m']}", r) for r in reports]
+    reports = [_logged(f"conjecture n={args.n} m={w.numerator}/{w.denominator}",
+                       verify.conjecture_check, args.n, w) for w in walls]
     mismatch = any(r["status"] == "mismatch" for r in reports)
     # within the tabulated range a mismatch is a hard failure; beyond it,
     # a reported finding, and the run still exits 0
@@ -335,34 +338,34 @@ def cmd_conjecture_check(args) -> tuple:
 
 
 def cmd_appendix_check(args) -> tuple:
-    r = _logged("appendix", verify.appendix_check())
+    r = _logged("appendix", verify.appendix_check)
     return _emit(r, args), 0 if r["status"] == "match" else 1
 
 
 def cmd_positivity(args) -> tuple:
     side = 1 if args.side == "+" else -1
-    r = verify.positivity_report(args.n, (args.slope, side), args.order)
+    r = _logged("positivity", verify.positivity_report,
+                args.n, (args.slope, side), args.order)
     # conjectural, report-only: a negative coefficient is a finding
-    return _emit(_logged("positivity", r), args), 0
+    return _emit(r, args), 0
 
 
 def cmd_characters(args) -> tuple:
     m = args.slope
     if m <= 0:
         raise ValueError("characters need a positive slope a/b")
-    bundle = verify.cherednik_characters(m.numerator, m.denominator,
-                                         verma_la=args.verma)
+    raw, normalized = verify.finite_dimensional_class(m.numerator, m.denominator)
+    verma = None if args.verma is None else verify.verma_character(m, args.verma)
     if args.format == "latex":
-        lines = [
-            "[L] \\propto " + _latex_sym(bundle["finite_normalized"].coeffs),
-        ]
-        if "verma" in bundle:
-            lines.append("\\mathrm{ch}\\, M = "
-                         + _latex_sym(bundle["verma"].coeffs))
+        lines = ["[L] \\propto " + _latex_sym(normalized.coeffs)]
+        if verma is not None:
+            lines.append("\\mathrm{ch}\\, M = " + _latex_sym(verma.coeffs))
         return "\n".join(lines) + "\n", 0
     doc = {"slope": _slope_doc(m, "+")}
-    for key, f in bundle.items():
-        doc[key] = {_plabel(la): str(c) for la, c in sorted(f.coeffs.items())}
+    parts = {"finite_raw": raw, "finite_normalized": normalized, "verma": verma}
+    for key, f in parts.items():
+        if f is not None:
+            doc[key] = {_plabel(la): str(c) for la, c in sorted(f.coeffs.items())}
     return _emit(doc, args), 0
 
 

@@ -76,6 +76,7 @@ __all__ = [
     "renorm_factor",
     "seed_normalizer",
     "transition_matrix",
+    "printed_sum",
     "printed_basis",
     "is_wall",
 ]
@@ -509,6 +510,15 @@ def _printed_seed(nu: Partition) -> SymFunc:
     return _phi_prime(s_(nu)).scale(one() - q2(1)).to_basis("s")
 
 
+def printed_sum(coeffs: dict) -> SymFunc:
+    """sum over nu of coeffs[nu] (1 - q2) s_nu[X/(1 - q2)], from the cached seeds."""
+    f = SymFunc("s", {})
+    for nu, c in coeffs.items():
+        if c:
+            f = f + _printed_seed(nu).scale(c)
+    return f
+
+
 def printed_basis(n: int, slope) -> dict:
     """The printed-frame basis elements at the slope point, {la: Schur expansion}.
 
@@ -525,11 +535,5 @@ def printed_basis(n: int, slope) -> dict:
     """
     order = enumerate_partitions(n)
     T = transition_matrix(n, slope, (Fraction(0), 1))
-    out = {}
-    for j, la in enumerate(order):
-        f = SymFunc("s", {})
-        for i, nu in enumerate(order):
-            if T[i][j]:
-                f = f + _printed_seed(nu).scale(T[i][j])
-        out[la] = f
-    return out
+    return {la: printed_sum({nu: T[i][j] for i, nu in enumerate(order)})
+            for j, la in enumerate(order)}

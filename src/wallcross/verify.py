@@ -1,24 +1,25 @@
 """Orchestrated checks: conjecture runs, golden tables, positivity, characters.
 
-Every public entry point returns a plain-dict Report:
+Every check returns a plain-dict Report:
     {"check": str, "params": {...}, "status": "match"|"mismatch"|"skipped",
-     "witness": ..., "millis": int}
+     "witness": ...}
 with the witness present exactly when status == "mismatch" (first differing
-entry) or when a skip wants to explain itself.  Reports are JSON-ready; all
-symbolic content is serialized through the canonical Scalar string form so
-that byte comparison equals symbolic comparison.
+entry) or when a skip wants to explain itself.  Reports carry no timing (the
+command line times the calls it makes), so a report is a function of its
+parameters alone.  They are JSON-ready; all symbolic content is serialized
+through the canonical Scalar string form so that byte comparison equals
+symbolic comparison.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 
 from . import fock, stable
 from .linalg import mat_mul
 from .partitions import content_sum, enumerate_partitions, hook_partitions
-from .scalars import Scalar, monomial, one, q1, q1q2_exponents, q2, zero
+from .scalars import LaurentPoly, Scalar, monomial, one, q1, q1q2_exponents, q2, zero
 from .symfunc import SymFunc, s_, scale_powersums
 
 __all__ = [
@@ -27,22 +28,16 @@ __all__ = [
     "positivity_report",
     "verma_character",
     "finite_dimensional_class",
-    "cherednik_characters",
     "matrix_entries",
 ]
 
 
-def _report(check, params, status, witness=None, t0=None):
-    out = {
-        "check": check,
-        "params": params,
-        "status": status,
-        "millis": int((time.monotonic() - t0) * 1000) if t0 is not None else 0,
-    }
-    if witness is not None:
-        out["witness"] = witness
+def _report(check, params, status, witness=None):
     if status == "mismatch" and witness is None:
         raise AssertionError("mismatch reports must carry a witness")
+    out = {"check": check, "params": params, "status": status}
+    if witness is not None:
+        out["witness"] = witness
     return out
 
 
@@ -74,7 +69,6 @@ def conjecture_check(n: int, wall) -> dict:
     is identified with the Fock-space q; mismatch carries the first
     differing entry in row-dominance order.
     """
-    t0 = time.monotonic()
     w = Fraction(wall)
     params = {"n": n, "m": f"{w.numerator}/{w.denominator}", "b": w.denominator}
     R = stable.transition_matrix(n, (w, -1), (w, 1), renormalized=True)
@@ -86,7 +80,6 @@ def conjecture_check(n: int, wall) -> dict:
                     return _report(
                         "conjecture", params, "mismatch",
                         {"reason": "renormalized entry not t-free", "entry": str(val)},
-                        t0,
                     )
     A = fock.bar_matrix(n, w.denominator)
     for i, nu in enumerate(order):
@@ -98,8 +91,8 @@ def conjecture_check(n: int, wall) -> dict:
                     "crossing": str(R[i][j]),
                     "bar": str(A[i][j]),
                 }
-                return _report("conjecture", params, "mismatch", witness, t0)
-    return _report("conjecture", params, "match", None, t0)
+                return _report("conjecture", params, "mismatch", witness)
+    return _report("conjecture", params, "match", None)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +161,6 @@ def appendix_check() -> dict:
     all n=2 Schur expansion lines, and the n=3 matrices at 1/3, 1/2, 2/3
     with their factorizations into single-wall factors.
     """
-    t0 = time.monotonic()
     F2 = Fraction
     g = _golden_tables()
     checks = []  # (label, got-serialized, want-serialized)
@@ -219,9 +211,9 @@ def appendix_check() -> dict:
         if got != want:
             return _report(
                 "appendix", {"checks": len(checks)}, "mismatch",
-                {"label": label, "got": got, "want": want}, t0,
+                {"label": label, "got": got, "want": want},
             )
-    return _report("appendix", {"checks": len(checks)}, "match", None, t0)
+    return _report("appendix", {"checks": len(checks)}, "match", None)
 
 
 # ---------------------------------------------------------------------------
@@ -229,65 +221,40 @@ def appendix_check() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _q1q2_dict(terms: dict) -> dict:
-    out = {}
-    for mono, coef in terms.items():
-        a, b = q1q2_exponents(mono)
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError("fractional exponent")
-        out[(int(a), int(b))] = out.get((int(a), int(b)), 0) + coef
-    return {k: v for k, v in out.items() if v}
-
-
 def _series_coefficients(val: Scalar, order: int) -> dict:
     """Expand a rational scalar as a (q1, q2)-power series around 0.
 
-    The denominator must have a unique corner term dividing all others
+    Since q1^a q2^b = q^(a+b) t^(a-b), a term's total (q1, q2)-degree is its
+    q-exponent.  The denominator must have a unique corner term c dividing
+    all others, that is |e_t - c_t| <= e_q - c_q for each of its terms
     (true for the products of (1 - monomial) factors these coefficients
-    carry); raises ValueError when it does not, which the caller reports
-    as a skip.  Returns {(a, b): Fraction} for total degree a+b <= order
-    relative to the smallest numerator corner.
+    carry); raises ValueError when it does not, which the caller reports as
+    a skip.  Returns {(a, b): coefficient} for total degree at most `order`
+    above the lowest numerator term, ordered by total degree, then by a.
     """
-    num = _q1q2_dict(val.num.terms())
-    den = _q1q2_dict(val.den.terms())
-    corner = min(den, key=lambda ab: (ab[0] + ab[1], ab))
-    ca, cb = corner
-    if any(a < ca or b < cb for a, b in den):
+    den = val.den.terms()
+    if any(x.denominator != 1 for m in (*val.num.terms(), *den) for x in q1q2_exponents(m)):
+        raise ValueError("fractional exponent")
+    c = min(den)
+    if any(abs(m.exp_t - c.exp_t) > m.exp_q - c.exp_q for m in den):
         raise ValueError("denominator has no dominant corner")
-    cc = den[corner]
-    rest = {(a - ca, b - cb): -Fraction(v, cc) for (a, b), v in den.items()
-            if (a, b) != corner}
-    # 1/den = q1^-ca q2^-cb / cc * sum_j rest^j
-    series = {(0, 0): Fraction(1)}
-    power = {(0, 0): Fraction(1)}
+
+    def cut(p, top):
+        return LaurentPoly({m: v for m, v in p.terms().items() if m.exp_q <= top})
+
+    # 1/den = unit * sum_j rest^j, every term of rest of positive degree
+    unit = LaurentPoly.term(Fraction(1, den[c]), -c.exp_q, -c.exp_t)
+    rest = LaurentPoly.one() - val.den * unit
+    series = power = LaurentPoly.one()
     for _ in range(order):
-        power = _trunc_mul(power, rest, order)
+        power = cut(power * rest, order)
         if not power:
             break
-        for k, v in power.items():
-            series[k] = series.get(k, Fraction(0)) + v
-    shifted_num = {(a - ca, b - cb): Fraction(v, cc) for (a, b), v in num.items()}
-    out = _trunc_mul(shifted_num, series, order, shift=_min_corner(shifted_num))
-    return out
-
-
-def _min_corner(d: dict) -> tuple:
-    if not d:
-        return (0, 0)
-    return min((a for a in d), key=lambda ab: (ab[0] + ab[1], ab))
-
-
-def _trunc_mul(x: dict, y: dict, order: int, shift=(0, 0)) -> dict:
-    sa, sb = shift
-    out = {}
-    for (a1, b1), v1 in x.items():
-        for (a2, b2), v2 in y.items():
-            a, b = a1 + a2, b1 + b2
-            if (a - sa) + (b - sb) > order:
-                continue
-            k = (a, b)
-            out[k] = out.get(k, Fraction(0)) + v1 * v2
-    return {k: v for k, v in out.items() if v}
+        series = series + power
+    num = val.num * unit
+    low = min((m.exp_q for m in num.terms()), default=0)
+    out = cut(num * series, low + order).terms()
+    return {tuple(map(int, q1q2_exponents(m))): out[m] for m in sorted(out)}
 
 
 def positivity_report(n: int, slope, order: int = 8) -> dict:
@@ -298,12 +265,11 @@ def positivity_report(n: int, slope, order: int = 8) -> dict:
     cannot affect signs and is left out) and reports the first negative
     coefficient found, if any.
     """
-    t0 = time.monotonic()
     m, side = slope
     params = {"n": n, "m": str(Fraction(m)), "side": side, "order": order}
     if Fraction(m) <= 0:
         return _report("positivity", params, "skipped",
-                       {"reason": "positive slopes only"}, t0)
+                       {"reason": "positive slopes only"})
     for la, f in stable.printed_basis(n, slope).items():
         # partition order, so the witness does not depend on how f was built
         for mu in enumerate_partitions(n):
@@ -315,13 +281,13 @@ def positivity_report(n: int, slope, order: int = 8) -> dict:
             except ValueError as err:
                 return _report("positivity", params, "skipped",
                                {"reason": str(err), "la": list(la),
-                                "mu": list(mu)}, t0)
+                                "mu": list(mu)})
             for (a, b), v in series.items():
                 if v < 0:
                     witness = {"la": list(la), "mu": list(mu),
                                "monomial": f"q1^{a} q2^{b}", "coefficient": str(v)}
-                    return _report("positivity", params, "mismatch", witness, t0)
-    return _report("positivity", params, "match", None, t0)
+                    return _report("positivity", params, "mismatch", witness)
+    return _report("positivity", params, "match", None)
 
 
 # ---------------------------------------------------------------------------
@@ -370,30 +336,22 @@ def finite_dimensional_class(a: int, b: int):
 
     Raw is sum over hook partitions la of b of (-q)^(-height) times the
     renormalized stable element at slope a/b + eps; reduced strips the
-    overall monomial per the reporting convention.
+    overall monomial per the reporting convention.  The hook weights are
+    summed in the columns of the transition matrix to slope 0 first, so
+    one printed sum builds the class and no unused element is expanded.
     """
     m = Fraction(a, b)
     if m <= 0 or b < 1:
         raise ValueError("need a positive slope a/b")
-    printed = stable.printed_basis(b, (m, 1))
-    total = SymFunc("s", {})
+    order = enumerate_partitions(b)
+    T = stable.transition_matrix(b, (m, 1), (Fraction(0), 1))
+    coeffs = dict.fromkeys(order, zero())
     for la in hook_partitions(b):
         h = len(la) - 1
-        fac = stable.renorm_factor(la, m)
-        term = printed[la].scale(
-            monomial((-1) ** h, -h, 0) * fac
-        )
-        total = total + term
+        w = monomial((-1) ** h, -h, 0) * stable.renorm_factor(la, m)
+        j = order.index(la)
+        for i, nu in enumerate(order):
+            if T[i][j]:
+                coeffs[nu] = coeffs[nu] + w * T[i][j]
+    total = stable.printed_sum(coeffs)
     return total, _normalize_top(total)
-
-
-def cherednik_characters(a: int, b: int, verma_la=None) -> dict:
-    """Bundle of the characters at slope a/b for emission."""
-    raw, normalized = finite_dimensional_class(a, b)
-    out = {
-        "finite_raw": raw,
-        "finite_normalized": normalized,
-    }
-    if verma_la is not None:
-        out["verma"] = verma_character(Fraction(a, b), verma_la)
-    return out

@@ -8,6 +8,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,7 +90,18 @@ def test_conjecture_check_exit_zero(tmp_path):
     p = run_cli("conjecture-check", "--n", "2", cache_dir=tmp_path)
     doc = json.loads(p.stdout)
     assert [r["status"] for r in doc["reports"]] == ["match"]
-    assert "millis" not in doc["reports"][0]  # stripped for determinism
+    assert "millis" not in doc["reports"][0]  # reports carry no timing
+
+
+def test_conjecture_check_times_each_wall_on_stderr(tmp_path):
+    # the reports carry no timing; the command line times each check it runs
+    p = run_cli("conjecture-check", "--n", "3", cache_dir=tmp_path)
+    lines = p.stderr.splitlines()
+    walls = [m.group(1) for m in (
+        re.fullmatch(r"wallcross: conjecture n=3 m=(\d+/\d+): match \(\d+ms\)", line)
+        for line in lines) if m]
+    assert walls == ["1/3", "1/2", "2/3"]
+    assert "millis" not in p.stdout
 
 
 def test_appendix_check_exit_zero(tmp_path):

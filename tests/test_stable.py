@@ -7,8 +7,11 @@ Everything else -- windows, block support, t-homogeneity of the crossing
 rows -- is structure the solver must exhibit on its own.
 """
 
+import hashlib
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +198,18 @@ def test_is_wall():
     assert not S.is_wall(3, F2(5, 6))
 
 
+# For n = 2..7: each wall of the sweep in (0, 1), the conjecture's verdict
+# there, and the sha256 of json.dumps(verify.matrix_entries(R), sort_keys=True)
+# for R the renormalized crossing (crossing_digest below).
+WALLS_GOLDEN = json.loads(Path(__file__).with_name("walls_golden.json").read_text())
+
+
+def crossing_digest(n, w):
+    R = S.transition_matrix(n, (w, -1), (w, 1), renormalized=True)
+    entries = verify.matrix_entries(R, enumerate_partitions(n))
+    return hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_detected_walls_are_denominators_up_to_n(n):
     # A recorded finding, not an assumption of the code: candidate_walls
@@ -207,9 +222,13 @@ def test_detected_walls_are_denominators_up_to_n(n):
     if n > 2:
         assert len(S.candidate_walls(n, 0, 1)) > len(detected)
     # every detected wall matches the bar involution, which at n = 6, 7 is
-    # the conjecture's evidence beyond the n <= 5 acceptance sweep
-    for w in detected:
-        assert verify.conjecture_check(n, w)["status"] == "match", w
+    # the conjecture's evidence beyond the n <= 5 acceptance sweep; the
+    # walls, verdicts and renormalized crossings are pinned in the golden file
+    record = [{"wall": f"{w.numerator}/{w.denominator}",
+               "verdict": verify.conjecture_check(n, w)["status"],
+               "sha256": crossing_digest(n, w)} for w in detected]
+    assert [r["verdict"] for r in record] == ["match"] * len(detected), record
+    assert record == WALLS_GOLDEN[str(n)]
 
 
 def test_crossing_rows_are_t_homogeneous():
