@@ -21,19 +21,23 @@ __all__ = [
 
 
 def mat_mul(A, B):
-    n, k = len(A), len(B)
+    """A B, reading only the nonzero entries of A and B: each row of the
+    product accumulates x * (row l of B) over the nonzeros x = A[i][l]."""
+    k = len(B)
     if any(len(r) != k for r in A):
         raise ValueError(f"shape mismatch: a row of A is not {k} long")
     m = len(B[0])
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for l in range(1, k):
-                acc = acc + A[i][l] * B[l][j]
-            row.append(acc)
-        out.append(row)
+    for a_row in A:
+        row = [None] * m
+        for x, b_row in zip(a_row, B):
+            if not x:
+                continue
+            for j, y in enumerate(b_row):
+                if y:
+                    row[j] = x * y if row[j] is None else row[j] + x * y
+        # an entry with no nonzero term is A[i][0] * B[0][j], itself zero
+        out.append([a_row[0] * B[0][j] if v is None else v for j, v in enumerate(row)])
     return out
 
 

@@ -8,6 +8,12 @@ frame.  The product route multiplies the sweep's wall factors below each
 slope, L_r, and inverts the product: D^-k1 L_r1 (D F)^(k1-k2) L_r2^-1
 D^k2.  The sweep reads tables from one walk and builds matrices by
 telescoping single wall factors; all three must agree exactly.
+
+The sweep steps over a candidate whose table already meets the windows
+above it, reading only the block entries.  sweep_oracle is the sweep as it
+was before, calling cross_wall at every candidate; it must give the same
+walls, factors and tables, and the block check must agree with the full
+window check at every candidate.
 """
 
 import functools
@@ -18,8 +24,8 @@ import pytest
 
 from wallcross import stable as S
 from wallcross.linalg import identity, mat_inverse, mat_mul
-from wallcross.partitions import chi, enumerate_partitions
-from wallcross.scalars import one, zero
+from wallcross.partitions import chi, content_sum, enumerate_partitions
+from wallcross.scalars import monomial, one, zero
 
 WALLS = {2: [F2(1, 2)], 3: [F2(1, 3), F2(1, 2), F2(2, 3)],
          4: [F2(1, 4), F2(1, 3), F2(1, 2), F2(2, 3), F2(3, 4)]}
@@ -165,3 +171,96 @@ def test_diagonal_range_table():
     for n in range(7):
         for mu in enumerate_partitions(n):
             assert S._diagonal_t_range(mu) == S.diagonal_value(mu).t_degree_range(), mu
+
+
+@functools.cache
+def sweep_oracle(n):
+    """stable._sweep before it stepped over non-walls: cross_wall at every candidate."""
+    order = enumerate_partitions(n)
+    seed = tbl = _seed(n)
+    walls = []
+    for w in S.candidate_walls(n, 0, 1):
+        tbl, B = S.cross_wall(tbl, w)
+        if any(B.values()):
+            factor = [[B[la].get(mu, one() if mu == la else zero()) for mu in order]
+                      for la in order]
+            walls.append((w, factor, tbl))
+    if tbl != S.nabla_shift(seed, 1):
+        raise ArithmeticError(f"nabla-periodicity fails at n={n}")
+    return (seed, walls)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sweep_matches_every_candidate_oracle(n):
+    seed, walls = S._sweep(n)
+    seed_ref, walls_ref = sweep_oracle(n)
+    assert seed == seed_ref
+    assert [w for w, _, _ in walls] == [w for w, _, _ in walls_ref]
+    for (w, factor, tbl), (_, factor_ref, tbl_ref) in zip(walls, walls_ref):
+        assert factor == factor_ref, w
+        assert tbl.gamma == tbl_ref.gamma and tbl.slope == tbl_ref.slope == (w, 1), w
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_block_check_is_the_full_window_check(n):
+    # along the sweep: the table below each candidate passes the block check
+    # exactly when the full window check at (w, +) passes, and that is
+    # exactly at the candidates that are not walls
+    walls = {w for w, _, _ in S._sweep(n)[1]}
+    for w in S.candidate_walls(n, 0, 1):
+        below = S.stable_basis(n, (w, -1))
+        fast = S._window_violation(below, (w, 1), block=w) is None
+        try:
+            S._check_windows(below, (w, 1))
+            full = True
+        except ArithmeticError:
+            full = False
+        assert fast == full == (w not in walls), w
+
+
+class _Crossed(Exception):
+    pass
+
+
+def _first_crossing(n, seed, monkeypatch):
+    """The candidate at which the sweep from this seed first calls cross_wall."""
+    def spy(tbl, w):
+        raise _Crossed(w)
+
+    monkeypatch.setattr(S, "seed_slope0", lambda _n: seed)
+    monkeypatch.setattr(S, "cross_wall", spy)
+    with pytest.raises(_Crossed) as crossed:
+        S._sweep.__wrapped__(n)
+    return crossed.value.args[0]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_entry_pushed_out_of_a_block_window_is_crossed(n, monkeypatch):
+    # the first candidate is no wall, so the sweep steps over it; push one
+    # block entry of the seed one t-degree past its window at (w, +), above
+    # or below, and the check fails and the sweep solves there instead
+    seed = _seed(n)
+    first, wall = S.candidate_walls(n, 0, 1)[0], S._sweep(n)[1][0][0]
+    assert first < wall
+    assert _first_crossing(n, seed, monkeypatch) == wall
+    pairs = [(la, mu) for la, row in seed.gamma.items() for mu in row
+             if (dc := content_sum(la) - content_sum(mu)) and (first * dc).denominator == 1]
+    assert pairs
+    for la, mu in pairs:
+        lo, hi = S.degree_window(la, mu, (first, 1))
+        for et in (hi + 1, lo - 1):
+            gamma = {nu: dict(row) for nu, row in seed.gamma.items()}
+            gamma[la][mu] = gamma[la][mu] + monomial(1, et, et)
+            pushed = S.StableTable(n, seed.slope, gamma)
+            assert S._window_violation(pushed, (first, 1), block=first) is not None
+            assert _first_crossing(n, pushed, monkeypatch) == first
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_candidates_hold_every_content_gap_denominator(n):
+    # the block check is sound because every m in (0, 1) where a window
+    # bound can round differently, m*(c_la - c_mu) an integer, is a candidate
+    contents = {content_sum(la) for la in enumerate_partitions(n)}
+    gaps = {abs(a - c) for a in contents for c in contents} - {0}
+    expected = {F2(a, g) for g in gaps for a in range(1, g)}
+    assert expected <= set(S.candidate_walls(n, 0, 1))

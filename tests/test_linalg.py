@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wallcross.linalg import (
     RankAccumulator,
@@ -10,6 +10,7 @@ from wallcross.linalg import (
     mat_mul,
     solve_rational,
 )
+from wallcross import stable
 from wallcross.scalars import one, zero
 
 from api_oracles import q, t
@@ -58,6 +59,55 @@ def test_inverse_singular_scalar_matrix():
     A = [[one(), q()], [t(), q() * t()]]
     with pytest.raises(ValueError, match="singular"):
         mat_inverse(A, one(), zero())
+
+
+def dense_mat_mul(A, B):
+    """mat_mul before it skipped zero entries: every entry pair multiplied."""
+    n, k = len(A), len(B)
+    m = len(B[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = A[i][0] * B[0][j]
+            for l in range(1, k):
+                acc = acc + A[i][l] * B[l][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_mat_mul_matches_dense_on_factor_chains(n):
+    # the products transition_matrix takes: wall factors I + B and their
+    # inverses, chained from either end
+    factors = [factor for _, factor, _ in stable._sweep(n)[1]]
+    inverses = [stable._factor_inverse(n, p) for p in range(len(factors))]
+    up = down = identity(len(factors[0]), one(), zero())
+    for F, Finv in zip(factors, inverses):
+        assert mat_mul(F, up) == dense_mat_mul(F, up)
+        assert mat_mul(down, Finv) == dense_mat_mul(down, Finv)
+        up, down = mat_mul(F, up), mat_mul(down, Finv)
+    assert mat_mul(up, down) == identity(len(up), one(), zero())
+
+
+sparse = st.one_of(st.just(F0), st.just(F0), st.just(F0), frac)
+
+
+@st.composite
+def sparse_pairs(draw):
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    A = [[draw(sparse) for _ in range(k)] for _ in range(n)]
+    B = [[draw(sparse) for _ in range(m)] for _ in range(k)]
+    return A, B
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_pairs())
+@example(([[F0, F0]], [[F1], [Fraction(2)]]))  # a zero row of A: no term at all
+def test_mat_mul_matches_dense_on_sparse_fractions(pair):
+    A, B = pair
+    assert mat_mul(A, B) == dense_mat_mul(A, B)
 
 
 def test_mat_mul_rejects_shape_mismatch():
