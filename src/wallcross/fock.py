@@ -12,16 +12,19 @@ operators V_k add or remove horizontal k-strips of b-ribbons weighted by
 bar_matrix spans each degree by bar-invariant vectors (the f_i and V_k
 applied to the vectors kept at the degrees below, starting from the vacuum),
 writes the degree-n ones in a matrix T, and returns A = T(q) T(1/q)^(-1).
-The inverse X = T(1/q)^(-1) is taken over Q(q), but A is Laurent, so the
-product stays in Laurent arithmetic: each column of X goes over one common
-denominator D_j, and A_ij = (sum_l T_il X_lj D_j) / D_j is one exact
-division.  canonical_basis runs the triangular recursion producing the
-global canonical bases G^+/G^-.
+Nothing is inverted over Q(q): the product is taken at one integer point
+q = xi over Fraction, each entry is read back from its balanced base-xi
+digits, and a coefficient bound on A T(1/q) - T proves the result exact
+(or xi is squared and the point retried).  canonical_basis runs the
+triangular recursion producing the global canonical bases G^+/G^-.
 """
 
 from __future__ import annotations
 
-from .linalg import RankAccumulator, mat_inverse
+from fractions import Fraction
+from math import gcd, prod
+
+from .linalg import RankAccumulator, mat_inverse, mat_mul
 from .partitions import (
     Partition,
     b_core,
@@ -31,7 +34,7 @@ from .partitions import (
     horizontal_strips,
     i_nodes,
 )
-from .scalars import LaurentPoly, Scalar, laurent_gcd, monomial, one, zero
+from .scalars import LaurentPoly, Monomial, Scalar, monomial, one, zero
 
 __all__ = [
     "vacuum",
@@ -127,60 +130,153 @@ def _spanning_matrix(n: int, b: int) -> list:
     return [[w.get(la, zero()) for w in cols] for la in order]
 
 
-def _laurent_product(T: list, X: list, n: int, b: int) -> list:
-    """T X for Laurent T, over one common denominator per column of X.
+# The first point of bar_matrix's evaluation; a power of two, squared while too small.
+_XI = 2**32
 
-    D_j, the lcm of the denominators in column j of X, makes the numerators
-    N_lj = X_lj D_j Laurent, so A_ij = (sum_l T_il N_lj) / D_j takes
-    LaurentPoly products and sums, then one exact division.  A division
-    that is not exact means A is not Laurent, which the structure theorem
-    forbids: ArithmeticError, never a fall back to Q(q).
+
+def _integral(T: list, n: int, b: int) -> list:
+    """T's entries as dicts {q-exponent: int}.
+
+    ArithmeticError unless each entry is a Laurent polynomial in q alone
+    with integer exponents and coefficients, which the evaluation needs.
     """
-    if not all(c.is_laurent() for row in T for c in row):
-        raise ArithmeticError(f"spanning vectors at n={n}, b={b} are not Laurent")
-    rows = [[c.num for c in row] for row in T]
-    A = [[] for _ in rows]
-    for j in range(len(X)):
-        col = [X[l][j] for l in range(len(X))]
-        D = LaurentPoly.one()
-        for x in col:
-            if not x.den.is_one() and x.den != D:
-                D = D * x.den.exact_div(laurent_gcd(D, x.den))
-        cofactor = {d: D.exact_div(d) for d in {x.den for x in col if x}}
-        N = [(l, x.num * cofactor[x.den]) for l, x in enumerate(col) if x]
-        for i, row in enumerate(rows):
-            acc = LaurentPoly()
-            for l, nl in N:
-                if row[l]:
-                    acc = acc + row[l] * nl
-            if acc and not D.is_one():
-                try:
-                    acc = acc.exact_div(D)
-                except ArithmeticError:
-                    order = enumerate_partitions(n)
-                    raise ArithmeticError(
-                        f"bar matrix at n={n}, b={b} is not Laurent: "
-                        f"a[{order[j]}][{order[i]}] has a denominator"
-                    ) from None
-            A[i].append(Scalar.from_laurent(acc))
+    out = []
+    for row in T:
+        out.append([])
+        for c in row:
+            if not c.is_laurent():
+                raise ArithmeticError(f"spanning vectors at n={n}, b={b} are not Laurent")
+            terms = c.num.terms()
+            if any(x.denominator != 1 or m.exp_q.denominator != 1 or m.exp_t
+                   for m, x in terms.items()):
+                raise ArithmeticError(f"spanning vectors at n={n}, b={b} are not in Z[q, 1/q]")
+            out[-1].append({int(m.exp_q): int(x) for m, x in terms.items()})
+    return out
+
+
+def _at(p: dict, x: Fraction) -> Fraction:
+    """p at q = x; x is a Fraction, so negative powers stay exact."""
+    return sum((c * x**e for e, c in p.items()), Fraction(0))
+
+
+def _digits(x: Fraction, xi: int):
+    """{e: d} with x = sum_e d xi^e and -xi/2 < d <= xi/2, or None when the
+    reduced denominator of x divides no power of xi."""
+    num, den, k = x.numerator, x.denominator, 0
+    while den != 1:
+        g = gcd(den, xi)
+        if g == 1:
+            return None
+        den //= g
+        num *= xi // g
+        k += 1
+    half, out, e = xi // 2, {}, -k
+    while num:
+        num, d = divmod(num, xi)
+        if d > half:
+            d -= xi
+            num += 1
+        if d:
+            out[e] = d
+        e += 1
+    return out
+
+
+def _norm1(P: list) -> list:
+    return [[sum(map(abs, p.values())) for p in row] for row in P]
+
+
+def _cap(T: list, norms: list) -> int:
+    """A bound that sum_l |A_il|_1 |T_lj|_1 + |T_ij|_1 meets if A is in Z[q, 1/q].
+
+    A_ij det T(1/q) = N_ij with N = T adj T(1/q).  Expanding the minors,
+    |N_ij|_1 <= R_i prod_(r != j) R_r (R_r the sum of row r of norms) and
+    N_ij spans at most 2S exponents (S the sum of the rows' exponent spans).
+    An A_ij in Z[q, 1/q] divides N_ij there, so Landau-Mignotte gives
+    |A_ij|_1 <= 2^(2S) |N_ij|_1 <= H = 2^(2S) max_r R_r prod_r R_r, and the
+    bound is at most H (C + 1), C the largest column sum of norms.
+    """
+    rows = [sum(r) for r in norms]
+    span = 0
+    for row in T:
+        exps = [e for p in row for e in p]
+        span += max(exps) - min(exps)
+    return 2 ** (2 * span) * max(rows) * prod(rows) * (max(map(sum, zip(*norms))) + 1)
+
+
+def _bar_at(T: list, xi: int, n: int, b: int):
+    """The balanced base-xi digits of each entry of T(xi) T(1/xi)^(-1), or
+    None when T(1/xi) is singular; ArithmeticError when a reduced
+    denominator divides no power of xi."""
+    Tbar = [[_at(p, Fraction(1, xi)) for p in row] for row in T]
+    try:
+        X = mat_inverse(Tbar, Fraction(1), Fraction(0))
+    except ValueError:  # det T(1/q) vanishes at xi
+        return None
+    A = mat_mul([[_at(p, Fraction(xi)) for p in row] for row in T], X)
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            row[j] = _digits(x, xi)
+            if row[j] is None:
+                order = enumerate_partitions(n)
+                raise ArithmeticError(
+                    f"bar matrix at n={n}, b={b} is not Laurent: "
+                    f"a[{order[j]}][{order[i]}] has a denominator"
+                )
     return A
 
 
 def bar_matrix(n: int, b: int) -> list:
     """A(q) with entry [row mu][col la] = coefficient of |mu> in bar(|la>).
 
-    Computed as T(q) T(1/q)^(-1) from any spanning set of bar-invariant
-    vectors; the involution is unique, so the choice of vectors is
-    immaterial.  The inverse is taken over Q(q); the product runs in Laurent
-    arithmetic over one common denominator per column (_laurent_product).
+    A = T(q) T(1/q)^(-1) for any spanning set of bar-invariant vectors (the
+    columns of T); the involution is unique, so the choice of vectors is
+    immaterial.  Nothing is inverted over Q(q).  At an integer point q = xi,
+    a power of two, mat_inverse takes T(1/xi)^(-1) over Fraction, and each
+    entry of A(xi) = T(xi) T(1/xi)^(-1) is read back as a Laurent
+    polynomial A^ from its balanced base-xi digits (|digit| <= xi/2).
+
+    Exact: E = A^ T(1/q) - T vanishes at xi by construction, and its integer
+    coefficients are bounded by sum_l |A^_il|_1 |T_lj|_1 + |T_ij|_1 (|.|_1
+    the sum of the absolute coefficients).  Shifted by a power of q, a
+    nonzero E is a polynomial with a nonzero constant term c, and its value
+    at xi is c mod xi; so a bound below xi/2 forces E = 0, that is A^ = A.
+    When the bound is not below xi/2, or T(1/xi) is singular, xi is squared,
+    as scalars._heu_gcd grows its point.
+
+    Ends: T(1/q) is invertible over Q(q), so its determinant vanishes at
+    finitely many xi.  An A in Z[q, 1/q] has A(xi) in Z[1/xi], its digits
+    are its coefficients once xi/2 exceeds its height, and the bound then
+    stops moving, so a large enough xi passes; _cap bounds that bound in
+    advance, and a point past twice the cap that still fails proves A is
+    not in Z[q, 1/q].  A non-Laurent entry P/Q (coprime, Q(0) != 0, Q not
+    constant) usually shows sooner: the reduced denominator at xi is Q(xi)
+    over a divisor of the resultant of P and Q, the power of two in Q(xi)
+    is that of Q(0) once xi is past it, and the odd part of Q(xi) grows past
+    the resultant, so the decoding meets a denominator that divides no power
+    of xi.  Either way: ArithmeticError, never a fall back to Q(q).
     """
     if b < 2:
         raise ValueError(f"the level b must be at least 2, got {b}")
     if n == 0:
         return [[one()]]
-    T = _spanning_matrix(n, b)
-    Tbar = [[c.bar() for c in row] for row in T]
-    A = _laurent_product(T, mat_inverse(Tbar, one(), zero()), n, b)
+    T = _integral(_spanning_matrix(n, b), n, b)
+    norms = _norm1(T)
+    cap = _cap(T, norms)
+    xi = _XI
+    while True:
+        A = _bar_at(T, xi, n, b)
+        if A is not None:
+            bound = mat_mul(_norm1(A), norms)
+            if all(2 * (e + t) < xi for er, tr in zip(bound, norms) for e, t in zip(er, tr)):
+                break
+            if xi > 2 * cap:
+                raise ArithmeticError(
+                    f"bar matrix at n={n}, b={b} is not Laurent with integer coefficients"
+                )
+        xi *= xi
+    A = [[Scalar.from_laurent(LaurentPoly({Monomial(e, 0): d for e, d in p.items()}))
+          for p in row] for row in A]
     bad = lt_property_check(A, n, b)
     if bad:
         raise ArithmeticError(

@@ -8,13 +8,14 @@ wrong exponent anywhere breaks them loudly.
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallcross import fock as F
-from wallcross.linalg import mat_mul
-from wallcross.partitions import enumerate_partitions, i_nodes
+from wallcross.linalg import mat_inverse, mat_mul
+from wallcross.partitions import conjugate, enumerate_partitions, i_nodes
 from wallcross.scalars import monomial, one, zero
 
 import api_oracles
@@ -358,6 +359,68 @@ def test_bar_matrix_rejects_non_laurent_product(monkeypatch, n, b):
         F.bar_matrix(n, b)
 
 
+def _spy_inverse(monkeypatch):
+    """Record, per mat_inverse call of bar_matrix, whether the point was singular."""
+    singular = []
+
+    def spy(M, one_, zero_):
+        try:
+            X = mat_inverse(M, one_, zero_)
+        except ValueError:
+            singular.append(True)
+            raise
+        singular.append(False)
+        return X
+
+    monkeypatch.setattr(F, "mat_inverse", spy)
+    return singular
+
+
+def test_bar_matrix_squares_a_small_point(monkeypatch):
+    # the coefficient bound at n = 6, b = 2 is 80: the points 4 and 16 fail
+    # it, and the result comes from 256, the second squaring
+    expected = F.bar_matrix(6, 2)
+    monkeypatch.setattr(F, "_XI", 4)
+    singular = _spy_inverse(monkeypatch)
+    assert F.bar_matrix(6, 2) == expected
+    assert len(singular) == 3
+
+
+def test_bar_matrix_steps_over_a_singular_point(monkeypatch):
+    # c = 4q - 17 + 4/q is bar-invariant and vanishes at q = 4 and q = 1/4:
+    # a column times c leaves A unchanged but makes T(1/4) singular
+    expected = F.bar_matrix(2, 2)
+    spanning = F._spanning_matrix
+    c = monomial(4, 1) - monomial(17) + monomial(4, -1)
+
+    def doctored(n, b):
+        return [[x * c if j == 0 else x for j, x in enumerate(row)]
+                for row in spanning(n, b)]
+
+    monkeypatch.setattr(F, "_spanning_matrix", doctored)
+    monkeypatch.setattr(F, "_XI", 4)
+    singular = _spy_inverse(monkeypatch)
+    assert F.bar_matrix(2, 2) == expected
+    assert singular[0] and len(singular) > 1 and not any(singular[1:])
+
+
+def test_bar_matrix_rejects_fractional_coefficients(monkeypatch):
+    # T = [[2, 0], [q, 1]] gives a[(2,)][(1, 1)] = (q - 1/q)/2: Laurent, and
+    # its digits at 2^32 decode, but no point passes the bound; past _cap
+    # that proves A is not in Z[q, 1/q]
+    monkeypatch.setattr(F, "_spanning_matrix",
+                        lambda n, b: [[monomial(2), zero()], [qq(1), one()]])
+    with pytest.raises(ArithmeticError, match="not Laurent with integer coefficients"):
+        F.bar_matrix(2, 2)
+
+
+def test_bar_matrix_rejects_fractional_spanning_vectors(monkeypatch):
+    monkeypatch.setattr(F, "_spanning_matrix",
+                        lambda n, b: [[monomial(Fraction(1, 2)), zero()], [qq(1), one()]])
+    with pytest.raises(ArithmeticError, match=r"not in Z\[q, 1/q\]"):
+        F.bar_matrix(2, 2)
+
+
 def test_bar_vector_roundtrip():
     n, b = 4, 2
     A = F.bar_matrix(n, b)
@@ -414,6 +477,43 @@ def test_canonical_columns_bar_invariant(n, b, sign):
                 assert all(m.exp_q > 0 for m in terms), (mu, la, str(c))
             else:
                 assert all(m.exp_q < 0 for m in terms), (mu, la, str(c))
+
+
+# The theorems of the level-one canonical bases, for all n <= 6 and
+# 2 <= b <= n.  A failure here is a finding about the code.
+FOCK_CASES = [(n, b) for n in range(2, 7) for b in range(2, n + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_canonical(n, b, sign):
+    return F.canonical_basis(n, b, sign)
+
+
+@pytest.mark.parametrize("n,b", FOCK_CASES)
+def test_canonical_inversion(n, b):
+    # (G^-)^-1[la][mu](q) = G^+[mu'][la'](1/q)  (Leclerc-Thibon, IMRN 1996)
+    order = enumerate_partitions(n)
+    pos = {la: i for i, la in enumerate(order)}
+    inv = mat_inverse(cached_canonical(n, b, "-"), one(), zero())
+    plus = cached_canonical(n, b, "+")
+    for la in order:
+        for mu in order:
+            assert inv[pos[la]][pos[mu]] == plus[pos[conjugate(mu)]][pos[conjugate(la)]].bar(), (
+                la, mu)
+
+
+@pytest.mark.parametrize("n,b", FOCK_CASES)
+def test_canonical_plus_positive(n, b):
+    # every coefficient of G^+ is a nonnegative integer (Varagnolo-Vasserot,
+    # Duke 1999); at q = 1 the d-matrix is unitriangular (Ariki, 1996)
+    D = cached_canonical(n, b, "+")
+    for i, row in enumerate(D):
+        for j, c in enumerate(row):
+            assert c.is_laurent(), (n, b, i, j)
+            coeffs = list(c.num.terms().values())
+            assert all(type(x) is int and x > 0 for x in coeffs), (n, b, i, j, str(c))
+            if i <= j:  # rows run down the dominance order
+                assert sum(coeffs) == (i == j), (n, b, i, j, str(c))
 
 
 # ---------------------------------------------------------------------------

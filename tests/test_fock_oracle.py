@@ -7,10 +7,10 @@ generator order, each degree-n image kept only if it enlarges the span.
 It never prunes, so it is exponential in n and lives here only to pin the
 closure to the same involution.
 
-The second is the product `bar_matrix` used before it multiplied in
-Laurent arithmetic: T(q) times T(1/q)^(-1) by `mat_mul` over Q(q), on the
-same spanning matrix.  It pins the common-denominator product at the
-degrees the first oracle cannot reach.
+The second is the route `bar_matrix` took before it evaluated at an
+integer point: T(q) times T(1/q)^(-1), inverted and multiplied over Q(q)
+by `mat_inverse` and `mat_mul`, on the same spanning matrix.  It pins the
+evaluate-and-decode product at the degrees the first oracle cannot reach.
 """
 
 from collections import deque

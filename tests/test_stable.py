@@ -255,6 +255,22 @@ def test_block_support_and_core_refinement():
                 assert b_core(la, b) == b_core(mu, b)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_wall_factors_join_equal_cores(n):
+    # the block structure of every swept wall factor: an off-diagonal entry
+    # of I + B at w = a/b only joins partitions with the same b-core
+    order = enumerate_partitions(n)
+    joined = 0
+    for w, factor, _ in S._sweep(n)[1]:
+        b = w.denominator
+        for i, la in enumerate(order):
+            for j, mu in enumerate(order):
+                if i != j and factor[i][j]:
+                    joined += 1
+                    assert b_core(la, b) == b_core(mu, b), (n, w, la, mu)
+    assert joined
+
+
 # ---------------------------------------------------------------------------
 # tabulated matrices, n = 2
 # ---------------------------------------------------------------------------
