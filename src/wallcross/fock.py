@@ -15,8 +15,8 @@ writes the degree-n ones in a matrix T, and returns A = T(q) T(1/q)^(-1).
 Nothing is inverted over Q(q): the product is taken at one integer point
 q = xi over Fraction, each entry is read back from its balanced base-xi
 digits, and a coefficient bound on A T(1/q) - T proves the result exact
-(or xi is squared and the point retried).  canonical_basis runs the
-triangular recursion producing the global canonical bases G^+/G^-.
+(or xi is squared and the point retried).  canonical_basis reads the global
+canonical bases G^+/G^- off A in one triangular pass down each column.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .partitions import (
     horizontal_strips,
     i_nodes,
 )
-from .scalars import LaurentPoly, Monomial, Scalar, monomial, one, zero
+from .scalars import LaurentPoly, Monomial, Scalar, balanced_digits, monomial, one, zero
 
 __all__ = [
     "vacuum",
@@ -43,7 +43,6 @@ __all__ = [
     "bar_matrix",
     "canonical_basis",
     "lt_property_check",
-    "bar_vector",
 ]
 
 
@@ -170,16 +169,7 @@ def _digits(x: Fraction, xi: int):
         den //= g
         num *= xi // g
         k += 1
-    half, out, e = xi // 2, {}, -k
-    while num:
-        num, d = divmod(num, xi)
-        if d > half:
-            d -= xi
-            num += 1
-        if d:
-            out[e] = d
-        e += 1
-    return out
+    return {e: d for e, d in enumerate(balanced_digits(num, xi), -k) if d}
 
 
 def _norm1(P: list) -> list:
@@ -285,20 +275,6 @@ def bar_matrix(n: int, b: int) -> list:
     return A
 
 
-def bar_vector(v: dict, A: list, n: int) -> dict:
-    """Image of a degree-n vector under the bar involution, given A = bar_matrix."""
-    order = enumerate_partitions(n)
-    out: dict = {}
-    for la, c in v.items():
-        cb = c.bar()
-        j = order.index(la)
-        for i, mu in enumerate(order):
-            a = A[i][j]
-            if a:
-                _add_term(out, mu, cb * a)
-    return out
-
-
 def lt_property_check(A: list, n: int, b: int) -> list:
     """Violations of the four structural properties of the bar matrix.
 
@@ -357,30 +333,32 @@ def _antisymmetric_parts(c: Scalar) -> dict:
 def canonical_basis(n: int, b: int, sign: str) -> list:
     """d-matrix of the global canonical basis G^sign, same layout as bar_matrix.
 
-    Column mu holds G(mu) in the standard basis: bar-invariant, equal to
-    |mu> plus strictly dominance-smaller terms whose coefficients lie in
-    q Z[q] (sign '+') or 1/q Z[1/q] (sign '-').
+    Column mu holds G(mu) = sum_la d_la |la>: bar-invariant, d_mu = 1, every
+    other d_la in q Z[q] (sign '+') or 1/q Z[1/q] (sign '-').  A[la][nu] is 0
+    unless nu = la (where it is 1) or nu strictly dominates la, so
+    bar-invariance reads d_la - bar(d_la) = r_la = sum_(nu != la) A[la][nu]
+    bar(d_nu), over la < nu <= mu.  enumerate_partitions order refines
+    dominance, so one pass down the column knows r_la on reaching la, and
+    d_la is the q-positive part of r_la ('+') or minus its q-negative part
+    ('-'); ArithmeticError if r_la is not antisymmetric.  Coordinates before
+    mu vanish by A's support, so each column is exactly bar-invariant.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    order = enumerate_partitions(n)
+    s = 1 if sign == "+" else -1
     A = bar_matrix(n, b)
-    done: dict = {}
-    for mu in reversed(order):  # ascending: dominance-smaller first
-        u = {mu: one()}
-        while True:
-            v = bar_vector(u, A, n)
-            for la, c in u.items():
-                _add_term(v, la, -c)
-            if not v:
-                break
-            star = next(la for la in order if la in v)  # dominance-maximal
-            coeffs = _antisymmetric_parts(v[star])
-            alpha = zero()
-            for k, ck in coeffs.items():
-                e = k if sign == "+" else -k
-                alpha = alpha + monomial(ck if sign == "+" else -ck, e, 0)
-            for la, c in done[star].items():
-                _add_term(u, la, alpha * c)
-        done[mu] = u
-    return [[done[mu].get(la, zero()) for mu in order] for la in order]
+    N = len(A)
+    D = [[one() if i == j else zero() for j in range(N)] for i in range(N)]
+    for j in range(N):
+        bars = {j: one()}  # row -> bar of its nonzero entry in column j
+        for i in range(j + 1, N):
+            r = zero()
+            for k, c in bars.items():
+                if A[i][k]:
+                    r = r + A[i][k] * c
+            parts = _antisymmetric_parts(r)
+            if parts:
+                D[i][j] = Scalar.from_laurent(
+                    LaurentPoly({Monomial(s * k, 0): s * c for k, c in parts.items()}))
+                bars[i] = D[i][j].bar()
+    return D

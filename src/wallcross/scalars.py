@@ -472,20 +472,25 @@ def _evaluate(P: dict, var: int, xi: int) -> dict:
     return {r: c for r, c in out.items() if c}
 
 
+def balanced_digits(c: int, xi: int):
+    """The digits d_0, d_1, ... of c = sum_e d_e xi^e, -xi/2 < d_e <= xi/2, lowest
+    first: a digit above xi/2 becomes d - xi and carries 1."""
+    half = xi // 2
+    while c:
+        c, d = divmod(c, xi)
+        if d > half:
+            d -= xi
+            c += 1
+        yield d
+
+
 def _rebuild(g: dict, var: int, xi: int) -> dict:
     """Inverse of _evaluate: symmetric xi-adic digits become powers of var."""
-    half = xi // 2
     out = {}
     for k, c in g.items():
-        e = 0
-        while c:
-            c, d = divmod(c, xi)
-            if d > half:
-                d -= xi
-                c += 1
+        for e, d in enumerate(balanced_digits(c, xi)):
             if d:
                 out[(k[0], e) if var else (e, 0)] = d
-            e += 1
     return out
 
 

@@ -13,6 +13,7 @@ symbolic comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -62,6 +63,13 @@ def _ser_sym(f: SymFunc) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _bar_matrix(n: int, b: int) -> list:
+    """fock.bar_matrix(n, b) once per process, looked up at call time so that a
+    wrapper bound to fock.bar_matrix later still sees each (n, b) built."""
+    return fock.bar_matrix(n, b)
+
+
 def conjecture_check(n: int, wall) -> dict:
     """Renormalized crossing at the wall against the bar-involution matrix.
 
@@ -81,7 +89,7 @@ def conjecture_check(n: int, wall) -> dict:
                         "conjecture", params, "mismatch",
                         {"reason": "renormalized entry not t-free", "entry": str(val)},
                     )
-    A = fock.bar_matrix(n, w.denominator)
+    A = _bar_matrix(n, w.denominator)
     for i, nu in enumerate(order):
         for j, la in enumerate(order):
             if R[i][j] != A[i][j]:

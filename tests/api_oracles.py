@@ -1,12 +1,12 @@
 """Operators the tests check but the wallcross pipeline never calls.
 
 The pipeline needs stable-basis tables from localization, wall crossings,
-and the Leclerc-Thibon bar involution built from f_i and V_k.  The
-Macdonald pairings, nabla, the Euler form, the integral form J, e_i, the
-Heisenberg B_k, the monomials q and t and the (q1, q2) frame change take
-part in none of that, so they live here, next to the tests that state
-their acceptance properties, and are built from the package's public
-layers and a few of its private helpers.
+and the Leclerc-Thibon bar matrix built from f_i and V_k.  The bar
+involution applied to a vector, the Macdonald pairings, nabla, the Euler
+form, the integral form J, e_i, the Heisenberg B_k, the monomials q and t
+and the (q1, q2) frame change take part in none of that, so they live
+here, next to the tests that state their acceptance properties, and are
+built from the package's public layers and a few of its private helpers.
 
 So does inverse localization, the way into Htilde: the tangent character,
 its bracket [T_la], from_restrictions (each restriction divided by [T_la])
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from wallcross.fock import _add_term, apply_V
-from wallcross.partitions import Partition, arm, boxes, chi, i_nodes, leg
+from wallcross.partitions import Partition, arm, boxes, chi, enumerate_partitions, i_nodes, leg
 from wallcross.scalars import (
     LaurentPoly,
     Monomial,
@@ -144,8 +144,23 @@ def printed_expansion(table: StableTable, la):
     return omega(f.to_basis("p")).scale(one() / rho).to_basis("s")
 
 # ---------------------------------------------------------------------------
-# Fock space: e_i and the Heisenberg B_k
+# Fock space: the bar involution on a vector, e_i and the Heisenberg B_k
 # ---------------------------------------------------------------------------
+
+
+def bar_vector(v: dict, A: list, n: int) -> dict:
+    """Image of a degree-n vector under the bar involution, given A = bar_matrix."""
+    order = enumerate_partitions(n)
+    out: dict = {}
+    for la, c in v.items():
+        cb = c.bar()
+        j = order.index(la)
+        for i, mu in enumerate(order):
+            a = A[i][j]
+            if a:
+                _add_term(out, mu, cb * a)
+    return out
+
 
 # The sign on e's exponent is forced: with +N^l the quantum sl_2 relation
 # [e_i, f_i] = (q^(h_i) - q^(-h_i))/(q - q^(-1)) already fails on the degree-2

@@ -459,6 +459,16 @@ def test_gcd_of_pairs_once_refused(k):
     assert laurent_gcd(b.num, a.num) == g.num
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**100, 2**100), st.sampled_from([4, 10, 2**32]))
+def test_balanced_digits_rebuild_the_integer(c, xi):
+    # the reader behind both the heuristic gcd and fock's bar-matrix decoding
+    digits = list(S.balanced_digits(c, xi))
+    assert sum(d * xi**e for e, d in enumerate(digits)) == c
+    assert all(-xi < 2 * d <= xi for d in digits)
+    assert not digits or digits[-1]
+
+
 def test_gcd_with_fractional_exponents():
     a = (one() - q(Fraction(1, 2))) * (one() + t())
     b = (one() - q(Fraction(1, 2))) * (one() - t())

@@ -5,7 +5,7 @@ from fractions import Fraction as F2
 
 import pytest
 
-from wallcross import cli, verify
+from wallcross import cli, fock, stable, verify
 from wallcross.scalars import monomial, one, q1, q2, rational
 from wallcross.symfunc import SymFunc, s_
 
@@ -44,6 +44,19 @@ def test_conjecture_same_b_all_numerators():
     r1 = verify.conjecture_check(3, F2(1, 3))
     r2 = verify.conjecture_check(3, F2(2, 3))
     assert r1["status"] == r2["status"] == "match"
+
+
+def test_conjecture_check_builds_each_bar_matrix_once(monkeypatch):
+    # the 9 walls of n = 5 in (0, 1) have the denominators 2..5
+    walls = [w for w in stable.candidate_walls(5, 0, 1) if stable.is_wall(5, w)]
+    assert len(walls) == 9
+    built = []
+    real = fock.bar_matrix
+    monkeypatch.setattr(fock, "bar_matrix", lambda n, b: built.append((n, b)) or real(n, b))
+    verify._bar_matrix.cache_clear()
+    for w in walls:
+        assert verify.conjecture_check(5, w)["status"] == "match", w
+    assert sorted(built) == [(5, b) for b in range(2, 6)]
 
 
 def test_conjecture_check_all_n3(capsys):
