@@ -57,9 +57,16 @@ __all__ = [
 ]
 
 
-def _fr(x):
-    """Coefficient normal form of int | str | Fraction: plain int when
-    integral, Fraction otherwise; TypeError on anything inexact."""
+def _exact(x):
+    """Normal form of an exact rational (int | str | Fraction), for
+    coefficients and exponents alike: a plain int when integral, a Fraction
+    otherwise.  Anything inexact raises TypeError; a float would otherwise
+    slip in as its binary value (Fraction(0.1) is not 1/10).
+
+    int and Fraction compare and hash consistently, so mixing them in
+    Monomial keys is safe; keeping the (overwhelmingly common) integers as
+    machine ints avoids Fraction overhead in hot paths.
+    """
     if isinstance(x, int):
         return int(x)
     if isinstance(x, str):
@@ -87,20 +94,6 @@ def _norm(terms: dict) -> dict:
     return terms
 
 
-def _ex(x):
-    """Exponent normal form: plain int when integral, Fraction otherwise.
-
-    int and Fraction compare and hash consistently, so mixing them in
-    Monomial keys is safe; keeping the (overwhelmingly common) integer
-    exponents as machine ints avoids Fraction overhead in hot paths.
-    """
-    if isinstance(x, int):
-        return x
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class Monomial(NamedTuple):
     """q^exp_q * t^exp_t with rational exponents; lex order = tuple order."""
 
@@ -118,8 +111,8 @@ class LaurentPoly:
     """Sparse Laurent polynomial: finite map Monomial -> coefficient, no zeros.
 
     A coefficient is a plain int when it is integral and a Fraction only
-    when it is not, as _ex does for exponents; every operation keeps that
-    normal form, so integral polynomials never touch Fraction arithmetic.
+    when it is not, _exact's normal form; every operation keeps it, so
+    integral polynomials never touch Fraction arithmetic.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -129,8 +122,8 @@ class LaurentPoly:
         if terms:
             for m, c in terms.items():
                 if not isinstance(m, Monomial):
-                    m = Monomial(_ex(m[0]), _ex(m[1]))
-                c = _fr(c)
+                    m = Monomial(_exact(m[0]), _exact(m[1]))
+                c = _exact(c)
                 if c:
                     clean[m] = clean.get(m, 0) + c
                     if not clean[m]:
@@ -146,7 +139,7 @@ class LaurentPoly:
 
     @classmethod
     def term(cls, coeff, exp_q=0, exp_t=0) -> "LaurentPoly":
-        return cls({Monomial(_ex(exp_q), _ex(exp_t)): _fr(coeff)})
+        return cls({Monomial(_exact(exp_q), _exact(exp_t)): _exact(coeff)})
 
     # -- predicates and views ----------------------------------------------
 
@@ -222,7 +215,7 @@ class LaurentPoly:
         return _poly(_norm(out))
 
     def mul_term(self, coeff, mono: Monomial) -> "LaurentPoly":
-        coeff = _fr(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             return LaurentPoly()
         return _poly(_norm({
@@ -255,7 +248,7 @@ class LaurentPoly:
             raise ArithmeticError("exact_div: not a divisor")
         return _unintize(
             Q, dq, dt, _div(ps, ds),
-            Monomial(_ex(psh.exp_q - dsh.exp_q), _ex(psh.exp_t - dsh.exp_t)),
+            Monomial(_exact(psh.exp_q - dsh.exp_q), _exact(psh.exp_t - dsh.exp_t)),
         )
 
     # -- structure ---------------------------------------------------------
@@ -405,7 +398,7 @@ def _unintize(d: dict, dq: int, dt: int, scale, shift: Monomial) -> LaurentPoly:
     for (u, v), c in d.items():
         eq = sq + (u if dq == 1 else Fraction(u, dq))
         et = st + (v if dt == 1 else Fraction(v, dt))
-        terms[Monomial(_ex(eq), _ex(et))] = scale * c
+        terms[Monomial(_exact(eq), _exact(et))] = scale * c
     return _poly(terms if type(scale) is int else _norm(terms))
 
 
@@ -768,13 +761,13 @@ def monomial(coeff, exp_q=0, exp_t=0) -> Scalar:
 
 def q1(k=1) -> Scalar:
     """The torus weight q1 = q*t, raised to the k-th power."""
-    k = _ex(k)
+    k = _exact(k)
     return monomial(1, k, k)
 
 
 def q2(k=1) -> Scalar:
     """The torus weight q2 = q*t^(-1), raised to the k-th power."""
-    k = _ex(k)
+    k = _exact(k)
     return monomial(1, k, -k)
 
 
@@ -787,4 +780,4 @@ def zero() -> Scalar:
 
 
 def rational(c) -> Scalar:
-    return monomial(_fr(c))
+    return monomial(_exact(c))

@@ -65,7 +65,7 @@ from .partitions import (
     n_stat,
     ribbon_decomposition,
 )
-from .scalars import Scalar, monomial, one, q1, q2, zero
+from .scalars import Scalar, _exact, monomial, one, q1, q2, zero
 from .symfunc import SymFunc, restrictions, s_, scale_powersums
 
 __all__ = [
@@ -87,7 +87,7 @@ __all__ = [
 
 def _slope(sl) -> tuple:
     m, side = sl
-    m = Fraction(m)
+    m = Fraction(_exact(m))  # a float raises TypeError, as in every Scalar
     if side not in (1, -1):
         raise ValueError(f"slope side must be +1 or -1, got {side!r}")
     return (m, side)

@@ -1,21 +1,23 @@
 """Symmetric functions over exact (q, t) scalars.
 
-Internally everything is stored in the power-sum basis, where the classical
-pairings are diagonal, and every conversion between {m, p, s, Htilde} goes
-through p.  s uses the symmetric-group character table (ribbon recursion), m
-the multiplication rule for m_nu * p_k, both cached per degree.  Htilde comes
-from the Haglund-Haiman-Loehr filling formula (J. AMS 18 (2005)): its m_nu
+A SymFunc keeps its coefficients in its own basis, one of {m, p, s, Htilde}.
+Conversions pass through the power sums, where the classical pairings are
+diagonal, and one routine, _expand, carries both legs.  s uses the
+symmetric-group character table (ribbon recursion), m the multiplication
+rule for m_nu * p_k, both cached per degree.  Htilde comes from the
+Haglund-Haiman-Loehr filling formula (J. AMS 18 (2005)): its m_nu
 coefficient is the sum of q1^inv q2^maj over the fillings of content nu, so
-every coefficient is an integer polynomial.  Conversions run out of
-Htilde, never into it: no computation here needs Htilde coordinates.
+every coefficient is an integer polynomial.  Conversions run out of Htilde,
+never into it: no computation here needs Htilde coordinates.
 
 Localization.  The Htilde are the fixed-point classes of Hilb_n, and
 restrictions(f, n) reads f at every fixed point through the pairing in
 which the Htilde are orthogonal,
     <p_k, p_k> = (-1)^(k-1) k (1 - q1^k)(1 - q2^k),
 so restrictions(Htilde_mu, n)[la] is [T_la] when la = mu and 0 otherwise.
-The slope-0 stable-basis table is read this way; nothing is rebuilt from
-restrictions.
+It contracts Htilde's m-coefficients with f's pairings against the m_nu,
+so Htilde is never expanded in p.  The slope-0 stable-basis table is read
+this way; nothing is rebuilt from restrictions.
 """
 
 from __future__ import annotations
@@ -100,28 +102,32 @@ class SymFunc:
     def to_basis(self, basis: str) -> "SymFunc":
         if basis == self.basis:
             return self
+        coeffs = self.coeffs
         if self.basis != "p":
-            return self._p_form().to_basis(basis)
-        out: dict = {}
-        for mu, c in self.coeffs.items():
-            for la, d in _p_in_basis(basis, mu).items():
-                acc = out.get(la)
-                v = c * d
-                out[la] = v if acc is None else acc + v
-        return SymFunc(basis, out)
-
-    def _p_form(self) -> "SymFunc":
-        out: dict = {}
-        for la, c in self.coeffs.items():
-            for mu, d in _to_p(self.basis, la).items():
-                acc = out.get(mu)
-                v = c * d
-                out[mu] = v if acc is None else acc + v
-        return SymFunc("p", out)
+            coeffs = _expand(coeffs, lambda la: _to_p(self.basis, la))
+        if basis != "p":
+            coeffs = _expand(coeffs, lambda mu: _p_in_basis(basis, mu))
+        return SymFunc(basis, coeffs)
 
     def __repr__(self):
         terms = ", ".join(f"{la}: {c}" for la, c in sorted(self.coeffs.items(), reverse=True))
         return f"SymFunc[{self.basis}]({{{terms}}})"
+
+
+def _expand(coeffs: dict, table) -> dict:
+    """The nonzero terms of sum over k of coeffs[k] * table(k), a dict each."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        for la, d in table(k).items():
+            acc = out.get(la)
+            v = c * d
+            out[la] = v if acc is None else acc + v
+    return {la: c for la, c in out.items() if c}
+
+
+def _dot(a: dict, b: dict) -> Scalar:
+    """sum over the keys k shared by a and b of a[k] * b[k]."""
+    return sum((c * b[k] for k, c in a.items() if k in b), zero())
 
 
 def basis_element(basis: str, la) -> SymFunc:
@@ -260,11 +266,7 @@ def _to_p(basis: str, la: Partition) -> dict:
             if _character(la, mu)
         }
     if basis == "Htilde":
-        out = {}
-        for nu, c in _Htilde_in_m(la).items():
-            for mu, d in _m_in_p(nu).items():
-                out[mu] = out.get(mu, zero()) + c * rational(d)
-        return {mu: c for mu, c in out.items() if c}
+        return _expand(_Htilde_in_m(la), lambda nu: _to_p("m", nu))
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -322,28 +324,24 @@ def _mod_weighted(f: SymFunc, n: int) -> dict:
     }
 
 
-def _restrict_weighted(weighted: dict, la: Partition) -> Scalar:
-    acc = zero()
-    for mu, d in _to_p("Htilde", la).items():
-        c = weighted.get(mu)
-        if c is not None:
-            acc = acc + c * d
-    # prod over boxes of q1^-arm q2^-leg
-    return acc * q1(-n_stat(conjugate(la))) * q2(-n_stat(la))
-
-
 def restrictions(f: SymFunc, n: int) -> dict:
     """Restrictions of f's degree-n part to every fixed point of Hilb_n.
 
     f|_la = [T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod, and the
     ratio [T_la] / <Htilde_la, Htilde_la>_mod is the monomial
-    prod over boxes of q1^-arm q2^-leg.  So each restriction is one dot
-    product of the weighted p-coefficients of f with those of Htilde_la,
-    times that monomial, and nothing is divided.  When the weighted
-    coefficients are Laurent (as for s_la[X/(1-q2)], whose 1/(1 - q2^k)
-    cancel against the weight), so is every restriction.  The slope-0 seed
-    is the one caller: its table rows are these restrictions.
+    prod over boxes of q1^-arm q2^-leg.  By bilinearity
+        <f, Htilde_la>_mod = sum over nu of [m_nu]Htilde_la * <f, m_nu>_mod,
+    so f is paired once with each m_nu (its weighted p-coefficients against
+    the m -> p rows), and each restriction contracts those pairings with
+    HHL's integer m-coefficients of Htilde_la, times that monomial; nothing
+    is divided.  When the weighted coefficients are Laurent (as for
+    s_la[X/(1-q2)], whose 1/(1 - q2^k) cancel against the weight), so is
+    every restriction.  The slope-0 seed is the one caller: its table rows
+    are these restrictions.
     """
     weighted = _mod_weighted(f, n)
-    return {la: _restrict_weighted(weighted, la) for la in enumerate_partitions(n)}
-
+    order = enumerate_partitions(n)
+    paired = {nu: _dot(weighted, _to_p("m", nu)) for nu in order}
+    # prod over boxes of q1^-arm q2^-leg
+    return {la: _dot(paired, _Htilde_in_m(la)) * q1(-n_stat(conjugate(la))) * q2(-n_stat(la))
+            for la in order}

@@ -115,8 +115,8 @@ def _a() -> Scalar:
 def _golden_tables() -> dict:
     """The tabulated wall matrices and Schur expansions, transcribed once.
 
-    Keys are labels; values are (kind, expected) with kind one of
-    "matrix" (dict serialization) or "sym" (string serialization).
+    Keys are labels; values are the expected values themselves: a matrix
+    (a list of rows of Scalars) or a SymFunc.
     """
     a = _a()
     den = one() - q2(2)

@@ -28,7 +28,7 @@ from wallcross.scalars import (
     LaurentPoly,
     Monomial,
     Scalar,
-    _ex,
+    _exact,
     monomial,
     one,
     q1,
@@ -291,11 +291,11 @@ def integral_form(la) -> SymFunc:
 
 
 def q(k=1) -> Scalar:
-    return monomial(1, _ex(k), 0)
+    return monomial(1, _exact(k), 0)
 
 
 def t(k=1) -> Scalar:
-    return monomial(1, 0, _ex(k))
+    return monomial(1, 0, _exact(k))
 
 
 def change_coordinates(x: Scalar, direction: str) -> Scalar:
@@ -308,9 +308,9 @@ def change_coordinates(x: Scalar, direction: str) -> Scalar:
     round-trip inverses.
     """
     if direction == "q1q2_to_qt":
-        f = lambda m: Monomial(_ex(m.exp_q + m.exp_t), _ex(m.exp_q - m.exp_t))
+        f = lambda m: Monomial(_exact(m.exp_q + m.exp_t), _exact(m.exp_q - m.exp_t))
     elif direction == "qt_to_q1q2":
-        f = lambda m: Monomial(*map(_ex, q1q2_exponents(m)))
+        f = lambda m: Monomial(*map(_exact, q1q2_exponents(m)))
     else:
         raise ValueError("direction must be 'q1q2_to_qt' or 'qt_to_q1q2'")
     return Scalar(x.num.map_exponents(f), x.den.map_exponents(f))

@@ -3,8 +3,8 @@
 `scalars` keeps a coefficient as a plain int when it is integral and as a
 Fraction only when it is not.  The reference is the coefficient coercion
 the kernel had before, which made every coefficient a Fraction: it is
-monkeypatched in as `_fr`, with `_norm` (the int restoration after
-Fraction arithmetic) turned off, so the same code runs on a mix of
+monkeypatched in as `_exact` (exponents keep their int form), with `_norm`
+(the int restoration after Fraction arithmetic) turned off, so the same code runs on a mix of
 integral Fractions from the constructors and ints from the integer gcd.
 Both kernels must print the same bytes for the bar matrices, the slope-0
 seeds, the chamber tables and the transition matrices.
@@ -53,12 +53,22 @@ def both_kernels(compute, monkeypatch):
             made.append(c)
         return c
 
+    # _exact normalizes exponents too, but the chamber code ranges over
+    # integral exponents, so the reference keeps those as ints: only the
+    # coefficients are Fractions, as in the kernel before
+    monomial_new = scalars.Monomial.__new__
+
+    def int_exponents(cls, exp_q, exp_t):
+        return monomial_new(cls, *(e.numerator if type(e) is Fraction and e.denominator == 1
+                                   else e for e in (exp_q, exp_t)))
+
     _clear_caches()
     try:
         new = compute()
         with monkeypatch.context() as m:
-            m.setattr(scalars, "_fr", reference_fr)
+            m.setattr(scalars, "_exact", reference_fr)
             m.setattr(scalars, "_norm", lambda terms: terms)
+            m.setattr(scalars.Monomial, "__new__", int_exponents)
             _clear_caches()
             ref = compute()
     finally:

@@ -1,14 +1,20 @@
 """Gram-Schmidt Macdonald polynomials as the reference for the HHL layer.
 
 The library builds Htilde from the Haglund-Haiman-Loehr filling formula
-and restricts to fixed points with one polynomial dot product per point,
-and api_oracles reads Htilde coordinates off those restrictions.  The
-routes these replaced are kept here: P by Gram-Schmidt against dominance
-order in the deformed Hall pairing, Htilde as the p-twisted integral form
-of P, restriction as [T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod,
-and Htilde coordinates by triangular back-substitution of m into P.  New and old must
+and restricts to fixed points by contracting Htilde's m-coefficients with
+f's pairings against each m_nu, and api_oracles reads Htilde coordinates
+off those restrictions.  The routes these replaced are kept here: P by
+Gram-Schmidt against dominance order in the deformed Hall pairing, Htilde
+as the p-twisted integral form of P, restriction as
+[T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod, and Htilde
+coordinates by triangular back-substitution of m into P.  New and old must
 agree exactly at n <= 4 (n <= 5 for the coordinates).  At n = 6, where the
 reference is too slow, properties that need no reference stand in.
+
+Between the two sits the p route, the restriction as one dot product of
+f's weighted p-coefficients with Htilde_la expanded in p.  It must agree
+exactly with the library on every seed row for n <= 6 and on random f for
+n <= 4.
 """
 
 import math
@@ -19,13 +25,15 @@ from functools import lru_cache
 import pytest
 
 from wallcross import stable as S
-from wallcross.partitions import conjugate, dominates, enumerate_partitions
+from wallcross import symfunc
+from wallcross.partitions import conjugate, dominates, enumerate_partitions, n_stat
 from wallcross.scalars import Monomial, Scalar, one, q1, q2, rational, zero
 from wallcross.symfunc import (
     Ht_,
     SymFunc,
     _Htilde_in_m,
     _m_in_p,
+    _mod_weighted,
     _p_in_m,
     _to_p,
     restrictions,
@@ -144,6 +152,23 @@ def old_seed(n: int) -> dict:
     return gamma
 
 
+def _restrict_weighted(weighted: dict, la) -> Scalar:
+    acc = zero()
+    for mu, d in _to_p("Htilde", la).items():
+        c = weighted.get(mu)
+        if c is not None:
+            acc = acc + c * d
+    # prod over boxes of q1^-arm q2^-leg
+    return acc * q1(-n_stat(conjugate(la))) * q2(-n_stat(la))
+
+
+def p_route_restrictions(f: SymFunc, n: int) -> dict:
+    """Each restriction as one dot product of the weighted p-coefficients of f
+    with those of Htilde_la, times prod over boxes of q1^-arm q2^-leg."""
+    weighted = _mod_weighted(f, n)
+    return {la: _restrict_weighted(weighted, la) for la in enumerate_partitions(n)}
+
+
 # ---------------------------------------------------------------------------
 # new against old, n <= 4
 # ---------------------------------------------------------------------------
@@ -189,6 +214,49 @@ def test_restrictions_match_old_route(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_seed_matches_old_route(n):
     assert S.seed_slope0(n).gamma == old_seed(n)
+
+
+# ---------------------------------------------------------------------------
+# new against the p route, n <= 6
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_restrictions_match_p_route_on_seed_rows(n):
+    for la in enumerate_partitions(n):
+        f = S._phi_prime(s_(conjugate(la)))
+        assert restrictions(f, n) == p_route_restrictions(f, n), la
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_restrictions_match_p_route_on_random_f(n):
+    rng = random.Random(200 + n)
+    den = one() - q1(2) * q2(1)
+    for _ in range(4):
+        # coefficients with a denominator, and a part of another degree
+        f = (random_symfunc(n, rng) + random_symfunc(n, rng, "s").scale(one() / den)
+             + random_symfunc(n + 1, rng))
+        assert restrictions(f, n) == p_route_restrictions(f, n), n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_seed_matches_p_route(n, monkeypatch):
+    new = S.seed_slope0(n).gamma
+    monkeypatch.setattr(S, "restrictions", p_route_restrictions)
+    assert new == S.seed_slope0(n).gamma
+
+
+def test_seed_never_expands_Htilde_in_p(monkeypatch):
+    symfunc._to_p.cache_clear()
+    real, bases = symfunc._to_p, []
+
+    def spy(basis, la):
+        bases.append(basis)
+        return real(basis, la)
+
+    monkeypatch.setattr(symfunc, "_to_p", spy)
+    S.seed_slope0(5)
+    assert bases and "Htilde" not in bases
 
 
 # ---------------------------------------------------------------------------

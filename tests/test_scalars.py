@@ -330,8 +330,19 @@ def test_inexact_coefficients_are_rejected():
         rational(1.0)
 
 
+def test_inexact_exponents_are_rejected():
+    # Fraction(0.1) would make this q^(3602879701896397/36028797018963968)
+    with pytest.raises(TypeError, match="float"):
+        monomial(1, 0.1, 0)
+    with pytest.raises(TypeError, match="float"):
+        LaurentPoly.term(1, 0, 0.5)
+    with pytest.raises(TypeError, match="float"):
+        q1(0.5)
+    assert monomial(1, "1/2", 0) == monomial(1, Fraction(1, 2), 0)
+
+
 def test_integral_inputs_become_ints():
-    assert [type(S._fr(x)) for x in (Fraction(4, 2), "6/3", True, 5)] == [int] * 4
+    assert [type(S._exact(x)) for x in (Fraction(4, 2), "6/3", True, 5)] == [int] * 4
     assert_ints(rational(Fraction(4, 2)), LaurentPoly.term("6/3", 1, 0),
                 LaurentPoly.term(True), LaurentPoly({(0, 0): Fraction(1, 2), (1, 0): 2})
                 + LaurentPoly.term(Fraction(1, 2)), rational(Fraction(3, 2)) * rational(2))

@@ -490,3 +490,13 @@ def test_same_slope_transition_is_identity():
 def test_slope_validation():
     with pytest.raises(ValueError, match="side"):
         S.stable_basis(2, (F2(1, 2), 0))
+
+
+def test_float_slope_is_rejected():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="float"):
+        S.stable_basis(2, (0.5, 1))
+    with pytest.raises(TypeError, match="float"):
+        S.degree_window((2,), (1, 1), (0.1, 1))
+    half_window = S.degree_window((2,), (1, 1), (F2(1, 2), 1))
+    assert S.degree_window((2,), (1, 1), ("1/2", 1)) == half_window
