@@ -307,9 +307,8 @@ def cmd_stable(args) -> tuple:
     side = 1 if args.side == "+" else -1
     tbl = stable.stable_basis(args.n, (args.slope, side))
     order = enumerate_partitions(args.n)
-    gamma = [[tbl.entry(la, mu) for mu in order] for la in order]
     header = {"n": args.n, "slope": _slope_doc(args.slope, args.side)}
-    return _emit_matrix(args, header, order, gamma, key="gamma"), 0
+    return _emit_matrix(args, header, order, tbl.gamma, key="gamma"), 0
 
 
 def cmd_wallcross(args) -> tuple:

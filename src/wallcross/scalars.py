@@ -40,8 +40,8 @@ equality, which the cache and the golden-file tests rely on.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
-from typing import Callable, Iterable, NamedTuple
+from math import gcd as _igcd, lcm
+from typing import Callable, NamedTuple
 
 __all__ = [
     "Monomial",
@@ -359,14 +359,6 @@ _ONE = _poly({_UNIT: 1})  # shared: no method mutates _terms
 # ---------------------------------------------------------------------------
 
 
-def _lcm(nums: Iterable[int]) -> int:
-    out = 1
-    for n in nums:
-        if n:
-            out = out * n // _igcd(out, n)
-    return out
-
-
 def _intize(p: LaurentPoly, dq: int, dt: int):
     """Clear p to a primitive integer dict {(u, v): int}.
 
@@ -383,7 +375,7 @@ def _intize(p: LaurentPoly, dq: int, dt: int):
         out[(int((m.exp_q - sq) * dq), int((m.exp_t - st) * dt))] = c
     den = 1
     if not all(type(c) is int for c in out.values()):
-        den = _lcm([c.denominator for c in out.values()])
+        den = lcm(*(c.denominator for c in out.values()))
         out = {k: c.numerator * (den // c.denominator) for k, c in out.items()}
     ic = _igcd(*out.values())
     if ic > 1:
@@ -513,13 +505,9 @@ def _gcd_int(P: dict, Q: dict) -> tuple[dict, dict, dict]:
 
 
 def _exp_lcms(p: LaurentPoly, q: LaurentPoly) -> tuple[int, int]:
-    dq = _lcm(
-        [m.exp_q.denominator for m in p._terms] + [m.exp_q.denominator for m in q._terms]
-    )
-    dt = _lcm(
-        [m.exp_t.denominator for m in p._terms] + [m.exp_t.denominator for m in q._terms]
-    )
-    return dq, dt
+    terms = [*p._terms, *q._terms]
+    return (lcm(*(m.exp_q.denominator for m in terms)),
+            lcm(*(m.exp_t.denominator for m in terms)))
 
 
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

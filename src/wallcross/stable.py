@@ -2,9 +2,11 @@
 
 A slope point is (m, side) with m rational and side = +1 or -1, standing for
 m + eps or m - eps.  A basis is stored as its table of fixed-point
-restrictions gamma[la][mu], lower-triangular in dominance order with the
-diagonal pinned to prod (q2^leg - q1^(arm+1)); the table determines the
-basis and every operation here acts on tables.
+restrictions, a list of rows with gamma[i][j] the restriction of element
+la_i at the fixed point la_j, both indexed in enumerate_partitions(n) order
+like every matrix in the package.  It is lower-triangular in dominance
+order with the diagonal pinned to prod (q2^leg - q1^(arm+1)); the table
+determines the basis and every operation here acts on tables.
 
 Frames: the internal tables seed from c_la * s_{la'}[X/(1-q2)] (conjugate
 Schur index), which is what makes them dominance-triangular; the printed
@@ -20,21 +22,22 @@ rows within blocks where w*(c_la - c_mu) is an integer, and is pinned by
 requiring every out-of-window t-power of the combined restrictions to
 vanish on the target side of the wall.  Windows follow the degree_window
 rounding rule below.  Each row's system is posed once, over the table's
-q-degree range widened by 2b, b the denominator of w: it gave exactly one
-solution for each of the 12,743 rows of every candidate wall for n = 2..8,
-counted when the sweep still solved at every candidate (it now solves at
-the walls only).  The solver demands existence and uniqueness and treats
-anything else as a falsified axiom, not a soft failure.
+q-degree range widened by 2b, b the denominator of w: it gives exactly one
+solution for each of the 12,743 rows of every candidate wall for n = 2..8.
+The solver demands existence and uniqueness and treats anything else as a
+falsified axiom, not a soft failure.
 
 One chamber sweep per n serves every slope: seed slope 0, walk the
 candidate walls in (0, 1) in increasing order, keep (w, I + B, table above
-w) for each wall with B != 0, and check nabla-periodicity, that the last
+w) for each wall with I + B != I, and check nabla-periodicity, that the last
 table is nabla_shift(seed, 1): F G0 = D^-1 G0 D with G0 the seed table,
 D = diag(chi) and F the ordered product of all factors I + B.  So the
 table at k + r (k an integer, 0 <= r < 1) is D^-k L_r G0 D^k, L_r the
 product of the factors below r, and no restriction table is inverted.
 A candidate whose table already meets the windows above it has B = 0 and
-is stepped over without a solve (see _sweep).
+is stepped over without a solve (see _sweep).  Every conjugation by a
+diagonal of monomials (a nabla period, the printed frame, the
+renormalization) is one _rescale.
 
 The tables therefore sit on one chain.  With W walls in (0, 1), slope
 k + r is at position k*W + p, p the number of walls below (r, side), and
@@ -79,6 +82,7 @@ __all__ = [
     "renorm_factor",
     "seed_normalizer",
     "transition_matrix",
+    "renormalized_crossing",
     "printed_sum",
     "printed_basis",
     "is_wall",
@@ -94,15 +98,17 @@ def _slope(sl) -> tuple:
 
 
 class StableTable:
-    """Restriction table of a stable basis at one slope point."""
+    """Restriction table of a stable basis at one slope point.
 
-    def __init__(self, n: int, slope, gamma: dict):
+    gamma is a p(n) x p(n) list of rows in enumerate_partitions(n) order.
+    Equality compares n and gamma but not the slope: _sweep's nabla check
+    compares the table above the last candidate with the seed shifted to 1.
+    """
+
+    def __init__(self, n: int, slope, gamma: list):
         self.n = n
         self.slope = _slope(slope)
-        self.gamma = gamma  # la -> {mu -> Scalar}, zeros absent
-
-    def entry(self, la, mu) -> Scalar:
-        return self.gamma.get(la, {}).get(mu, zero())
+        self.gamma = gamma
 
     def __eq__(self, other):
         return (
@@ -179,11 +185,14 @@ def _window_violation(table: StableTable, slope, block=None):
     With block = w only the entries gamma_la^mu with w*(c_la - c_mu) a
     nonzero integer are read; _sweep says when that suffices.
     """
-    contents = {la: content_sum(la) for la in table.gamma}
-    for la, row in table.gamma.items():
-        for mu, val in row.items():
+    order = enumerate_partitions(table.n)
+    contents = [content_sum(la) for la in order]
+    for la, c_la, row in zip(order, contents, table.gamma):
+        for mu, c_mu, val in zip(order, contents, row):
+            if not val:
+                continue
             if block is not None:
-                dc = contents[la] - contents[mu]
+                dc = c_la - c_mu
                 if not dc or (block * dc).denominator != 1:
                     continue
             lo, hi = degree_window(la, mu, slope)
@@ -202,8 +211,9 @@ def _check_windows(table: StableTable, slope) -> None:
 
 def seed_slope0(n: int) -> StableTable:
     """The slope-0 table: rows are c_la * s_{la'}[X/(1-q2)] restricted."""
-    gamma = {}
-    for la in enumerate_partitions(n):
+    order = enumerate_partitions(n)
+    gamma = []
+    for la in order:
         rows = restrictions(_phi_prime(s_(conjugate(la))), n)
         c = seed_normalizer(la)
         if c * rows[la] != diagonal_value(la):
@@ -211,19 +221,19 @@ def seed_slope0(n: int) -> StableTable:
                 f"seed normalization at {la}: c_la times the restriction "
                 f"{rows[la]} is not the diagonal {diagonal_value(la)}"
             )
-        out = {}
-        for mu, val in rows.items():
-            if not val:
-                continue
-            if not dominates(la, mu):
-                raise ArithmeticError(
-                    f"seed row {la} is not dominance-triangular: hits {mu}"
-                )
-            val = c * val
-            if not val.is_laurent():
-                raise ArithmeticError(f"seed entry {la}|{mu} has a denominator: {val}")
-            out[mu] = val
-        gamma[la] = out
+        row = []
+        for mu in order:
+            val = rows[mu]
+            if val:
+                if not dominates(la, mu):
+                    raise ArithmeticError(
+                        f"seed row {la} is not dominance-triangular: hits {mu}"
+                    )
+                val = c * val
+                if not val.is_laurent():
+                    raise ArithmeticError(f"seed entry {la}|{mu} has a denominator: {val}")
+            row.append(val)
+        gamma.append(row)
     table = StableTable(n, (Fraction(0), 1), gamma)
     _check_windows(table, table.slope)
     return table
@@ -253,10 +263,13 @@ def candidate_walls(n: int, lo, hi) -> list:
 def _row_terms(table) -> dict:
     """Each row's entries as (nu, exp_q, exp_t, coef) terms; raises on an
     entry that is not Laurent, since only numerators are read."""
+    order = enumerate_partitions(table.n)
     out = {}
-    for la, row in table.gamma.items():
+    for la, row in zip(order, table.gamma):
         terms = []
-        for nu, val in row.items():
+        for nu, val in zip(order, row):
+            if not val:
+                continue
             if not val.is_laurent():
                 raise ArithmeticError(
                     f"cannot cross a wall from a table whose entry {la}|{nu} "
@@ -332,24 +345,24 @@ def _solve_row(terms, la, partners, target, qlo, qhi) -> dict:
 
 
 def cross_wall(table: StableTable, w) -> tuple:
-    """Cross the wall at w to the other side; returns (new table, B).
+    """Cross the wall at w to the other side; returns (new table, I + B).
 
-    B is the unique unitriangular matrix over the block support
-    {w*(c_la - c_mu) integral} making every combined row land in the target
-    side's windows; its strict part is returned as rows la -> {mu: Scalar}.
-    B = Id (all rows empty) exactly when w is not a wall.
+    B is the unique strictly triangular matrix over the block support
+    {w*(c_la - c_mu) integral} making every combined row (I + B) gamma land
+    in the target side's windows.  B = 0 exactly when w is not a wall.
     """
     w = Fraction(w)
     m, side = table.slope
     upward = m < w or (m == w and side == -1)
     target = (w, 1 if upward else -1)
     order = enumerate_partitions(table.n)
+    index = {la: i for i, la in enumerate(order)}
     terms = _row_terms(table)
-    qs = [val.q_degree_range() for row in table.gamma.values() for val in row.values()]
+    qs = [val.q_degree_range() for row in table.gamma for val in row if val]
     margin = 2 * w.denominator
     qlo, qhi = min(q[0] for q in qs) - margin, max(q[1] for q in qs) + margin
-    brows = {}
-    for la in order:
+    gamma, factor = [], []
+    for la, row in zip(order, table.gamma):
         partners = [
             mu
             for mu in order
@@ -357,30 +370,27 @@ def cross_wall(table: StableTable, w) -> tuple:
             and dominates(la, mu)
             and (w * (content_sum(la) - content_sum(mu))).denominator == 1
         ]
-        brows[la] = _solve_row(terms, la, partners, target, qlo, qhi)
-    gamma = {}
-    for la in order:
-        new_row = dict(table.gamma.get(la, {}))
-        for mu, coef in brows[la].items():
-            for nu, val in table.gamma.get(mu, {}).items():
-                acc = new_row.get(nu, zero()) + coef * val
-                if acc:
-                    new_row[nu] = acc
-                else:
-                    new_row.pop(nu, None)
-        gamma[la] = new_row
-    return StableTable(table.n, target, gamma), brows
+        brow = _solve_row(terms, la, partners, target, qlo, qhi)
+        factor.append([one() if mu == la else brow.get(mu, zero()) for mu in order])
+        row = list(row)
+        for mu, coef in brow.items():  # row la of (I + B) gamma
+            for j, val in enumerate(table.gamma[index[mu]]):
+                if val:
+                    row[j] = row[j] + coef * val
+        gamma.append(row)
+    return StableTable(table.n, target, gamma), factor
+
+
+def _rescale(M, d) -> list:
+    """diag(d)^-1 M diag(d): entry [i][j] times d[j]/d[i], zeros left as they are."""
+    return [[x * dj / di if x else x for x, dj in zip(row, d)] for row, di in zip(M, d)]
 
 
 def nabla_shift(table: StableTable, k: int) -> StableTable:
-    """Slope shift by the integer k: rows scale entrywise by (chi_mu/chi_la)^k."""
-    chis = {la: chi(la) ** k for la in table.gamma}
-    gamma = {
-        la: {mu: val * chis[mu] / chis[la] for mu, val in row.items()}
-        for la, row in table.gamma.items()
-    }
+    """Slope shift by the integer k: D^-k gamma D^k, D = diag(chi)."""
+    chis = [chi(la) ** k for la in enumerate_partitions(table.n)]
     m, side = table.slope
-    return StableTable(table.n, (m + k, side), gamma)
+    return StableTable(table.n, (m + k, side), _rescale(table.gamma, chis))
 
 
 @functools.cache
@@ -399,17 +409,15 @@ def _sweep(n: int) -> tuple:
     nullity check therefore runs at the walls only, not at the candidates
     stepped over.
     """
-    order = enumerate_partitions(n)
     seed = tbl = seed_slope0(n)
+    unit = identity(len(seed.gamma), one(), zero())
     walls = []
     for w in candidate_walls(n, 0, 1):
         if _window_violation(tbl, (w, 1), block=w) is None:
             tbl = StableTable(n, (w, 1), tbl.gamma)
             continue
-        tbl, B = cross_wall(tbl, w)
-        if any(B.values()):
-            factor = [[B[la].get(mu, one() if mu == la else zero()) for mu in order]
-                      for la in order]
+        tbl, factor = cross_wall(tbl, w)
+        if factor != unit:
             walls.append((w, factor, tbl))
     if tbl != nabla_shift(seed, 1):
         raise ArithmeticError(f"nabla-periodicity fails at n={n}")
@@ -432,7 +440,7 @@ def _position(n: int, slope) -> int:
 
 
 def is_wall(n: int, w) -> bool:
-    """Whether crossing w has B != 0: w mod 1 is among the swept walls."""
+    """Whether crossing w has a factor other than I: w mod 1 is among the swept walls."""
     return any(x[0] == Fraction(w) % 1 for x in _sweep(n)[1])
 
 
@@ -490,13 +498,10 @@ def renorm_factor(la, m) -> Scalar:
     return monomial(1, m * eq + rib, m * et)
 
 
-def transition_matrix(n: int, slope1, slope2, renormalized: bool = False):
+def transition_matrix(n: int, slope1, slope2):
     """Printed-frame matrix: column la expands basis(slope1)_la in basis(slope2).
 
-    Entry [row nu][col la] = coefficient of the slope2 element nu.  With
-    renormalized=True both slopes must sit at the same wall m and the entry
-    picks up fac_la/fac_nu, turning the crossing into the renormalized form
-    whose entries are conjecturally Laurent in q alone.
+    Entry [row nu][col la] = coefficient of the slope2 element nu.
 
     Internally it is G1 G2^-1 for the tables G: the ordered product of the
     wall factors D^-k F_p D^k between the two chain positions, or the
@@ -514,28 +519,22 @@ def transition_matrix(n: int, slope1, slope2, renormalized: bool = False):
         k, p = divmod(pos, len(factors))
         F = factors[p] if pos1 > pos2 else _factor_inverse(n, p)
         if k:
-            ck = [c ** k for c in chis]
-            F = [[x * ck[j] / ck[i] if x else x for j, x in enumerate(row)]
-                 for i, row in enumerate(F)]
+            F = _rescale(F, [c ** k for c in chis])
         if pos == lo:
             M = F
         else:
             M = mat_mul(F, M) if pos1 > pos2 else mat_mul(M, F)
+    # the printed frame: C^-1 M C with C = diag(c_la), transposed to columns
     cs = [seed_normalizer(la) for la in order]
-    if renormalized:
-        if slope1[0] != slope2[0]:
-            raise ValueError("renormalized transition needs both slopes at one wall")
-        facs = [renorm_factor(la, slope1[0]) for la in order]
-    out = []
-    for j, nu in enumerate(order):
-        row = []
-        for i, la in enumerate(order):
-            val = M[i][j] * cs[j] / cs[i]
-            if renormalized:
-                val = val * facs[i] / facs[j]
-            row.append(val)
-        out.append(row)
-    return out
+    return [list(col) for col in zip(*_rescale(M, cs))]
+
+
+def renormalized_crossing(n: int, w) -> list:
+    """The crossing at the wall w with entry [nu][la] times fac_la/fac_nu,
+    fac = renorm_factor at w: the renormalized form whose entries are
+    conjecturally Laurent in q alone."""
+    R = transition_matrix(n, (w, -1), (w, 1))
+    return _rescale(R, [renorm_factor(la, w) for la in enumerate_partitions(n)])
 
 
 @functools.cache

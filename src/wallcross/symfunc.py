@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from .linalg import mat_inverse
 from .partitions import (
@@ -43,15 +44,8 @@ BASES = ("m", "p", "s", "Htilde")
 
 
 def z_stat(mu: Partition) -> int:
-    z = 1
-    mult: dict[int, int] = {}
-    for part in mu:
-        mult[part] = mult.get(part, 0) + 1
-    for v, m in mult.items():
-        z *= v**m
-        for i in range(1, m + 1):
-            z *= i
-    return z
+    """prod over part sizes k of k^m_k * m_k!, m_k the multiplicity of k."""
+    return prod(k**m * factorial(m) for k, m in Counter(mu).items())
 
 
 # ---------------------------------------------------------------------------

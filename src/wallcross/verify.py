@@ -79,7 +79,7 @@ def conjecture_check(n: int, wall) -> dict:
     """
     w = Fraction(wall)
     params = {"n": n, "m": f"{w.numerator}/{w.denominator}", "b": w.denominator}
-    R = stable.transition_matrix(n, (w, -1), (w, 1), renormalized=True)
+    R = stable.renormalized_crossing(n, w)
     order = enumerate_partitions(n)
     for row in R:
         for val in row:

@@ -15,6 +15,13 @@ rebuilds a printed basis element that way from its table row, applies
 omega and divides by rho_la = c_la/(1 - q2); it is the differential oracle
 of stable.printed_basis, which reads the elements off the chain of wall
 factors instead.
+
+The package keeps restriction tables and wall factors as p(n) x p(n) row
+lists in enumerate_partitions(n) order; the oracles here and in the test
+files were written for tables as la -> {mu: Scalar} with zeros left out,
+and for B's strict part as rows la -> {mu: Scalar}.  The layout helpers
+below convert between the two at the boundary, so those bodies stay as
+they were.
 """
 
 from __future__ import annotations
@@ -132,6 +139,40 @@ def convert(f: SymFunc, basis: str) -> SymFunc:
     return SymFunc("Htilde", out)
 
 
+# ---------------------------------------------------------------------------
+# layouts: the package's row lists against the oracles' dicts
+# ---------------------------------------------------------------------------
+
+
+def dict_layout(table: StableTable) -> StableTable:
+    """The table with gamma as la -> {mu: Scalar}, zero entries left out."""
+    order = enumerate_partitions(table.n)
+    gamma = {la: {mu: v for mu, v in zip(order, row) if v}
+             for la, row in zip(order, table.gamma)}
+    return StableTable(table.n, table.slope, gamma)
+
+
+def row_layout(table: StableTable) -> StableTable:
+    """The inverse of dict_layout: gamma as the package's row lists."""
+    order = enumerate_partitions(table.n)
+    gamma = [[table.gamma.get(la, {}).get(mu, zero()) for mu in order] for la in order]
+    return StableTable(table.n, table.slope, gamma)
+
+
+def unit_plus(n: int, strict: dict) -> list:
+    """I + B, B's strict part given as rows la -> {mu: Scalar}."""
+    order = enumerate_partitions(n)
+    return [[strict.get(la, {}).get(mu, one() if mu == la else zero()) for mu in order]
+            for la in order]
+
+
+def strict_part(n: int, factor: list) -> dict:
+    """The inverse of unit_plus: the nonzero off-diagonal entries of I + B."""
+    order = enumerate_partitions(n)
+    return {la: {mu: v for mu, v in zip(order, row) if v and mu != la}
+            for la, row in zip(order, factor)}
+
+
 def printed_expansion(table: StableTable, la):
     """The printed-frame basis element as a Schur expansion (SymFunc).
 
@@ -139,7 +180,7 @@ def printed_expansion(table: StableTable, la):
     omega, and divides by rho_la = c_la/(1-q2).
     """
     la = tuple(la)
-    f = from_restrictions(table.gamma[la])
+    f = from_restrictions(dict_layout(table).gamma[la])
     rho = seed_normalizer(la) / (one() - q2(1))
     return omega(f.to_basis("p")).scale(one() / rho).to_basis("s")
 

@@ -27,6 +27,7 @@ from api_oracles import (
     inner_plain,
     integral_form,
     nabla,
+    strict_part,
 )
 
 
@@ -216,8 +217,8 @@ def test_criterion_4d_stable_stack(capsys):
         # seed diagonals + window gate (seed_slope0 runs the gate internally)
         for n in range(1, 5):
             tbl = stable.seed_slope0(n)
-            for la in enumerate_partitions(n):
-                assert tbl.entry(la, la) == stable.diagonal_value(la)
+            for i, la in enumerate(enumerate_partitions(n)):
+                assert tbl.gamma[i][i] == stable.diagonal_value(la)
         # nabla-periodicity of wall factors
         for n in (2, 3):
             order = enumerate_partitions(n)
@@ -241,8 +242,8 @@ def test_criterion_4d_stable_stack(capsys):
         for n in (2, 3, 4):
             for w in detected_walls(n):
                 tbl = stable.stable_basis(n, (w, -1))
-                _, brows = stable.cross_wall(tbl, w)
-                for la, row in brows.items():
+                _, factor = stable.cross_wall(tbl, w)
+                for la, row in strict_part(n, factor).items():
                     for mu in row:
                         pairs += 1
                         dc = content_sum(la) - content_sum(mu)

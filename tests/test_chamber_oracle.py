@@ -9,6 +9,11 @@ slope, L_r, and inverts the product: D^-k1 L_r1 (D F)^(k1-k2) L_r2^-1
 D^k2.  The sweep reads tables from one walk and builds matrices by
 telescoping single wall factors; all three must agree exactly.
 
+flag_transition_matrix is stable.transition_matrix as it was while it
+took a renormalized flag, which also rescaled by hand instead of through
+_rescale; stable.renormalized_crossing must equal its renormalized=True
+route at every wall.
+
 The sweep steps over a candidate whose table already meets the windows
 above it, reading only the block entries.  sweep_oracle is the sweep as it
 was before, calling cross_wall at every candidate; it must give the same
@@ -26,6 +31,16 @@ from wallcross import stable as S
 from wallcross.linalg import identity, mat_inverse, mat_mul
 from wallcross.partitions import chi, content_sum, enumerate_partitions
 from wallcross.scalars import monomial, one, zero
+from wallcross.stable import (
+    _factor_inverse,
+    _position,
+    _slope,
+    _sweep,
+    renorm_factor,
+    seed_normalizer,
+)
+
+from api_oracles import dict_layout, row_layout, strict_part
 
 WALLS = {2: [F2(1, 2)], 3: [F2(1, 3), F2(1, 2), F2(2, 3)],
          4: [F2(1, 4), F2(1, 3), F2(1, 2), F2(2, 3), F2(3, 4)]}
@@ -47,19 +62,14 @@ def replay_table(n, m, side):
     return tbl
 
 
-def _matrix(tbl, order):
-    return [[tbl.entry(la, mu) for mu in order] for la in order]
-
-
 @functools.cache
 def replay_inverse(n, m, side):
-    order = enumerate_partitions(n)
-    return mat_inverse(_matrix(replay_table(n, m, side), order), one(), zero())
+    return mat_inverse(replay_table(n, m, side).gamma, one(), zero())
 
 
 def replay_transition(n, slope1, slope2):
     order = enumerate_partitions(n)
-    M = mat_mul(_matrix(replay_table(n, *slope1), order), replay_inverse(n, *slope2))
+    M = mat_mul(replay_table(n, *slope1).gamma, replay_inverse(n, *slope2))
     cs = [S.seed_normalizer(la) for la in order]
     return [[M[i][j] * cs[j] / cs[i] for i in range(len(order))]
             for j in range(len(order))]
@@ -150,6 +160,66 @@ def product_transition(n, slope1, slope2, renormalized=False):
             for j in range(len(order))]
 
 
+def flag_transition_matrix(n: int, slope1, slope2, renormalized: bool = False):
+    """Printed-frame matrix: column la expands basis(slope1)_la in basis(slope2).
+
+    Entry [row nu][col la] = coefficient of the slope2 element nu.  With
+    renormalized=True both slopes must sit at the same wall m and the entry
+    picks up fac_la/fac_nu, turning the crossing into the renormalized form
+    whose entries are conjecturally Laurent in q alone.
+
+    Internally it is G1 G2^-1 for the tables G: the ordered product of the
+    wall factors D^-k F_p D^k between the two chain positions, or the
+    product of their inverses in reverse order when slope1 lies below
+    slope2; see the module docstring.
+    """
+    slope1, slope2 = _slope(slope1), _slope(slope2)
+    order = enumerate_partitions(n)
+    chis = [chi(la) for la in order]
+    factors = [factor for _, factor, _ in _sweep(n)[1]]
+    pos1, pos2 = _position(n, slope1), _position(n, slope2)
+    lo, hi = sorted((pos1, pos2))
+    M = identity(len(order), one(), zero())
+    for pos in range(lo, hi):
+        k, p = divmod(pos, len(factors))
+        F = factors[p] if pos1 > pos2 else _factor_inverse(n, p)
+        if k:
+            ck = [c ** k for c in chis]
+            F = [[x * ck[j] / ck[i] if x else x for j, x in enumerate(row)]
+                 for i, row in enumerate(F)]
+        if pos == lo:
+            M = F
+        else:
+            M = mat_mul(F, M) if pos1 > pos2 else mat_mul(M, F)
+    cs = [seed_normalizer(la) for la in order]
+    if renormalized:
+        if slope1[0] != slope2[0]:
+            raise ValueError("renormalized transition needs both slopes at one wall")
+        facs = [renorm_factor(la, slope1[0]) for la in order]
+    out = []
+    for j, nu in enumerate(order):
+        row = []
+        for i, la in enumerate(order):
+            val = M[i][j] * cs[j] / cs[i]
+            if renormalized:
+                val = val * facs[i] / facs[j]
+            row.append(val)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_renormalized_crossing_matches_flag_route(n):
+    start = (F2(0), 1)
+    for w, _, _ in S._sweep(n)[1]:
+        for m in (w, w + 1):
+            assert (S.renormalized_crossing(n, m)
+                    == flag_transition_matrix(n, (m, -1), (m, 1), renormalized=True)), m
+            for s1, s2 in [(start, (m, 1)), ((m - 2, -1), start)]:
+                assert (S.transition_matrix(n, s1, s2)
+                        == flag_transition_matrix(n, s1, s2)), (s1, s2)
+
+
 def chain_pairs(w):
     """Across w, 0+ to and from w+, and w - 1 to w + 1 from either side, both ways."""
     below, above, start = (w, -1), (w, 1), (F2(0), 1)
@@ -163,7 +233,7 @@ def test_transition_matrices_match_factor_products(n):
         for s1, s2 in chain_pairs(w):
             assert S.transition_matrix(n, s1, s2) == product_transition(n, s1, s2), (s1, s2)
         below, above = (w, -1), (w, 1)
-        assert (S.transition_matrix(n, below, above, renormalized=True)
+        assert (S.renormalized_crossing(n, w)
                 == product_transition(n, below, above, renormalized=True)), w
 
 
@@ -180,7 +250,8 @@ def sweep_oracle(n):
     seed = tbl = _seed(n)
     walls = []
     for w in S.candidate_walls(n, 0, 1):
-        tbl, B = S.cross_wall(tbl, w)
+        tbl, factor = S.cross_wall(tbl, w)
+        B = strict_part(n, factor)
         if any(B.values()):
             factor = [[B[la].get(mu, one() if mu == la else zero()) for mu in order]
                       for la in order]
@@ -243,15 +314,15 @@ def test_entry_pushed_out_of_a_block_window_is_crossed(n, monkeypatch):
     first, wall = S.candidate_walls(n, 0, 1)[0], S._sweep(n)[1][0][0]
     assert first < wall
     assert _first_crossing(n, seed, monkeypatch) == wall
-    pairs = [(la, mu) for la, row in seed.gamma.items() for mu in row
+    pairs = [(la, mu) for la, row in dict_layout(seed).gamma.items() for mu in row
              if (dc := content_sum(la) - content_sum(mu)) and (first * dc).denominator == 1]
     assert pairs
     for la, mu in pairs:
         lo, hi = S.degree_window(la, mu, (first, 1))
         for et in (hi + 1, lo - 1):
-            gamma = {nu: dict(row) for nu, row in seed.gamma.items()}
+            gamma = dict_layout(seed).gamma
             gamma[la][mu] = gamma[la][mu] + monomial(1, et, et)
-            pushed = S.StableTable(n, seed.slope, gamma)
+            pushed = row_layout(S.StableTable(n, seed.slope, gamma))
             assert S._window_violation(pushed, (first, 1), block=first) is not None
             assert _first_crossing(n, pushed, monkeypatch) == first
 

@@ -253,6 +253,19 @@ def test_symfunc_commands_stdout_pinned(argv):
     assert digest == STDOUT_SHA256[argv]
 
 
+# the benchmark's full-size sweep-n4 and chamber-n5 invocations, against the
+# digests in bench/golden.json that the benchmark checks their stdout with
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+
+
+@pytest.mark.parametrize("command", ["stable --n 5 --slope 19/20 --side +",
+                                     "conjecture-check --n 4 --jobs 1"])
+def test_benchmark_workloads_stdout_pinned(command):
+    want = json.loads(BENCH_GOLDEN.read_text())["stdout_sha256"][command]
+    p = run_cli(*command.split(), "--no-cache")
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == want
+
+
 def test_cache_round_trip(tmp_path):
     a = run_cli("wallcross", "--n", "2", "--slope", "1/2", cache_dir=tmp_path)
     files = list(tmp_path.iterdir())

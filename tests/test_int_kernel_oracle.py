@@ -84,8 +84,8 @@ def matrix_text(M) -> str:
 
 
 def table_text(table, order) -> str:
-    return "\n".join(f"{la}|{nu}: {table.entry(la, nu).dumps()}"
-                     for la in order for nu in order)
+    return "\n".join(f"{la}|{nu}: {val.dumps()}"
+                     for la, row in zip(order, table.gamma) for nu, val in zip(order, row))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -106,7 +106,7 @@ def test_seed_and_chamber_tables_same_bytes(n, monkeypatch):
     def compute():
         seed, walls = stable._sweep(n)
         texts = [table_text(seed, order)]
-        values = [seed.entry(la, nu) for la in order for nu in order]
+        values = [x for row in seed.gamma for x in row]
         for w, factor, tbl in walls:
             texts += [str(w), matrix_text(factor), table_text(tbl, order)]
             values += [x for row in factor for x in row]
@@ -124,7 +124,7 @@ def test_transition_matrices_same_bytes(n, monkeypatch):
         mats = []
         for w in stable.candidate_walls(n, 0, 1):
             if stable.is_wall(n, w):
-                mats.append(stable.transition_matrix(n, (w, -1), (w, 1), renormalized=True))
+                mats.append(stable.renormalized_crossing(n, w))
             mats.append(stable.transition_matrix(n, zero_plus, (w, 1)))
             mats.append(stable.transition_matrix(n, (w - 1, -1), (w + 1, -1)))
         return ("\n\n".join(map(matrix_text, mats)),

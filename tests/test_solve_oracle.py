@@ -5,7 +5,7 @@ equation, copying each partner row once per unknown, and
 linalg.solve_rational ran Gauss-Jordan over dense Fraction matrices.  Those
 bodies are kept here verbatim (solve_rational, _nullspace, _solve_row and
 cross_wall as they were), and the package must agree with them exactly:
-cross_wall's (table, B), the equations it poses (in any order) and their
+cross_wall's (table, I + B), the equations it poses (in any order) and their
 solutions at every candidate wall of the sweep for n <= 5, and
 solve_rational's (particular, nullspace) on every system the sweeps at
 n = 4, 5 pose and on random systems, rank-deficient and inconsistent ones
@@ -22,6 +22,8 @@ from wallcross import linalg, stable
 from wallcross.partitions import content_sum, dominates, enumerate_partitions
 from wallcross.scalars import Monomial, monomial, zero
 from wallcross.stable import StableTable, degree_window
+
+from api_oracles import dict_layout, row_layout, unit_plus
 
 # ---------------------------------------------------------------------------
 # the dense route, verbatim
@@ -220,10 +222,10 @@ def test_cross_wall_matches_dense_route(n, monkeypatch):
     old_systems = _recording(monkeypatch, sys.modules[__name__], solve_rational)
     tbl = stable.seed_slope0(n)
     for w in stable.candidate_walls(n, 0, 1):
-        new, B = stable.cross_wall(tbl, w)
-        old, B_old = cross_wall(tbl, w)
-        assert B == B_old, w
-        assert new == old and new.slope == old.slope, w
+        new, factor = stable.cross_wall(tbl, w)
+        old, B_old = cross_wall(dict_layout(tbl), w)
+        assert factor == unit_plus(n, B_old), w
+        assert new == row_layout(old) and new.slope == old.slope, w
         assert len(new_systems) == len(old_systems), w
         for (A, b, got), (A_old, b_old, want) in zip(new_systems, old_systems):
             # the same equations, in any order: the reduced row echelon form

@@ -18,10 +18,12 @@ import pytest
 from wallcross import fock as F
 from wallcross import stable as S
 from wallcross import verify
-from wallcross.linalg import mat_mul
-from wallcross.partitions import b_core, chi, content_sum, enumerate_partitions
+from wallcross.linalg import identity, mat_mul
+from wallcross.partitions import b_core, chi, content_sum, dominates, enumerate_partitions
 from wallcross.scalars import monomial, one, q1, q2, zero
 from wallcross.symfunc import s_
+
+from api_oracles import dict_layout, row_layout, strict_part, unit_plus
 
 F2 = Fraction
 
@@ -43,16 +45,14 @@ def tranges(v):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_seed_diagonal_pinned(n):
     tbl = S.seed_slope0(n)
-    for la in enumerate_partitions(n):
-        assert tbl.entry(la, la) == S.diagonal_value(la)
+    for i, la in enumerate(enumerate_partitions(n)):
+        assert tbl.gamma[i][i] == S.diagonal_value(la)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_seed_triangular_laurent(n):
-    from wallcross.partitions import dominates
-
     tbl = S.seed_slope0(n)
-    for la, row in tbl.gamma.items():
+    for la, row in dict_layout(tbl).gamma.items():
         for mu, val in row.items():
             assert dominates(la, mu)
             assert val.is_laurent()
@@ -90,39 +90,39 @@ def test_seed_printed_expansion_n2():
 
 def test_window_gate_rejects_doctored_table():
     tbl = S.seed_slope0(2)
-    bad = {la: dict(row) for la, row in tbl.gamma.items()}
+    bad = dict_layout(tbl).gamma
     bad[(2,)][(1, 1)] = bad[(2,)][(1, 1)] * monomial(1, 0, 9)
     with pytest.raises(ArithmeticError, match="window violation"):
-        S._check_windows(S.StableTable(2, tbl.slope, bad), tbl.slope)
+        S._check_windows(row_layout(S.StableTable(2, tbl.slope, bad)), tbl.slope)
 
 
 def test_cross_wall_rejects_non_laurent_entry():
     # the solve reads only numerators, so an entry with a denominator would
     # give a wrong B; cross_wall refuses it before solving and names it
     tbl = S.seed_slope0(3)
-    bad = {la: dict(row) for la, row in tbl.gamma.items()}
+    bad = dict_layout(tbl).gamma
     bad[(2, 1)][(1, 1, 1)] = bad[(2, 1)][(1, 1, 1)] / (one() - q2(1))
     entry = re.escape("entry (2, 1)|(1, 1, 1) is not Laurent")
     with pytest.raises(ArithmeticError, match=entry):
-        S.cross_wall(S.StableTable(3, tbl.slope, bad), F2(1, 2))
+        S.cross_wall(row_layout(S.StableTable(3, tbl.slope, bad)), F2(1, 2))
 
 
 def test_cross_wall_rejects_unsatisfiable_row():
     # a diagonal t-power far outside every window: no B row can cancel it
     tbl = S.seed_slope0(2)
-    bad = {la: dict(row) for la, row in tbl.gamma.items()}
+    bad = dict_layout(tbl).gamma
     bad[(1, 1)][(1, 1)] = bad[(1, 1)][(1, 1)] + monomial(1, 0, 50)
     with pytest.raises(ArithmeticError, match="axioms unsatisfiable"):
-        S.cross_wall(S.StableTable(2, tbl.slope, bad), F2(1, 2))
+        S.cross_wall(row_layout(S.StableTable(2, tbl.slope, bad)), F2(1, 2))
 
 
 def test_cross_wall_rejects_non_unique_row():
     # an empty row pins no unknown that multiplies it
     tbl = S.seed_slope0(3)
-    bad = {la: dict(row) for la, row in tbl.gamma.items()}
+    bad = dict_layout(tbl).gamma
     bad[(1, 1, 1)] = {}
     with pytest.raises(ArithmeticError, match="uniqueness failure"):
-        S.cross_wall(S.StableTable(3, tbl.slope, bad), F2(1, 6))
+        S.cross_wall(row_layout(S.StableTable(3, tbl.slope, bad)), F2(1, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +186,45 @@ def test_candidate_walls_open_interval():
 
 def test_nonwall_crossing_is_identity():
     base = S.stable_basis(3, (F2(1, 6), -1))
-    crossed, brows = S.cross_wall(base, F2(1, 6))
-    assert all(not row for row in brows.values())
+    crossed, factor = S.cross_wall(base, F2(1, 6))
+    assert factor == identity(3, one(), zero())
     assert crossed.gamma == base.gamma
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sweep_tables_are_partition_ordered_row_lists(n):
+    # every table along the sweep is a p(n) x p(n) list of rows, rows and
+    # columns in enumerate_partitions order: the pinned diagonal sits at
+    # [i][i] and nothing is stored above dominance
+    order = enumerate_partitions(n)
+    seed, walls = S._sweep(n)
+    for tbl in [seed, *(t for _, _, t in walls)]:
+        assert type(tbl.gamma) is list and len(tbl.gamma) == len(order)
+        for i, (la, row) in enumerate(zip(order, tbl.gamma)):
+            assert type(row) is list and len(row) == len(order)
+            assert row[i] == S.diagonal_value(la), (tbl.slope, la)
+            for mu, val in zip(order, row):
+                assert not val or dominates(la, mu), (tbl.slope, la, mu)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cross_wall_factor_is_unit_plus_solved_rows(n, monkeypatch):
+    # the factor cross_wall returns is I plus the strict rows its solves found,
+    # the identity exactly at the candidates that are not walls
+    S._sweep(n)
+    solved, solve = {}, S._solve_row
+
+    def spy(terms, la, *args):
+        solved[la] = solve(terms, la, *args)
+        return solved[la]
+
+    monkeypatch.setattr(S, "_solve_row", spy)
+    for w in S.candidate_walls(n, 0, 1):
+        solved.clear()
+        _, factor = S.cross_wall(S.stable_basis(n, (w, -1)), w)
+        assert len(solved) == len(enumerate_partitions(n)), w
+        assert factor == unit_plus(n, solved), w
+        assert (factor != identity(len(factor), one(), zero())) == S.is_wall(n, w), w
 
 
 def test_is_wall():
@@ -205,7 +241,7 @@ WALLS_GOLDEN = json.loads(Path(__file__).with_name("walls_golden.json").read_tex
 
 
 def crossing_digest(n, w):
-    R = S.transition_matrix(n, (w, -1), (w, 1), renormalized=True)
+    R = S.renormalized_crossing(n, w)
     entries = verify.matrix_entries(R, enumerate_partitions(n))
     return hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
 
@@ -235,8 +271,8 @@ def test_crossing_rows_are_t_homogeneous():
     # each B entry is a t-monomial of degree (c_la - c_mu) + w*(c_mu - c_la)
     for n, w in [(2, F2(1, 2)), (3, F2(1, 3)), (3, F2(1, 2))]:
         below = S.stable_basis(n, (w, -1))
-        _, brows = S.cross_wall(below, w)
-        for la, row in brows.items():
+        _, factor = S.cross_wall(below, w)
+        for la, row in strict_part(n, factor).items():
             for mu, val in row.items():
                 dc = content_sum(mu) - content_sum(la)
                 lo, hi = tranges(val)
@@ -246,9 +282,9 @@ def test_crossing_rows_are_t_homogeneous():
 def test_block_support_and_core_refinement():
     for n, w in [(3, F2(1, 2)), (3, F2(1, 3)), (3, F2(2, 3)), (2, F2(1, 2))]:
         below = S.stable_basis(n, (w, -1))
-        _, brows = S.cross_wall(below, w)
+        _, factor = S.cross_wall(below, w)
         b = w.denominator
-        for la, row in brows.items():
+        for la, row in strict_part(n, factor).items():
             for mu in row:
                 dc = content_sum(la) - content_sum(mu)
                 assert (w * dc).denominator == 1
@@ -394,21 +430,16 @@ def test_n3_cumulative_factors_through_single_walls():
     ],
 )
 def test_renormalized_crossing_matches_bar_matrix(n, w, b):
-    R = S.transition_matrix(n, (w, -1), (w, 1), renormalized=True)
+    R = S.renormalized_crossing(n, w)
     assert R == F.bar_matrix(n, b)
 
 
 def test_renormalized_entries_are_q_only():
-    R = S.transition_matrix(3, (F2(1, 3), -1), (F2(1, 3), 1), renormalized=True)
+    R = S.renormalized_crossing(3, F2(1, 3))
     for row in R:
         for val in row:
             for mono in val.num.terms():
                 assert mono.exp_t == 0 and mono.exp_q == int(mono.exp_q)
-
-
-def test_renormalized_needs_single_wall():
-    with pytest.raises(ValueError, match="one wall"):
-        S.transition_matrix(2, half(-1), (F2(1, 3), 1), renormalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +456,10 @@ def test_nabla_roundtrip():
 def test_integer_slope_is_nabla_of_seed():
     tbl = S.stable_basis(2, (F2(1), 1))
     seed = S.seed_slope0(2)
-    for la, row in tbl.gamma.items():
-        for mu, val in row.items():
-            assert val == seed.gamma[la][mu] * chi(mu) / chi(la)
+    order = enumerate_partitions(2)
+    for la, row, seed_row in zip(order, tbl.gamma, seed.gamma):
+        for mu, val, seed_val in zip(order, row, seed_row):
+            assert val == seed_val * chi(mu) / chi(la)
 
 
 def test_wall_factor_nabla_periodicity():
