@@ -12,8 +12,9 @@ operators V_k add or remove horizontal k-strips of b-ribbons weighted by
 bar_matrix spans each degree by bar-invariant vectors (the f_i and V_k
 applied to the vectors kept at the degrees below, starting from the vacuum),
 writes the degree-n ones in a matrix T, and returns A = T(q) T(1/q)^(-1).
-Nothing is inverted over Q(q): the product is taken at one integer point
-q = xi over Fraction, each entry is read back from its balanced base-xi
+Nothing is inverted over Q(q): at one integer point q = xi, T(1/xi) is
+inverted over Fraction and A(xi) is one product of integer matrices over a
+common denominator, each entry is read back from its balanced base-xi
 digits, and a coefficient bound on A T(1/q) - T proves the result exact
 (or xi is squared and the point retried).  canonical_basis reads the global
 canonical bases G^+/G^- off A in one triangular pass down each column.
@@ -22,7 +23,7 @@ canonical bases G^+/G^- off A in one triangular pass down each column.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .linalg import RankAccumulator, mat_inverse, mat_mul
 from .partitions import (
@@ -197,16 +198,25 @@ def _cap(T: list, norms: list) -> int:
 def _bar_at(T: list, xi: int, n: int, b: int):
     """The balanced base-xi digits of each entry of T(xi) T(1/xi)^(-1), or
     None when T(1/xi) is singular; ArithmeticError when a reduced
-    denominator divides no power of xi."""
+    denominator divides no power of xi.
+
+    With lo the least exponent in T (at most 0) and D the lcm of the
+    denominators of X = T(1/xi)^(-1), both T(xi) xi^(-lo) and X D are
+    integer matrices, so A(xi) is their integer product over xi^(-lo) D.
+    """
     Tbar = [[_at(p, Fraction(1, xi)) for p in row] for row in T]
     try:
         X = mat_inverse(Tbar, Fraction(1), Fraction(0))
     except ValueError:  # det T(1/q) vanishes at xi
         return None
-    A = mat_mul([[_at(p, Fraction(xi)) for p in row] for row in T], X)
+    lo = min(0, min(e for row in T for p in row for e in p))
+    D = lcm(*(x.denominator for row in X for x in row))
+    A = mat_mul([[sum(c * xi ** (e - lo) for e, c in p.items()) for p in row] for row in T],
+                [[x.numerator * (D // x.denominator) for x in row] for row in X])
+    scale = xi ** -lo * D
     for i, row in enumerate(A):
         for j, x in enumerate(row):
-            row[j] = _digits(x, xi)
+            row[j] = _digits(Fraction(x, scale), xi)
             if row[j] is None:
                 order = enumerate_partitions(n)
                 raise ArithmeticError(
@@ -222,7 +232,8 @@ def bar_matrix(n: int, b: int) -> list:
     A = T(q) T(1/q)^(-1) for any spanning set of bar-invariant vectors (the
     columns of T); the involution is unique, so the choice of vectors is
     immaterial.  Nothing is inverted over Q(q).  At an integer point q = xi,
-    a power of two, mat_inverse takes T(1/xi)^(-1) over Fraction, and each
+    a power of two, mat_inverse takes T(1/xi)^(-1) over Fraction, _bar_at
+    multiplies it into T(xi) as integers over one denominator, and each
     entry of A(xi) = T(xi) T(1/xi)^(-1) is read back as a Laurent
     polynomial A^ from its balanced base-xi digits (|digit| <= xi/2).
 
@@ -286,6 +297,8 @@ def lt_property_check(A: list, n: int, b: int) -> list:
     """
     order = enumerate_partitions(n)
     pos = {la: j for j, la in enumerate(order)}
+    conj = [pos[conjugate(la)] for la in order]
+    cores = [b_core(la, b) for la in order]
     bad = []
     for i, mu in enumerate(order):
         for j, la in enumerate(order):
@@ -303,9 +316,9 @@ def lt_property_check(A: list, n: int, b: int) -> list:
             elif a:
                 if not (dominates(la, mu) and la != mu):
                     bad.append(f"(b) support violation: {mu} not below {la}")
-                if b_core(la, b) != b_core(mu, b):
+                if cores[j] != cores[i]:
                     bad.append(f"(b) b-core mismatch between {la} and {mu}")
-            sym = A[pos[conjugate(la)]][pos[conjugate(mu)]]
+            sym = A[conj[j]][conj[i]]
             if a != sym:
                 bad.append(f"(d) a[{la}][{mu}] != a[{mu}'][{la}']")
     return bad

@@ -1,10 +1,12 @@
 """Linear algebra over any exact field, duck-typed.
 
-Entries only need +, -, *, /, truthiness and ==; Fraction and Scalar both
-qualify.  Matrices are lists of row lists; solve_rational eliminates over
-sparse rows (dicts of their nonzeros) and RankAccumulator keeps sparse
-vectors.  Everything here is deterministic: pivot choice is always the
-first nonzero candidate, so results are reproducible across runs.
+Entries only need +, -, *, /, ** -1, truthiness and ==; Fraction and Scalar
+both qualify.  Matrices are lists of row lists, and every kernel reads only
+nonzeros: mat_mul skips zero entries, mat_inverse updates each row at the
+nonzeros of the pivot row, solve_rational eliminates over sparse rows (dicts
+of their nonzeros) and RankAccumulator keeps sparse vectors.  Everything here
+is deterministic: pivot choice is always the first nonzero candidate, so
+results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -46,7 +48,12 @@ def identity(n, one, zero):
 
 
 def mat_inverse(A, one, zero):
-    """Gauss-Jordan inverse; ValueError on a singular matrix."""
+    """Gauss-Jordan inverse; ValueError on a singular matrix.
+
+    Each step scales the pivot row at its nonzeros only and subtracts it
+    from the other rows at those positions only: left of the pivot the row
+    is already zero, and so is most of the identity half.
+    """
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError(f"inverse of a non-square matrix ({n} rows)")
@@ -57,12 +64,16 @@ def mat_inverse(A, one, zero):
             raise ValueError(f"singular matrix (no pivot in column {col})")
         if piv != col:
             M[col], M[piv] = M[piv], M[col]
-        inv = one / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+        prow = M[col]
+        inv = one / prow[col]
+        nz = [k for k in range(col, 2 * n) if prow[k]]
+        for k in nz:
+            prow[k] = prow[k] * inv
+        for r, row in enumerate(M):
+            f = row[col]
+            if f and r != col:
+                for k in nz:
+                    row[k] = row[k] - f * prow[k]
     return [row[n:] for row in M]
 
 
@@ -180,6 +191,6 @@ class RankAccumulator:
         red, lead = self._reduce(dict(vec))
         if red is None:
             return False
-        inv = red[lead]
-        self.rows[lead] = {k: v / inv for k, v in red.items()}
+        inv = red[lead] ** -1  # once: each Scalar inverse reduces a fraction
+        self.rows[lead] = {k: v * inv for k, v in red.items()}
         return True

@@ -681,14 +681,13 @@ class Scalar:
             raise TypeError("Scalar powers take integers")
         if k < 0:
             return self.inverse() ** (-k)
-        out = Scalar.from_laurent(LaurentPoly.one())
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
-        return out
+        return Scalar.from_laurent(LaurentPoly.one()) if out is None else out
 
     # -- identity ----------------------------------------------------------
 

@@ -253,13 +253,14 @@ def test_symfunc_commands_stdout_pinned(argv):
     assert digest == STDOUT_SHA256[argv]
 
 
-# the benchmark's full-size sweep-n4 and chamber-n5 invocations, against the
+# the benchmark's full-size invocations of all three workloads, against the
 # digests in bench/golden.json that the benchmark checks their stdout with
 BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 
 @pytest.mark.parametrize("command", ["stable --n 5 --slope 19/20 --side +",
-                                     "conjecture-check --n 4 --jobs 1"])
+                                     "conjecture-check --n 4 --jobs 1"]
+                         + [f"fock-bar --n 8 --b {b}" for b in range(2, 7)])
 def test_benchmark_workloads_stdout_pinned(command):
     want = json.loads(BENCH_GOLDEN.read_text())["stdout_sha256"][command]
     p = run_cli(*command.split(), "--no-cache")

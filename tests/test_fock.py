@@ -307,6 +307,19 @@ def test_lt_check_identity_matrix():
     assert F.lt_property_check(I, n, 2) == []
 
 
+def test_lt_check_reports_core_and_conjugation_violations():
+    # a[(4)][(3,1)] = q: (4) and (3,1) have 3-cores (1) and (3,1), and the
+    # conjugate entry a[(2,1,1)][(1,1,1,1)] stays 0
+    order = enumerate_partitions(4)
+    A = [[one() if i == j else zero() for j in order] for i in order]
+    A[1][0] = qq(1)
+    assert F.lt_property_check(A, 4, 3) == [
+        "(b) b-core mismatch between (4,) and (3, 1)",
+        "(d) a[(4,)][(3, 1)] != a[(3, 1)'][(4,)']",
+        "(d) a[(2, 1, 1)][(1, 1, 1, 1)] != a[(1, 1, 1, 1)'][(2, 1, 1)']",
+    ]
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.permutations(list(range(4))))
 def test_bar_matrix_spanning_order_immaterial(perm):

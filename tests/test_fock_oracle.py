@@ -18,9 +18,20 @@ correct the dominance-largest entry that moved by the antisymmetric
 splitting of its coefficient, and repeat until the column is
 bar-invariant.  It checks its own result against the involution, so it
 pins the one-pass recursion exactly.
+
+The fourth is `RankAccumulator.add` as it was before it inverted each kept
+row's lead once: it divided every entry of the row by the lead.  The
+degree closure run on it must keep the same vectors and hold the same
+reduced rows.
+
+The fifth is `_bar_at` before it took A(xi) as one integer product:
+T(xi) evaluated over Fraction times T(1/xi)^(-1) by `mat_mul`, each entry
+decoded as it stands.  Both routes compute the same rationals, so their
+digits must agree exactly, at the first point and at a small one.
 """
 
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
@@ -106,3 +117,54 @@ def test_canonical_basis_matches_fixed_point_loop(n, b):
     A = F.bar_matrix(n, b)
     for sign in "+-":
         assert F.canonical_basis(n, b, sign) == loop_canonical_basis(A, n, sign), sign
+
+
+class DividingRankAccumulator(RankAccumulator):
+    def add(self, vec) -> bool:
+        red, lead = self._reduce(dict(vec))
+        if red is None:
+            return False
+        inv = red[lead]
+        self.rows[lead] = {k: v / inv for k, v in red.items()}
+        return True
+
+
+def closure_with(accumulator, n, b, monkeypatch):
+    """_spanning_matrix(n, b) and the accumulators it built, one per degree."""
+    built = []
+
+    class Recording(accumulator):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "RankAccumulator", Recording)
+        T = F._spanning_matrix(n, b)
+    return T, [acc.rows for acc in built]
+
+
+@pytest.mark.parametrize("n, b", [(n, b) for n in range(2, 8) for b in range(2, n + 1)])
+def test_spanning_matrix_matches_dividing_accumulator(n, b, monkeypatch):
+    T, rows = closure_with(RankAccumulator, n, b, monkeypatch)
+    T_div, rows_div = closure_with(DividingRankAccumulator, n, b, monkeypatch)
+    for j in range(len(T)):
+        assert [r[j] for r in T] == [r[j] for r in T_div], j
+    assert rows == rows_div
+
+
+def fraction_bar_at(T, xi, n, b):
+    Tbar = [[F._at(p, Fraction(1, xi)) for p in row] for row in T]
+    try:
+        X = mat_inverse(Tbar, Fraction(1), Fraction(0))
+    except ValueError:
+        return None
+    A = mat_mul([[F._at(p, Fraction(xi)) for p in row] for row in T], X)
+    return [[F._digits(x, xi) for x in row] for row in A]
+
+
+@pytest.mark.parametrize("n, b", [(n, b) for n in range(1, 9) for b in range(2, max(3, n + 1))])
+def test_integer_product_matches_fraction_product(n, b):
+    T = F._integral(F._spanning_matrix(n, b), n, b)
+    for xi in (F._XI, 2**4):
+        assert F._bar_at(T, xi, n, b) == fraction_bar_at(T, xi, n, b), xi

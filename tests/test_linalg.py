@@ -10,7 +10,7 @@ from wallcross.linalg import (
     mat_mul,
     solve_rational,
 )
-from wallcross import stable
+from wallcross import fock, stable
 from wallcross.scalars import one, zero
 
 from api_oracles import q, t
@@ -108,6 +108,68 @@ def sparse_pairs(draw):
 def test_mat_mul_matches_dense_on_sparse_fractions(pair):
     A, B = pair
     assert mat_mul(A, B) == dense_mat_mul(A, B)
+
+
+def dense_mat_inverse(A, one, zero):
+    """mat_inverse before it read only nonzeros: every step rescales the
+    whole pivot row and updates every entry of every other row."""
+    n = len(A)
+    M = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col]), None)
+        if piv is None:
+            raise ValueError(f"singular matrix (no pivot in column {col})")
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+        inv = one / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_inverse_matches_dense_on_wall_factors(n):
+    for _, factor, _ in stable._sweep(n)[1]:
+        assert mat_inverse(factor, one(), zero()) == dense_mat_inverse(factor, one(), zero())
+
+
+@pytest.mark.parametrize("n, b", [(n, b) for n in range(2, 9) for b in range(2, n + 1)])
+def test_inverse_matches_dense_on_fock_matrices(n, b):
+    # T(1/xi) at the first point of the evaluation, as fock._bar_at inverts it
+    T = fock._integral(fock._spanning_matrix(n, b), n, b)
+    Tbar = [[fock._at(p, Fraction(1, fock._XI)) for p in row] for row in T]
+    assert mat_inverse(Tbar, F1, F0) == dense_mat_inverse(Tbar, F1, F0)
+
+
+@st.composite
+def sparse_squares(draw):
+    n = draw(st.integers(1, 6))
+    return [[draw(sparse) for _ in range(n)] for _ in range(n)]
+
+
+def inverse_or_singular(inverse, A):
+    try:
+        return inverse(A, F1, F0)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_squares())
+@example([[F0, F1], [F1, F0]])  # a row swap before the first step
+@example([[F1, F1], [F1, F1]])  # singular only after the first step
+def test_inverse_matches_dense_on_sparse_fractions(A):
+    assert inverse_or_singular(mat_inverse, A) == inverse_or_singular(dense_mat_inverse, A)
+
+
+def test_inverse_singular_sparse_fraction_matrix():
+    # column 2 is cleared by the first two steps, so the third finds no pivot
+    A = [[F1, F0, F1], [F0, Fraction(2), Fraction(4)], [F1, F1, Fraction(3)]]
+    with pytest.raises(ValueError, match="no pivot in column 2"):
+        mat_inverse(A, F1, F0)
 
 
 def test_mat_mul_rejects_shape_mismatch():

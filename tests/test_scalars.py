@@ -267,6 +267,8 @@ def test_negative_powers():
     x = one() - q()
     assert x**-2 == one() / (x * x)
     assert x**0 == one()
+    assert x**1 == x and x**-1 == one() / x
+    assert (x / (one() + t())) ** -3 == (one() + t()) ** 3 / (x * x * x)
     assert (q() * t(-1)) ** -3 == q(-3) * t(3)
 
 
