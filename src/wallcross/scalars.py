@@ -200,9 +200,12 @@ class LaurentPoly:
         if not self._terms or not other._terms:
             return LaurentPoly()
         out: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = Monomial(m1.exp_q + m2.exp_q, m1.exp_t + m2.exp_t)
+        for (aq, at), c1 in self._terms.items():
+            for (bq, bt), c2 in other._terms.items():
+                eq, et = aq + bq, at + bt
+                if type(eq) is not int or type(et) is not int:  # two Fractions may sum to k/1
+                    eq, et = _exact(eq), _exact(et)
+                m = Monomial(eq, et)
                 s = out.get(m)
                 if s is None:
                     out[m] = c1 * c2
@@ -218,10 +221,10 @@ class LaurentPoly:
         coeff = _exact(coeff)
         if not coeff:
             return LaurentPoly()
-        return _poly(_norm({
-            Monomial(m.exp_q + mono.exp_q, m.exp_t + mono.exp_t): c * coeff
-            for m, c in self._terms.items()
-        }))
+        if type(mono.exp_q) is not int or type(mono.exp_t) is not int:
+            return self * _poly({mono: coeff})  # __mul__ normalizes summed Fractions
+        return _poly(_norm({Monomial(m.exp_q + mono.exp_q, m.exp_t + mono.exp_t): c * coeff
+                            for m, c in self._terms.items()}))
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; ArithmeticError when divisor does not divide.

@@ -4,11 +4,11 @@ A SymFunc keeps its coefficients in its own basis, one of {m, p, s, Htilde}.
 Conversions pass through the power sums, where the classical pairings are
 diagonal, and one routine, _expand, carries both legs.  s uses the
 symmetric-group character table (ribbon recursion), m the multiplication
-rule for m_nu * p_k, both cached per degree.  Htilde comes from the
-Haglund-Haiman-Loehr filling formula (J. AMS 18 (2005)): its m_nu
-coefficient is the sum of q1^inv q2^maj over the fillings of content nu, so
-every coefficient is an integer polynomial.  Conversions run out of Htilde,
-never into it: no computation here needs Htilde coordinates.
+rule for m_nu * p_k, both cached per degree.  Htilde's m_nu coefficient
+sums q1^inv q2^maj over the standard fillings whose inverse descent set
+lies in nu's partial sums (Haglund-Haiman-Loehr, J. AMS 18 (2005)), one
+pass over S_n per conjugate pair, so it is an integer polynomial.
+Conversions run out of Htilde, never into it: nothing needs its coordinates.
 
 Localization.  The Htilde are the fixed-point classes of Hilb_n, and
 restrictions(f, n) reads f at every fixed point through the pairing in
@@ -22,9 +22,10 @@ this way; nothing is rebuilt from restrictions.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, permutations
 from math import factorial, prod
 
 from .linalg import mat_inverse
@@ -38,7 +39,7 @@ from .partitions import (
     n_stat,
     removable_ribbons,
 )
-from .scalars import LaurentPoly, Scalar, one, q1, q2, rational, zero
+from .scalars import LaurentPoly, Monomial, Scalar, one, q1, q2, rational, zero
 
 BASES = ("m", "p", "s", "Htilde")
 
@@ -185,18 +186,6 @@ def _m_to_p_matrix(n: int) -> tuple:
     return tuple(tuple(r) for r in inv)
 
 
-def _multiset_permutations(counts: list):
-    """Distinct words with counts[v] letters v, lexicographically, one at a time."""
-    if not any(counts):
-        yield ()
-    for v, c in enumerate(counts):
-        if c:
-            counts[v] -= 1
-            for rest in _multiset_permutations(counts):
-                yield (v,) + rest
-            counts[v] += 1
-
-
 @lru_cache(maxsize=None)
 def _Htilde_in_m(mu: Partition) -> dict:
     """HHL: the m_nu coefficient of Htilde_mu is sum q1^inv q2^maj over fillings.
@@ -207,35 +196,43 @@ def _Htilde_in_m(mu: Partition) -> dict:
     right; an inversion is an attacking pair read in decreasing order.  A
     descent is a box larger than the box below it, and adds leg + 1 to maj
     and -arm to inv.
+
+    Standardizing (numbering the boxes 0..n-1 by letter, equal letters left
+    to right in reading order) keeps inv and maj, and maps the fillings of
+    content nu one to one onto the permutations whose inverse descent set D
+    (k is in D when k + 1 is read before k) holds only k with k + 1 a partial
+    sum of nu.  So S_n is walked once, bucketed by D.  Htilde_mu' is
+    Htilde_mu with q1 and q2 swapped (t -> 1/t): one of mu, mu' is walked.
     """
+    if conjugate(mu) > mu:
+        flip = lambda m: Monomial(m.exp_q, -m.exp_t)
+        return {nu: Scalar.from_laurent(c.num.map_exponents(flip))
+                for nu, c in _Htilde_in_m(conjugate(mu)).items()}
     cells = sorted(boxes(mu), key=lambda c: (-c[1], c[0]))
     pos = {c: i for i, c in enumerate(cells)}
-    attacks = [
-        (pos[u], pos[v])
-        for u in cells
-        for v in cells
-        if pos[u] < pos[v] and (u[1] == v[1] or (u[1] == v[1] + 1 and u[0] > v[0]))
-    ]
-    descents = [
-        (pos[(x, y)], pos[(x, y - 1)], arm(mu, x, y), leg(mu, x, y) + 1)
-        for x, y in cells
-        if y > 0
-    ]
+    attacks = [(pos[u], pos[v]) for u in cells for v in cells
+               if pos[u] < pos[v] and (u[1] == v[1] or (u[1] == v[1] + 1 and u[0] > v[0]))]
+    descents = [(pos[(x, y)], pos[(x, y - 1)], arm(mu, x, y), leg(mu, x, y) + 1)
+                for x, y in cells if y > 0]
+    buckets = defaultdict(Counter)
+    for w in permutations(range(len(cells))):
+        inv = sum(1 for i, j in attacks if w[i] > w[j])
+        maj = 0
+        for i, j, a, l1 in descents:
+            if w[i] > w[j]:
+                inv -= a
+                maj += l1
+        seen = D = 0
+        for v in w:
+            if seen >> v & 2:  # v + 1 was read before v
+                D |= 1 << v
+            seen |= 1 << v
+        buckets[D][inv + maj, inv - maj] += 1  # q1^inv q2^maj in the (q, t) frame
     out = {}
-    for nu in enumerate_partitions(sum(mu)):
-        stats: Counter = Counter()
-        for w in _multiset_permutations(list(nu)):
-            inv = sum(1 for i, j in attacks if w[i] > w[j])
-            maj = 0
-            for i, j, a, l1 in descents:
-                if w[i] > w[j]:
-                    inv -= a
-                    maj += l1
-            stats[inv, maj] += 1
-        # q1^inv q2^maj in the (q, t) frame
-        out[nu] = Scalar.from_laurent(
-            LaurentPoly({(a + b, a - b): c for (a, b), c in stats.items()})
-        )
+    for nu in enumerate_partitions(len(cells)):
+        allowed = sum(1 << (s - 1) for s in accumulate(nu))
+        terms = sum((c for D, c in buckets.items() if not D & ~allowed), Counter())
+        out[nu] = Scalar.from_laurent(LaurentPoly(terms))
     return out
 
 

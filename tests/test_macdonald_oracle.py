@@ -1,33 +1,38 @@
 """Gram-Schmidt Macdonald polynomials as the reference for the HHL layer.
 
-The library builds Htilde from the Haglund-Haiman-Loehr filling formula
-and restricts to fixed points by contracting Htilde's m-coefficients with
-f's pairings against each m_nu, and api_oracles reads Htilde coordinates
-off those restrictions.  The routes these replaced are kept here: P by
-Gram-Schmidt against dominance order in the deformed Hall pairing, Htilde
-as the p-twisted integral form of P, restriction as
+The library builds Htilde from the Haglund-Haiman-Loehr filling formula,
+one pass over the standard fillings per conjugate pair, and restricts to
+fixed points by contracting Htilde's m-coefficients with f's pairings
+against each m_nu, and api_oracles reads Htilde coordinates off those
+restrictions.  The routes these replaced are kept here: P by Gram-Schmidt
+against dominance order in the deformed Hall pairing, Htilde as the
+p-twisted integral form of P, restriction as
 [T_la] <f, Htilde_la>_mod / <Htilde_la, Htilde_la>_mod, and Htilde
 coordinates by triangular back-substitution of m into P.  New and old must
 agree exactly at n <= 4 (n <= 5 for the coordinates).  At n = 6, where the
 reference is too slow, properties that need no reference stand in.
 
-Between the two sits the p route, the restriction as one dot product of
-f's weighted p-coefficients with Htilde_la expanded in p.  It must agree
-exactly with the library on every seed row for n <= 6 and on random f for
-n <= 4.
+Between the two sit the word route, which fills every word of each content
+nu into mu's boxes and must equal the library's m-coefficients exactly for
+|mu| <= 7, and the p route, the restriction as one dot product of f's
+weighted p-coefficients with Htilde_la expanded in p.  The p route must
+agree exactly with the library on every seed row for n <= 6 and on random
+f for n <= 4.  At n = 8 a budgeted test builds every Htilde_mu cold and
+checks its value at q1 = q2 = 1.
 """
 
 import math
 import random
 import time
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
 from wallcross import stable as S
 from wallcross import symfunc
-from wallcross.partitions import conjugate, dominates, enumerate_partitions, n_stat
-from wallcross.scalars import Monomial, Scalar, one, q1, q2, rational, zero
+from wallcross.partitions import arm, boxes, conjugate, dominates, enumerate_partitions, leg, n_stat
+from wallcross.scalars import LaurentPoly, Monomial, Scalar, one, q1, q2, rational, zero
 from wallcross.symfunc import (
     Ht_,
     SymFunc,
@@ -152,6 +157,52 @@ def old_seed(n: int) -> dict:
     return gamma
 
 
+def _multiset_permutations(counts: list):
+    """Distinct words with counts[v] letters v, lexicographically, one at a time."""
+    if not any(counts):
+        yield ()
+    for v, c in enumerate(counts):
+        if c:
+            counts[v] -= 1
+            for rest in _multiset_permutations(counts):
+                yield (v,) + rest
+            counts[v] += 1
+
+
+def word_Htilde_in_m(mu) -> dict:
+    """HHL word by word: [m_nu]Htilde_mu as sum q1^inv q2^maj over every
+    word of content nu written into mu's boxes in reading order."""
+    cells = sorted(boxes(mu), key=lambda c: (-c[1], c[0]))
+    pos = {c: i for i, c in enumerate(cells)}
+    attacks = [
+        (pos[u], pos[v])
+        for u in cells
+        for v in cells
+        if pos[u] < pos[v] and (u[1] == v[1] or (u[1] == v[1] + 1 and u[0] > v[0]))
+    ]
+    descents = [
+        (pos[(x, y)], pos[(x, y - 1)], arm(mu, x, y), leg(mu, x, y) + 1)
+        for x, y in cells
+        if y > 0
+    ]
+    out = {}
+    for nu in enumerate_partitions(sum(mu)):
+        stats: Counter = Counter()
+        for w in _multiset_permutations(list(nu)):
+            inv = sum(1 for i, j in attacks if w[i] > w[j])
+            maj = 0
+            for i, j, a, l1 in descents:
+                if w[i] > w[j]:
+                    inv -= a
+                    maj += l1
+            stats[inv, maj] += 1
+        # q1^inv q2^maj in the (q, t) frame
+        out[nu] = Scalar.from_laurent(
+            LaurentPoly({(a + b, a - b): c for (a, b), c in stats.items()})
+        )
+    return out
+
+
 def _restrict_weighted(weighted: dict, la) -> Scalar:
     acc = zero()
     for mu, d in _to_p("Htilde", la).items():
@@ -214,6 +265,18 @@ def test_restrictions_match_old_route(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_seed_matches_old_route(n):
     assert dict_layout(S.seed_slope0(n)).gamma == old_seed(n)
+
+
+# ---------------------------------------------------------------------------
+# new against the word route, n <= 7
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mu", [mu for n in range(8) for mu in enumerate_partitions(n)], ids=str
+)
+def test_Htilde_matches_word_route(mu):
+    assert _Htilde_in_m(mu) == word_Htilde_in_m(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +367,19 @@ def test_seed_n6_within_budget():
         for mu, val in row.items():
             assert dominates(la, mu) and val.is_laurent(), (la, mu)
     assert elapsed < 15, f"seed_slope0(6) took {elapsed:.1f} s"
+
+
+def test_Htilde_n8_within_budget():
+    # Htilde_mu(X; 1, 1) = e_1^n, whose m_nu coefficient is n!/prod nu_i!
+    symfunc._Htilde_in_m.cache_clear()
+    t0 = time.perf_counter()
+    coeffs = {mu: _Htilde_in_m(mu) for mu in enumerate_partitions(8)}
+    elapsed = time.perf_counter() - t0
+    assert len(coeffs) == 22
+    for mu, row in coeffs.items():
+        assert set(row) == set(enumerate_partitions(8)), mu
+        for nu, c in row.items():
+            assert c.is_laurent(), (mu, nu)
+            want = math.factorial(8) // math.prod(math.factorial(k) for k in nu)
+            assert sum(c.num.terms().values()) == want, (mu, nu)
+    assert elapsed < 20, f"Htilde for all mu of 8 took {elapsed:.1f} s"

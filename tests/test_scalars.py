@@ -351,6 +351,13 @@ def test_integral_inputs_become_ints():
     assert repr(LaurentPoly.term(True)) == "LaurentPoly('1*q^(0)*t^(0)')"
 
 
+def test_integral_exponent_sums_become_ints():
+    half = LaurentPoly.term(1, Fraction(1, 2), Fraction(-3, 2))
+    for p in (half * half, half.mul_term(2, Monomial(Fraction(1, 2), Fraction(1, 2))),
+              (half + LaurentPoly.one()) * half):
+        assert all(type(e) is int or e.denominator != 1 for m in p.terms() for e in m), p
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_bar_matrix_coefficients_are_ints(n):
     for b in range(2, max(n, 2) + 1):

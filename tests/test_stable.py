@@ -442,6 +442,18 @@ def test_renormalized_entries_are_q_only():
                 assert mono.exp_t == 0 and mono.exp_q == int(mono.exp_q)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_renormalized_exponents_are_in_normal_form(n):
+    # renorm_factor monomials have Fraction exponents whose sums can be
+    # integral; an integral exponent must come out as an int, not k/1
+    for w, _, _ in S._sweep(n)[1]:
+        for row in S.renormalized_crossing(n, w):
+            for val in row:
+                for mono in [*val.num.terms(), *val.den.terms()]:
+                    for e in mono:
+                        assert type(e) is int or e.denominator != 1, (n, w, mono)
+
+
 # ---------------------------------------------------------------------------
 # nabla shifts
 # ---------------------------------------------------------------------------
