@@ -68,12 +68,6 @@ def _at_least(low: int):
     return parse
 
 
-def _jobs_arg(text: str) -> int:
-    """At least 1, capped at the CPU count.  Accepted, and changes nothing:
-    every command runs in one process."""
-    return min(_at_least(1)(text), os.cpu_count() or 1)
-
-
 def _partition_arg(text: str):
     text = text.strip()
     if not text:
@@ -98,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--cache-dir", default=None)
         sp.add_argument("--no-cache", action="store_true")
-        sp.add_argument("--jobs", type=_jobs_arg, default=1)
+        sp.add_argument("--jobs", type=_at_least(1), default=1)  # no effect: one process
         sp.set_defaults(run=run, cached=cached)
         return sp
 

@@ -162,9 +162,6 @@ class RankAccumulator:
     def __init__(self):
         self.rows = {}  # pivot key -> reduced row dict
 
-    def __len__(self):
-        return len(self.rows)
-
     def _reduce(self, vec):
         vec = {k: v for k, v in vec.items() if v}
         while vec:

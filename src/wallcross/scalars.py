@@ -115,7 +115,7 @@ class LaurentPoly:
     integral polynomials never touch Fraction arithmetic.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
         clean: dict = {}
@@ -129,7 +129,6 @@ class LaurentPoly:
                     if not clean[m]:
                         del clean[m]
         self._terms = _norm(clean)
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -218,16 +217,17 @@ class LaurentPoly:
         return _poly(_norm(out))
 
     def mul_term(self, coeff, mono: Monomial) -> "LaurentPoly":
+        """self * coeff * mono, for a nonzero coeff."""
         coeff = _exact(coeff)
-        if not coeff:
-            return LaurentPoly()
         if type(mono.exp_q) is not int or type(mono.exp_t) is not int:
             return self * _poly({mono: coeff})  # __mul__ normalizes summed Fractions
         return _poly(_norm({Monomial(m.exp_q + mono.exp_q, m.exp_t + mono.exp_t): c * coeff
                             for m, c in self._terms.items()}))
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; ArithmeticError when divisor does not divide.
+        """Exact division of a nonzero self; ArithmeticError when divisor
+        does not divide.  Callers divide by a gcd other than 1 of multi-term
+        polynomials, which has more than one term; a monomial is mul_term's.
 
         Runs at the integer level: both sides are cleared to primitive
         polynomials over Z (common exponent denominators, minima at 0), where
@@ -238,11 +238,6 @@ class LaurentPoly:
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPoly()
-        if divisor.is_term():
-            (m, c), = divisor._terms.items()
-            return self.mul_term(_div(1, c), m.inv())
         dq, dt = _exp_lcms(self, divisor)
         P, ps, psh = _intize(self, dq, dt)
         D, ds, dsh = _intize(divisor, dq, dt)
@@ -290,9 +285,7 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # -- serialization -----------------------------------------------------
 
@@ -322,7 +315,6 @@ def _poly(terms: dict) -> LaurentPoly:
     """Wrap a term dict that is already clean: Monomial keys, no zero coefficients."""
     r = LaurentPoly.__new__(LaurentPoly)
     r._terms = terms
-    r._hash = None
     return r
 
 
@@ -398,7 +390,7 @@ def _unintize(d: dict, dq: int, dt: int, scale, shift: Monomial) -> LaurentPoly:
 
 
 def _idiv(P: dict, D: dict):
-    """Exact quotient of integer dicts {(u, v): int}, or None.
+    """Exact quotient of nonzero integer dicts {(u, v): int}, or None.
 
     Valid for primitive inputs: there Gauss's lemma makes an exact rational
     quotient integral, so a fractional peeling step disproves divisibility,
@@ -407,8 +399,6 @@ def _idiv(P: dict, D: dict):
     remainder's lex-leading monomial drops strictly every step and the
     quotient support lives in the box, which bounds the iteration count.
     """
-    if not P:
-        return {}
     dk = max(D)
     dc = D[dk]
     du, dv = dk
@@ -570,25 +560,22 @@ class Scalar:
     is the exact test for being a Laurent polynomial.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None, *, _normalized=False):
         if den is None:
             den = LaurentPoly.one()
         if _normalized:
             self.num, self.den = num, den
-            self._hash = None
             return
         if den.is_zero():
             raise ZeroDivisionError("Scalar with zero denominator")
         if num.is_zero():
             self.num, self.den = LaurentPoly(), LaurentPoly.one()
-            self._hash = None
             return
         if not den.is_term():
             num, den = laurent_reduce(num, den)
         self.num, self.den = _unit_leading(num, den)
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -600,9 +587,6 @@ class Scalar:
 
     def is_laurent(self) -> bool:
         return self.den.is_one()
-
-    def is_term(self) -> bool:
-        return self.den.is_one() and self.num.is_term()
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()
@@ -621,9 +605,9 @@ class Scalar:
         else:
             a, b = d1.exact_div(g), d2.exact_div(g)
         lhs, rhs = n1 * b, n2 * a
+        # num != 0: self = +-other would give d1 == d2, as equal values have
+        # equal canonical denominators
         num = lhs - rhs if subtract else lhs + rhs
-        if num.is_zero():
-            return Scalar(LaurentPoly())
         # any common factor of num and den = g*a*b divides g: a prime of a
         # (or b) dividing num would divide n1 (or n2), contradicting
         # reducedness, since a, b and the opposite numerator avoid it
@@ -700,9 +684,7 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     # -- analysis ----------------------------------------------------------
 

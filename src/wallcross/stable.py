@@ -407,18 +407,18 @@ def _sweep(n: int) -> tuple:
     Each such m in (0, 1) is an a/b with b dividing a content gap, hence a
     candidate, and the only candidate in (previous, w] is w.  The solver's
     nullity check therefore runs at the walls only, not at the candidates
-    stepped over.
+    stepped over.  A candidate that fails the check is a wall: the failing
+    entry is a nonzero constant in its row's system, so B != 0 or the solve
+    raises.
     """
     seed = tbl = seed_slope0(n)
-    unit = identity(len(seed.gamma), one(), zero())
     walls = []
     for w in candidate_walls(n, 0, 1):
         if _window_violation(tbl, (w, 1), block=w) is None:
             tbl = StableTable(n, (w, 1), tbl.gamma)
             continue
         tbl, factor = cross_wall(tbl, w)
-        if factor != unit:
-            walls.append((w, factor, tbl))
+        walls.append((w, factor, tbl))
     if tbl != nabla_shift(seed, 1):
         raise ArithmeticError(f"nabla-periodicity fails at n={n}")
     return (seed, walls)

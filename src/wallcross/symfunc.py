@@ -8,7 +8,7 @@ rule for m_nu * p_k, both cached per degree.  Htilde's m_nu coefficient
 sums q1^inv q2^maj over the standard fillings whose inverse descent set
 lies in nu's partial sums (Haglund-Haiman-Loehr, J. AMS 18 (2005)), one
 pass over S_n per conjugate pair, so it is an integer polynomial.
-Conversions run out of Htilde, never into it: nothing needs its coordinates.
+Conversions run into s and p only: nothing needs coordinates in m or Htilde.
 
 Localization.  The Htilde are the fixed-point classes of Hilb_n, and
 restrictions(f, n) reads f at every fixed point through the pairing in
@@ -261,21 +261,11 @@ def _to_p(basis: str, la: Partition) -> dict:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _p_in_m(mu: Partition) -> dict:
-    n = sum(mu)
-    order = enumerate_partitions(n)
-    row = _p_to_m_matrix(n)[order.index(mu)]
-    return {la: c for la, c in zip(order, row) if c}
-
-
 def _p_in_basis(basis: str, mu: Partition) -> dict:
-    n = sum(mu)
-    if basis == "m":
-        return {la: rational(c) for la, c in _p_in_m(mu).items()}
     if basis == "s":
         return {
             la: rational(_character(la, mu))
-            for la in enumerate_partitions(n)
+            for la in enumerate_partitions(sum(mu))
             if _character(la, mu)
         }
     raise ValueError(f"no conversion into the {basis!r} basis")

@@ -320,14 +320,16 @@ def _normalize_top(f: SymFunc) -> SymFunc:
     reporting convention: divide by the (q1, q2)-content monomial of the
     top coefficient (and by its rational content).  A genuinely
     non-monomial top coefficient like q1 + q2 survives intact; a monomial
-    one becomes exactly 1.
+    one becomes exactly 1.  A top coefficient that is not a Laurent
+    polynomial raises ArithmeticError: the classes have Laurent
+    coefficients.
     """
     f = f.to_basis("s")
     n = sum(next(iter(f.coeffs)))
     top = next(la for la in enumerate_partitions(n) if f.coeffs.get(la))
     coef = f.coeffs[top]
     if not coef.den.is_one():
-        return f.scale(one() / coef)
+        raise ArithmeticError(f"top Schur coefficient of s_{top} is not Laurent: {coef}")
     terms = coef.num.terms()
     amin, bmin = map(min, zip(*map(q1q2_exponents, terms)))
     cs = terms.values()

@@ -8,9 +8,10 @@ and the (q1, q2) frame change take part in none of that, so they live
 here, next to the tests that state their acceptance properties, and are
 built from the package's public layers and a few of its private helpers.
 
-So does inverse localization, the way into Htilde: the tangent character,
-its bracket [T_la], from_restrictions (each restriction divided by [T_la])
-and the conversion of p into Htilde built on them.  printed_expansion
+So do the way into m (m_coefficients, from the p -> m rows) and inverse
+localization, the way into Htilde: the tangent character, its bracket
+[T_la], from_restrictions (each restriction divided by [T_la]) and the
+conversion of p into Htilde built on them.  printed_expansion
 rebuilds a printed basis element that way from its table row, applies
 omega and divides by rho_la = c_la/(1 - q2); it is the differential oracle
 of stable.printed_basis, which reads the elements off the chain of wall
@@ -49,6 +50,7 @@ from wallcross.symfunc import (
     Ht_,
     SymFunc,
     _mod_weight,
+    _p_to_m_matrix,
     basis_element,
     restrictions,
     scale_powersums,
@@ -126,8 +128,24 @@ def _p_in_Htilde(mu: Partition) -> dict:
     return from_restrictions(restrictions(p_(mu), sum(mu))).coeffs
 
 
+def m_coefficients(f: SymFunc) -> dict:
+    """f's coefficients in the m basis, the way into m the package no longer
+    has: each p_mu expanded by its row of symfunc._p_to_m_matrix."""
+    out: dict = {}
+    for mu, c in f.to_basis("p").coeffs.items():
+        n = sum(mu)
+        order = enumerate_partitions(n)
+        for la, d in zip(order, _p_to_m_matrix(n)[order.index(mu)]):
+            if d:
+                v = c * rational(d)
+                out[la] = out[la] + v if la in out else v
+    return {la: c for la, c in out.items() if c}
+
+
 def convert(f: SymFunc, basis: str) -> SymFunc:
-    """f.to_basis(basis), with the way into Htilde the package no longer has."""
+    """f.to_basis(basis), with the ways into m and Htilde the package no longer has."""
+    if basis == "m" and f.basis != "m":
+        return SymFunc("m", m_coefficients(f))
     if basis != "Htilde" or f.basis == "Htilde":
         return f.to_basis(basis)
     out: dict = {}

@@ -223,7 +223,7 @@ def test_rank_accumulator_over_scalars():
     v2 = {(1, 1): one()}
     assert acc.add(v1)
     assert acc.add(v2)
-    assert len(acc) == 2
+    assert len(acc.rows) == 2
     # any q-combination of the two is already in the span
     assert not acc.add({(2,): q(3), (1, 1): q(4) + one()})
     assert not acc.add({(2,): one()})

@@ -298,8 +298,9 @@ def assert_normal_form(*xs):
 def test_integer_polynomials_keep_int_coefficients(a, b, d):
     assert_ints(a, b, d, a + b, a - b, -a, a * b, a.mul_term(-3, Monomial(0, 0)),
                 a.mul_term(2, Monomial(1, 0)))
-    assert_ints((a * d).exact_div(d), (a * d).exact_div(d.mul_term(-1, Monomial(0, 0))))
-    assert_ints(d.exact_div(LaurentPoly.term(-1, 2, 1)))
+    if a:  # exact_div takes a nonzero dividend
+        assert_ints((a * d).exact_div(d), (a * d).exact_div(d.mul_term(-1, Monomial(0, 0))))
+    assert_ints(d.mul_term(-1, Monomial(-2, -1)))  # d / (-q^2 t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,7 +316,7 @@ def test_monic_fractions_keep_int_coefficients(n1, d1, n2, d2):
 @given(scalars(), scalars(), laurent_polys(), laurent_polys(max_terms=3, allow_zero=False))
 def test_mixed_coefficients_are_fractions_only_when_not_integral(a, b, p, d):
     assert_normal_form(a, b, a + b, a - b, a * b, p, d, p + d, p - d, p * d,
-                       (p * d).exact_div(d), p.mul_term(Fraction(2, 3), Monomial(0, 0)),
+                       (p * d).exact_div(d) if p else p, p.mul_term(Fraction(2, 3), Monomial(0, 0)),
                        p.mul_term(Fraction(3, 2), Monomial(0, 0)),
                        p.mul_term(Fraction(1, 2), Monomial(0, 1)),
                        a.bar(), change_coordinates(a, "qt_to_q1q2"))
@@ -369,6 +370,40 @@ def test_bar_matrix_coefficients_are_ints(n):
 def test_exact_div_guard():
     with pytest.raises(ArithmeticError):
         (one() - q(2)).num.exact_div((one() + q() + t()).num)
+
+
+@st.composite
+def scalar_pairs(draw):
+    """Two scalars, the second often +-the first built from another fraction."""
+    a = draw(scalars())
+    if draw(st.booleans()):
+        return a, draw(scalars())
+    k = draw(laurent_polys(max_terms=2, allow_zero=False))
+    sign = draw(st.sampled_from([1, -1]))
+    return a, Scalar(a.num * k.mul_term(sign, Monomial(0, 0)), a.den * k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_pairs())
+def test_fractions_with_different_denominators_never_cancel(pair):
+    # Scalar._combine does not test its numerator for zero: equal values
+    # have equal canonical denominators, so a - b and a + b are nonzero
+    # whenever the denominators differ (the +-a pairs pin the canonical form)
+    a, b = pair
+    if a.den != b.den:
+        assert a + b and a - b
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(coeffs=int_coeffs), laurent_polys(coeffs=int_coeffs),
+       laurent_polys(max_terms=3, coeffs=int_coeffs))
+def test_gcd_of_multi_term_polynomials_is_one_or_multi_term(a, b, c):
+    # exact_div is never handed a monomial: the canonical gcd has minimum
+    # exponents 0, so a one-term gcd is exactly 1, which callers skip
+    p, r = a * c, b * c
+    if len(p) > 1 and len(r) > 1:
+        g = laurent_gcd(p, r)
+        assert g.is_one() or len(g) > 1
 
 
 def test_gcd_of_coprime_is_one():

@@ -227,6 +227,22 @@ def test_cross_wall_factor_is_unit_plus_solved_rows(n, monkeypatch):
         assert (factor != identity(len(factor), one(), zero())) == S.is_wall(n, w), w
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_candidate_failing_the_block_check_is_a_wall(n):
+    # _sweep keeps every factor it crosses to: a candidate that fails the
+    # block check gets B != 0.  The sweep's checks are replayed on its tables.
+    seed, walls = S._sweep(n)
+    crossed = {w: (factor, tbl) for w, factor, tbl in walls}
+    unit = identity(len(seed.gamma), one(), zero())
+    tbl = seed
+    for w in S.candidate_walls(n, 0, 1):
+        fails = S._window_violation(tbl, (w, 1), block=w) is not None
+        assert fails == (w in crossed), (n, w)
+        if fails:
+            factor, tbl = crossed[w]
+            assert factor != unit, (n, w)
+
+
 def test_is_wall():
     assert S.is_wall(2, F2(1, 2))
     assert S.is_wall(3, F2(1, 3))
@@ -515,7 +531,8 @@ def test_renorm_factor_core_only():
 
 def test_renorm_factor_peel_order_consistent():
     # two disjoint maximal 2-ribbon sets exist; both walks must agree
-    assert S.renorm_factor((2, 2), F2(1, 2)).is_term()
+    r = S.renorm_factor((2, 2), F2(1, 2))
+    assert r.is_laurent() and r.num.is_term()
 
 
 # ---------------------------------------------------------------------------

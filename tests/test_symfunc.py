@@ -36,6 +36,7 @@ from api_oracles import (
     inner_plain,
     integral_form,
     m_,
+    m_coefficients,
     nabla,
     omega,
     p_,
@@ -107,14 +108,15 @@ def test_z_stat():
 
 
 def test_newton_and_monomial_goldens():
-    assert p_((2,)).to_basis("m") == m_((2,))
-    assert p_((1, 1)).to_basis("m") == m_((2,)) + m_((1, 1)).scale(rational(2))
+    # the m -> p direction: p_11 = m_2 + 2 m_11
     assert m_((2,)).to_basis("p") == p_((2,))
+    assert m_((1, 1)).to_basis("p") == (p_((1, 1)) - p_((2,))).scale(rational(Fraction(1, 2)))
+    assert m_coefficients(p_((1, 1))) == {(2,): one(), (1, 1): rational(2)}
 
 
 def test_schur_goldens():
     assert p_((2,)).to_basis("s") == s_((2,)) - s_((1, 1))
-    assert s_((2, 1)).to_basis("m") == m_((2, 1)) + m_((1, 1, 1)).scale(rational(2))
+    assert (m_((2, 1)) + m_((1, 1, 1)).scale(rational(2))).to_basis("s") == s_((2, 1))
     # hook character chi^{(2,1)} at the identity class = dim of the 2-dim rep
     assert s_((2, 1)).to_basis("p").coeffs[(1, 1, 1)] == rational(Fraction(2, 6))
 
@@ -133,6 +135,12 @@ def test_no_conversion_into_Htilde():
     for basis in ("m", "p", "s"):
         with pytest.raises(ValueError, match="'Htilde'"):
             basis_element(basis, (2, 1)).to_basis("Htilde")
+
+
+def test_no_conversion_into_m():
+    for basis in ("p", "s", "Htilde"):
+        with pytest.raises(ValueError, match="'m'"):
+            basis_element(basis, (2, 1)).to_basis("m")
 
 
 def test_unknown_basis_rejected():
@@ -231,9 +239,9 @@ def test_P_two_golden():
 def test_P_unitriangular_in_m():
     for n in range(2, 5):
         for la in enumerate_partitions(n):
-            md = P_(la).to_basis("m")
-            assert md.coeffs[la] == one(), la
-            for mu in md.coeffs:
+            md = m_coefficients(P_(la))
+            assert md[la] == one(), la
+            for mu in md:
                 assert dominates(la, mu), (la, mu)
 
 
@@ -261,7 +269,7 @@ def test_integral_form_is_integral():
     # all m-coefficients lie in Z[q1^+-, q2^+-]: Laurent with integer coeffs
     for n in range(1, 5):
         for la in enumerate_partitions(n):
-            for mu, c in integral_form(la).to_basis("m").coeffs.items():
+            for mu, c in m_coefficients(integral_form(la)).items():
                 assert c.is_laurent(), (la, mu)
                 for coef in c.num.terms().values():
                     assert coef.denominator == 1, (la, mu)

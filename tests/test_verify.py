@@ -228,10 +228,19 @@ def test_verma_row_two():
 def test_finite_class_b2_goldens():
     raw, norm = verify.finite_dimensional_class(1, 2)
     assert norm == s_((2,))
-    assert raw.coeffs[(2,)].is_term()  # raw differs by one overall monomial
+    top = raw.coeffs[(2,)]
+    assert top.is_laurent() and top.num.is_term()  # raw differs by one overall monomial
 
     raw, norm = verify.finite_dimensional_class(3, 2)
     assert norm == s_((2,)).scale(q1(1) + q2(1)) + s_((1, 1))
+
+
+def test_normalize_top_refuses_a_non_laurent_top_coefficient():
+    # the classes have Laurent coefficients; anything else is an error
+    f = s_((2,)).scale(one() / (one() - q1(1))) + s_((1, 1))
+    with pytest.raises(ArithmeticError, match="not Laurent"):
+        verify._normalize_top(f)
+    assert verify._normalize_top(s_((2,)).scale(q1(1) + q2(1))) == s_((2,)).scale(q1(1) + q2(1))
 
 
 def test_finite_class_b3_positive():
