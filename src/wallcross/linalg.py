@@ -4,7 +4,8 @@ Entries only need +, -, *, /, ** -1, truthiness and ==; Fraction and Scalar
 both qualify.  Matrices are lists of row lists, and every kernel reads only
 nonzeros: mat_mul skips zero entries, mat_inverse updates each row at the
 nonzeros of the pivot row, solve_rational eliminates over sparse rows (dicts
-of their nonzeros) and RankAccumulator keeps sparse vectors.  Everything here
+of their nonzeros) and returns one solution with the nullity, not a basis of
+the null space, and RankAccumulator keeps sparse vectors.  Everything here
 is deterministic: pivot choice is always the first nonzero candidate, so
 results are reproducible across runs.
 """
@@ -80,16 +81,17 @@ def mat_inverse(A, one, zero):
 def solve_rational(A, b):
     """Solve A x = b over Fraction or int entries.
 
-    Returns (particular, nullspace) where particular is one solution (or
-    None if the system is inconsistent) and nullspace is a basis of the
-    homogeneous solution space, all entries Fractions.  A may be non-square.
+    Returns (particular, nullity): particular is one solution (None if the
+    system is inconsistent), each entry an int when integral and a Fraction
+    otherwise, and nullity is the dimension of the homogeneous solution
+    space, the number of columns without a pivot.  A may be non-square.
 
     Gauss-Jordan to reduced row echelon form, pivoting on the first row with
     a nonzero in the column, over sparse rows: each row of [A | b] is held
     as a dict of its nonzeros (b at key len(A[0])), so elimination touches
     only nonzeros.  Entries stay ints until a pivot other than +-1 divides.
     """
-    zero, one = Fraction(0), Fraction(1)
+    one = Fraction(1)
     rows = len(A)
     cols = len(A[0]) if rows else 0
     M = []
@@ -128,27 +130,14 @@ def solve_rational(A, b):
         r += 1
         if r == rows:
             break
-    for i in range(r, rows):
-        if M[i]:  # only b can be left in a row past the pivots
-            return None, _nullspace(M, pivots, cols, zero, one)
-    particular = [zero] * cols
+    nullity = cols - len(pivots)
+    if any(M[i] for i in range(r, rows)):  # only b can be left past the pivots
+        return None, nullity
+    particular = [0] * cols
     for (pr, pc) in pivots:
-        particular[pc] = Fraction(M[pr].get(cols, 0))
-    return particular, _nullspace(M, pivots, cols, zero, one)
-
-
-def _nullspace(M, pivots, cols, zero, one):
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(cols):
-        if free in pivot_cols:
-            continue
-        v = [zero] * cols
-        v[free] = one
-        for (pr, pc) in pivots:
-            v[pc] = -Fraction(M[pr].get(free, 0))
-        basis.append(v)
-    return basis
+        x = M[pr].get(cols, 0)
+        particular[pc] = x if type(x) is int or x.denominator != 1 else x.numerator
+    return particular, nullity
 
 
 class RankAccumulator:

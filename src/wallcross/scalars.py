@@ -58,10 +58,10 @@ __all__ = [
 
 
 def _exact(x):
-    """Normal form of an exact rational (int | str | Fraction), for
-    coefficients and exponents alike: a plain int when integral, a Fraction
-    otherwise.  Anything inexact raises TypeError; a float would otherwise
-    slip in as its binary value (Fraction(0.1) is not 1/10).
+    """Normal form of an exact rational (int or Fraction), for coefficients
+    and exponents alike: a plain int when integral, a Fraction otherwise.
+    Anything else raises TypeError: a float would otherwise slip in as its
+    binary value (Fraction(0.1) is not 1/10), and a str is not a number.
 
     int and Fraction compare and hash consistently, so mixing them in
     Monomial keys is safe; keeping the (overwhelmingly common) integers as
@@ -69,9 +69,7 @@ def _exact(x):
     """
     if isinstance(x, int):
         return int(x)
-    if isinstance(x, str):
-        x = Fraction(x)
-    elif not isinstance(x, Fraction):
+    if not isinstance(x, Fraction):
         raise TypeError(f"expected exact rational, got {type(x).__name__}")
     return x.numerator if x.denominator == 1 else x
 
@@ -112,23 +110,17 @@ class LaurentPoly:
 
     A coefficient is a plain int when it is integral and a Fraction only
     when it is not, _exact's normal form; every operation keeps it, so
-    integral polynomials never touch Fraction arithmetic.
+    integral polynomials never touch Fraction arithmetic.  The constructor
+    takes each key's exponents and each coefficient through _exact once;
+    _exact keeps values, so no two keys of one dict can collide.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(m, Monomial):
-                    m = Monomial(_exact(m[0]), _exact(m[1]))
-                c = _exact(c)
-                if c:
-                    clean[m] = clean.get(m, 0) + c
-                    if not clean[m]:
-                        del clean[m]
-        self._terms = _norm(clean)
+        pairs = ((Monomial(_exact(m[0]), _exact(m[1])), _exact(c))
+                 for m, c in (terms or {}).items())
+        self._terms = {m: c for m, c in pairs if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -138,7 +130,7 @@ class LaurentPoly:
 
     @classmethod
     def term(cls, coeff, exp_q=0, exp_t=0) -> "LaurentPoly":
-        return cls({Monomial(_exact(exp_q), _exact(exp_t)): _exact(coeff)})
+        return cls({(exp_q, exp_t): coeff})
 
     # -- predicates and views ----------------------------------------------
 
@@ -252,11 +244,9 @@ class LaurentPoly:
     # -- structure ---------------------------------------------------------
 
     def map_exponents(self, f: Callable[[Monomial], Monomial]) -> "LaurentPoly":
-        out: dict = {}
-        for m, c in self._terms.items():
-            n = f(m)
-            out[n] = out.get(n, 0) + c
-        return LaurentPoly(out)
+        """self with each monomial m moved to f(m), for an f that is one to one
+        on the support and keeps exponents in normal form (a sign flip does)."""
+        return _poly({f(m): c for m, c in self._terms.items()})
 
     def content_monomial(self) -> Monomial:
         """Componentwise minimum of exponents (the dividing monomial)."""
@@ -699,9 +689,12 @@ class Scalar:
         return self.num.q_degree_range()
 
     def bar(self) -> "Scalar":
-        """The bar involution q -> q^(-1) (negates every q-exponent)."""
+        """The bar involution q -> q^(-1) (negates every q-exponent).  It is a
+        ring automorphism, so it keeps num and den coprime: the image needs
+        only the unit normalization, not a gcd."""
         f = lambda m: Monomial(-m.exp_q, m.exp_t)
-        return Scalar(self.num.map_exponents(f), self.den.map_exponents(f))
+        return Scalar(*_unit_leading(self.num.map_exponents(f), self.den.map_exponents(f)),
+                      _normalized=True)
 
     # -- serialization -----------------------------------------------------
 
@@ -733,13 +726,11 @@ def monomial(coeff, exp_q=0, exp_t=0) -> Scalar:
 
 def q1(k=1) -> Scalar:
     """The torus weight q1 = q*t, raised to the k-th power."""
-    k = _exact(k)
     return monomial(1, k, k)
 
 
 def q2(k=1) -> Scalar:
     """The torus weight q2 = q*t^(-1), raised to the k-th power."""
-    k = _exact(k)
     return monomial(1, k, -k)
 
 
@@ -752,4 +743,4 @@ def zero() -> Scalar:
 
 
 def rational(c) -> Scalar:
-    return monomial(_exact(c))
+    return monomial(c)

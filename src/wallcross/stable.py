@@ -328,15 +328,15 @@ def _solve_row(terms, la, partners, target, qlo, qhi) -> dict:
         rows.append(row)
         rhs.append(-const.get(key, 0))
     if unknowns and rows:
-        part, null = solve_rational(rows, rhs)
+        part, nullity = solve_rational(rows, rhs)
     else:  # no unknowns: each equation is a nonzero constant; no equations: all free
-        part, null = (None, []) if rows else ([0] * len(unknowns), unknowns)
+        part, nullity = (None, 0) if rows else ([0] * len(unknowns), len(unknowns))
     if part is None:
         raise ArithmeticError(f"axioms unsatisfiable: no B row for {la} at wall {m} "
                               f"over q-degrees [{qlo}, {qhi}]")
-    if null:
+    if nullity:
         raise ArithmeticError(f"uniqueness failure at wall {m}, row {la}: solution "
-                              f"space has dimension {len(null)}")
+                              f"space has dimension {nullity}")
     brow = {}
     for ui, (mu, tau, j) in enumerate(unknowns):
         if part[ui]:

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,19 @@ def test_conjecture_check_times_each_wall_on_stderr(tmp_path):
         for line in lines) if m]
     assert walls == ["1/3", "1/2", "2/3"]
     assert "millis" not in p.stdout
+
+
+@pytest.mark.parametrize("n, budget_s", [(6, 30), (7, 60)])
+def test_conjecture_check_within_budget(n, budget_s):
+    # a fresh process without a cache; about 1.5 s and 3.5 s on 2 vCPU
+    golden = json.loads(Path(__file__).with_name("walls_golden.json").read_text())
+    start = time.perf_counter()
+    p = run_cli("conjecture-check", "--n", str(n), "--no-cache")
+    elapsed = time.perf_counter() - start
+    reports = json.loads(p.stdout)["reports"]
+    assert [r["params"]["m"] for r in reports] == [w["wall"] for w in golden[str(n)]]
+    assert [r["status"] for r in reports] == ["match"] * len(reports)
+    assert elapsed < budget_s, f"conjecture-check --n {n} took {elapsed:.1f} s"
 
 
 def test_appendix_check_exit_zero(tmp_path):

@@ -1,16 +1,19 @@
-"""Every public name in the package has a caller in the package.
+"""Every public name in the package has a caller in the package, and so
+does every private top-level function and class.
 
 The package is what the command line and the chamber/Fock pipeline reach;
-an operator that only tests call belongs with the tests (api_oracles.py).
-The scan reads src/wallcross/*.py with ast and collects each public (not
-underscore-prefixed) top-level function and class, and each public method
-of a top-level class.  A function or class counts as used when, outside
-the definition's own body, some ast.Attribute anywhere in the package
-spells it, or some scope reads a name of that spelling that resolves to a
-module global.  symtable decides the resolution, so a parameter or a local
-of the same spelling does not count.  A method counts only through an
-ast.Attribute, since a bare name cannot reach it.  Import statements,
-__all__ strings and docstrings are neither, so they never count.
+an operator that only tests call belongs with the tests (api_oracles.py),
+and a private helper that lost its last caller is dead code.  The scan
+reads src/wallcross/*.py with ast and collects each top-level function and
+class, and each public method of a top-level class.  The public scan takes
+the names without a leading underscore, the private scan the others.  A
+function or class counts as used when, outside the definition's own body,
+some ast.Attribute anywhere in the package spells it, or some scope reads a
+name of that spelling that resolves to a module global.  symtable decides
+the resolution, so a parameter or a local of the same spelling does not
+count.  A method counts only through an ast.Attribute, since a bare name
+cannot reach it.  Import statements, __all__ strings and docstrings are
+neither, so they never count.
 """
 
 import ast
@@ -20,14 +23,16 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "wallcross"
 
 
-def _public_definitions(trees):
+def _definitions(trees, private=False):
+    """(module, qualified name, node, by_name) for the public definitions, or
+    with private=True for the underscore-prefixed top-level ones."""
     for mod, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_"):
+            if node.name.startswith("_") == private:
                 yield mod, f"{mod}.{node.name}", node, True
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not private:
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
                         yield mod, f"{mod}.{node.name}.{sub.name}", sub, False
@@ -53,7 +58,7 @@ def _global_reads(table, path=()):
         yield from _global_reads(child, path)
 
 
-def test_every_public_name_has_a_caller_in_the_package():
+def _uncalled(private):
     texts = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert "cli" in texts, SRC
     trees = {mod: ast.parse(text) for mod, text in texts.items()}
@@ -62,7 +67,7 @@ def test_every_public_name_has_a_caller_in_the_package():
              for path, names in _global_reads(table)]
     attributes = _attributes(trees)
     unused = []
-    for mod, qualname, node, by_name in _public_definitions(trees):
+    for mod, qualname, node, by_name in _definitions(trees, private):
         own = {id(n) for n in ast.walk(node)}
         if any(id(ref) not in own for ref in attributes.get(node.name, ())):
             continue
@@ -73,4 +78,14 @@ def test_every_public_name_has_a_caller_in_the_package():
                    for m, path, names in reads):
                 continue
         unused.append(qualname)
+    return unused
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    unused = _uncalled(private=False)
     assert not unused, f"public names with no caller in src/: {unused}"
+
+
+def test_every_private_top_level_name_has_a_caller_in_the_package():
+    unused = _uncalled(private=True)
+    assert not unused, f"private functions or classes with no caller in src/: {unused}"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wallcross import scalars as S
+from wallcross import symfunc
 from wallcross.fock import bar_matrix
+from wallcross.partitions import enumerate_partitions
 from wallcross.scalars import (
     LaurentPoly,
     Monomial,
@@ -210,6 +212,76 @@ def test_bar_substitute_example():
     assert x.bar() == (q(-1) + t(2)) / (one() - q(-1) * t())
 
 
+def bar_by_reduction(a):
+    """The route bar() took before: flip q in num and den, then rebuild the
+    Scalar, which reduces the image by a gcd before normalizing it."""
+    def flip(p):
+        return LaurentPoly({(-m.exp_q, m.exp_t): c for m, c in p.terms().items()})
+    return Scalar(flip(a.num), flip(a.den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars())
+@example((q() + t(2)) / (one() - q() * t()))
+@example((one() + q(Fraction(1, 2)) * t(3)) / (q(-2) + rational(Fraction(2, 3))))
+def test_bar_needs_no_gcd(a):
+    # q -> 1/q keeps a reduced fraction reduced, so the unit normalization
+    # alone gives the same canonical form as reducing again
+    got, want = a.bar(), bar_by_reduction(a)
+    assert got == want and got.dumps() == want.dumps()
+    assert_normal_form(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_constructor_normalizes_each_key_and_coefficient_once(data):
+    # distinct exponent pairs, each key spelled as ints, Fractions or a
+    # Monomial of either, so no two keys of the dict are equal
+    pairs = data.draw(st.lists(st.tuples(exponents, exponents), unique=True, max_size=6))
+    spell = {"int": lambda e: e.numerator if e.denominator == 1 else e,
+             "fraction": Fraction}
+    terms = {}
+    for eq, et in pairs:
+        kq, kt = (spell[data.draw(st.sampled_from(sorted(spell)))] for _ in range(2))
+        key = (kq(eq), kt(et))
+        if data.draw(st.booleans()):
+            key = Monomial(*key)
+        terms[key] = data.draw(st.one_of(coeffs, st.sampled_from([0, Fraction(0)])))
+    p = LaurentPoly(terms)
+    total = LaurentPoly()
+    for (eq, et), c in terms.items():
+        total = total + LaurentPoly.term(c, eq, et)
+    assert p == total
+    assert len(p) == sum(1 for c in terms.values() if c)
+    assert all(type(m) is Monomial for m in p.terms())
+    assert all(type(e) is int or e.denominator != 1 for m in p.terms() for e in m)
+    assert_normal_form(p)
+
+
+def test_map_exponents_callers_are_one_to_one(monkeypatch):
+    # map_exponents does not merge terms, so every map it is given must be
+    # one to one on the support: the t-flip of _Htilde_in_m and the q-flip
+    # of Scalar.bar, on every Htilde_mu with |mu| <= 6
+    real, maps = LaurentPoly.map_exponents, []
+
+    def checked(self, f):
+        images = [f(m) for m in self.terms()]
+        assert len(set(images)) == len(images), self
+        maps.append(f.__qualname__)
+        return real(self, f)
+
+    monkeypatch.setattr(LaurentPoly, "map_exponents", checked)
+    symfunc._Htilde_in_m.cache_clear()
+    try:
+        for n in range(7):
+            for mu in enumerate_partitions(n):
+                for c in symfunc._Htilde_in_m(mu).values():
+                    c.bar()
+    finally:
+        symfunc._Htilde_in_m.cache_clear()
+    assert {"_Htilde_in_m.<locals>.<lambda>", "Scalar.bar.<locals>.<lambda>"} <= set(maps)
+
+
 # ---------------------------------------------------------------------------
 # degree ranges
 # ---------------------------------------------------------------------------
@@ -341,12 +413,17 @@ def test_inexact_exponents_are_rejected():
         LaurentPoly.term(1, 0, 0.5)
     with pytest.raises(TypeError, match="float"):
         q1(0.5)
-    assert monomial(1, "1/2", 0) == monomial(1, Fraction(1, 2), 0)
+    # a string is not a number: it is refused too, never parsed
+    for bad in (lambda: monomial(1, "1/2", 0), lambda: LaurentPoly.term("6/3", 1, 0),
+                lambda: S._exact("6/3"), lambda: q2("1/2"), lambda: rational("1")):
+        with pytest.raises(TypeError):
+            bad()
+    assert monomial(1, Fraction(1, 2), 0).num.terms() == {(Fraction(1, 2), 0): 1}
 
 
 def test_integral_inputs_become_ints():
-    assert [type(S._exact(x)) for x in (Fraction(4, 2), "6/3", True, 5)] == [int] * 4
-    assert_ints(rational(Fraction(4, 2)), LaurentPoly.term("6/3", 1, 0),
+    assert [type(S._exact(x)) for x in (Fraction(4, 2), Fraction(6, 3), True, 5)] == [int] * 4
+    assert_ints(rational(Fraction(4, 2)), LaurentPoly.term(Fraction(6, 3), 1, 0),
                 LaurentPoly.term(True), LaurentPoly({(0, 0): Fraction(1, 2), (1, 0): 2})
                 + LaurentPoly.term(Fraction(1, 2)), rational(Fraction(3, 2)) * rational(2))
     assert repr(LaurentPoly.term(True)) == "LaurentPoly('1*q^(0)*t^(0)')"

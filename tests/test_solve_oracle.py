@@ -7,9 +7,9 @@ bodies are kept here verbatim (solve_rational, _nullspace, _solve_row and
 cross_wall as they were), and the package must agree with them exactly:
 cross_wall's (table, I + B), the equations it poses (in any order) and their
 solutions at every candidate wall of the sweep for n <= 5, and
-solve_rational's (particular, nullspace) on every system the sweeps at
-n = 4, 5 pose and on random systems, rank-deficient and inconsistent ones
-included.
+solve_rational's (particular, nullity) against the dense route's
+(particular, len(nullspace)) on every system the sweeps at n = 2..5 pose and
+on random systems, rank-deficient and inconsistent ones included.
 """
 
 import sys
@@ -202,6 +202,13 @@ def cross_wall(table: StableTable, w) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def with_nullity(result):
+    """The dense route's (particular, nullspace basis) as the package returns
+    it: (particular, nullity)."""
+    part, null = result
+    return part, len(null)
+
+
 def _recording(mp, module, solve):
     """Route module.solve_rational through solve; returns the systems seen,
     each as (A, b, solve's result)."""
@@ -231,7 +238,7 @@ def test_cross_wall_matches_dense_route(n, monkeypatch):
             # the same equations, in any order: the reduced row echelon form
             # of [A | b] does not depend on it, nor does the solution
             assert sorted(zip(A, b)) == sorted(zip(A_old, b_old)), w
-            assert got == want, w
+            assert got == with_nullity(want), w
         new_systems.clear()
         old_systems.clear()
         tbl = new
@@ -239,12 +246,12 @@ def test_cross_wall_matches_dense_route(n, monkeypatch):
 
 @pytest.fixture(scope="module")
 def sweep_systems():
-    """Every system solve_rational gets from _sweep(4) and _sweep(5)."""
+    """Every system solve_rational gets from _sweep(n), n = 2..5."""
     stable._sweep.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         seen = _recording(mp, stable, linalg.solve_rational)
-        stable._sweep(4)
-        stable._sweep(5)
+        for n in range(2, 6):
+            stable._sweep(n)
     stable._sweep.cache_clear()
     return seen
 
@@ -252,9 +259,9 @@ def sweep_systems():
 def test_solve_matches_dense_on_sweep_systems(sweep_systems):
     # one system per row with partners at each wall; the candidates that
     # are not walls pose none, since the sweep steps over them unsolved
-    assert len(sweep_systems) == 14 + 35
+    assert len(sweep_systems) == 1 + 5 + 14 + 35
     for A, b, got in sweep_systems:
-        assert got == solve_rational(A, b)
+        assert got == with_nullity(solve_rational(A, b))
 
 
 # ---------------------------------------------------------------------------
@@ -294,4 +301,7 @@ def systems(draw):
 @example(([[0, 3, 1, 0]], [Fraction(-2, 3)]))
 def test_solve_matches_dense_on_random_systems(system):
     A, b = system
-    assert linalg.solve_rational(A, b) == solve_rational(A, b)
+    got = linalg.solve_rational(A, b)
+    assert got == with_nullity(solve_rational(A, b))
+    # the particular solution comes in normal form: an int when integral
+    assert got[0] is None or all(type(x) is int or x.denominator != 1 for x in got[0])
