@@ -188,7 +188,7 @@ def _latex_monomial(m) -> str:
     if a.denominator == 1 and b.denominator == 1:
         pairs = [("q_1", int(a)), ("q_2", int(b))]
     else:
-        pairs = [("q", m.exp_q), ("t", m.exp_t)]
+        pairs = [("q", m[0]), ("t", m[1])]
     body = " ".join(
         var if e == 1 else f"{var}^{{{e}}}" for var, e in pairs if e
     )
@@ -198,9 +198,7 @@ def _latex_monomial(m) -> str:
 def _latex_scalar(v: Scalar) -> str:
     def poly(L):
         parts = []
-        terms = sorted(L.terms().items(),
-                       key=lambda kv: (kv[0].exp_q, kv[0].exp_t), reverse=True)
-        for mono, c in terms:
+        for mono, c in sorted(L.terms().items(), reverse=True):
             body = _latex_monomial(mono)
             mag = abs(c)
             if mag.denominator != 1:
@@ -373,12 +371,8 @@ def _source_digest() -> str:
 
 
 def _cache_key(args) -> dict:
-    params = {}
-    for name in ("n", "b", "order", "side", "verma"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            v = getattr(args, name)
-            params[name] = list(v) if isinstance(v, tuple) else v
-    if getattr(args, "slope", None) is not None:
+    params = {name: getattr(args, name) for name in ("n", "b", "side") if hasattr(args, name)}
+    if hasattr(args, "slope"):
         params["slope"] = [args.slope.numerator, args.slope.denominator]
     return {"command": args.command, "params": params, "format": args.format,
             "version": __version__, "source": _source_digest()}

@@ -35,7 +35,7 @@ from .partitions import (
     horizontal_strips,
     i_nodes,
 )
-from .scalars import LaurentPoly, Monomial, Scalar, balanced_digits, monomial, one, zero
+from .scalars import LaurentPoly, Scalar, balanced_digits, monomial, one, zero
 
 __all__ = [
     "vacuum",
@@ -147,10 +147,10 @@ def _integral(T: list, n: int, b: int) -> list:
             if not c.is_laurent():
                 raise ArithmeticError(f"spanning vectors at n={n}, b={b} are not Laurent")
             terms = c.num.terms()
-            if any(x.denominator != 1 or m.exp_q.denominator != 1 or m.exp_t
-                   for m, x in terms.items()):
+            if any(x.denominator != 1 or eq.denominator != 1 or et
+                   for (eq, et), x in terms.items()):
                 raise ArithmeticError(f"spanning vectors at n={n}, b={b} are not in Z[q, 1/q]")
-            out[-1].append({int(m.exp_q): int(x) for m, x in terms.items()})
+            out[-1].append({int(eq): int(x) for (eq, _), x in terms.items()})
     return out
 
 
@@ -276,7 +276,7 @@ def bar_matrix(n: int, b: int) -> list:
                     f"bar matrix at n={n}, b={b} is not Laurent with integer coefficients"
                 )
         xi *= xi
-    A = [[Scalar.from_laurent(LaurentPoly({Monomial(e, 0): d for e, d in p.items()}))
+    A = [[Scalar.from_laurent(LaurentPoly({(e, 0): d for e, d in p.items()}))
           for p in row] for row in A]
     bad = lt_property_check(A, n, b)
     if bad:
@@ -308,7 +308,7 @@ def lt_property_check(A: list, n: int, b: int) -> list:
                 continue
             if any(c.denominator != 1 for c in a.num.terms().values()):
                 bad.append(f"(a) a[{la}][{mu}] has non-integer coefficients: {a}")
-            if any(m.exp_t for m in a.num.terms()):
+            if any(et for _, et in a.num.terms()):
                 bad.append(f"(a) a[{la}][{mu}] is not q-only: {a}")
             if i == j:
                 if a != one():
@@ -333,7 +333,7 @@ def _antisymmetric_parts(c: Scalar) -> dict:
     """coefficients c_k of c = sum_k c_k (q^k - q^(-k)); errors if not odd."""
     if not c.is_laurent():
         raise ArithmeticError(f"canonical recursion hit a non-polynomial entry {c}")
-    terms = {m.exp_q: coef for m, coef in c.num.terms().items()}
+    terms = {eq: coef for (eq, _), coef in c.num.terms().items()}
     if terms.get(0):
         raise ArithmeticError(f"no antisymmetric splitting for {c}: constant term")
     pos = {k: v for k, v in terms.items() if k > 0}
@@ -372,6 +372,6 @@ def canonical_basis(n: int, b: int, sign: str) -> list:
             parts = _antisymmetric_parts(r)
             if parts:
                 D[i][j] = Scalar.from_laurent(
-                    LaurentPoly({Monomial(s * k, 0): s * c for k, c in parts.items()}))
+                    LaurentPoly({(s * k, 0): s * c for k, c in parts.items()}))
                 bars[i] = D[i][j].bar()
     return D

@@ -4,12 +4,13 @@ Everything downstream (symmetric functions, Fock coefficients, stable-basis
 tables) is computed over the field Q(q, t), represented exactly.  Exponents
 are rationals, not integers: renormalization factors such as chi^(1/2) and
 the torus identification q1 = q*t, q2 = q*t^(-1) force powers like q^(1/2)
-into the picture, so a monomial is a pair of Fraction exponents and no root
-variables are ever introduced.  Coefficients follow the same rule as
-exponents: a plain int when integral, a Fraction only when not (the 1/z_mu
-of the power-sum basis, say), so the integral polynomials that dominate
-every hot path never enter Fraction arithmetic, and the integer gcd and
-exact division take them without a conversion.
+into the picture, so a monomial q^a t^b is its exponent pair (a, b), a
+plain tuple in lex order, and no root variables are ever introduced.
+Coefficients follow the same rule as exponents: a plain int when integral,
+a Fraction only when not (the 1/z_mu of the power-sum basis, say), so the
+integral polynomials that dominate every hot path never enter Fraction
+arithmetic, and the integer gcd and exact division take them without a
+conversion.
 
 Two coordinate frames share this representation.  Internally all modules
 work in the (q, t) frame, where the constructors :func:`q1` and :func:`q2`
@@ -41,10 +42,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd, lcm
-from typing import Callable, NamedTuple
 
 __all__ = [
-    "Monomial",
     "LaurentPoly",
     "Scalar",
     "q1",
@@ -64,7 +63,7 @@ def _exact(x):
     binary value (Fraction(0.1) is not 1/10), and a str is not a number.
 
     int and Fraction compare and hash consistently, so mixing them in
-    Monomial keys is safe; keeping the (overwhelmingly common) integers as
+    exponent pairs is safe; keeping the (overwhelmingly common) integers as
     machine ints avoids Fraction overhead in hot paths.
     """
     if isinstance(x, int):
@@ -92,34 +91,26 @@ def _norm(terms: dict) -> dict:
     return terms
 
 
-class Monomial(NamedTuple):
-    """q^exp_q * t^exp_t with rational exponents; lex order = tuple order."""
-
-    exp_q: object  # int | Fraction
-    exp_t: object
-
-    def inv(self) -> "Monomial":
-        return Monomial(-self.exp_q, -self.exp_t)
-
-
-_UNIT = Monomial(0, 0)
+_UNIT = (0, 0)
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: finite map Monomial -> coefficient, no zeros.
+    """Sparse Laurent polynomial: finite map monomial -> coefficient, no zeros.
 
-    A coefficient is a plain int when it is integral and a Fraction only
-    when it is not, _exact's normal form; every operation keeps it, so
-    integral polynomials never touch Fraction arithmetic.  The constructor
-    takes each key's exponents and each coefficient through _exact once;
-    _exact keeps values, so no two keys of one dict can collide.
+    A monomial q^exp_q t^exp_t is its exponent pair (exp_q, exp_t), a plain
+    tuple, so lex order is tuple order.  A coefficient is a plain int when
+    it is integral and a Fraction only when it is not, _exact's normal form;
+    every operation keeps it, so integral polynomials never touch Fraction
+    arithmetic.  The constructor takes each key's exponents and each
+    coefficient through _exact once; _exact keeps values, so no two keys of
+    one dict can collide.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        pairs = ((Monomial(_exact(m[0]), _exact(m[1])), _exact(c))
-                 for m, c in (terms or {}).items())
+        pairs = (((_exact(eq), _exact(et)), _exact(c))
+                 for (eq, et), c in (terms or {}).items())
         self._terms = {m: c for m, c in pairs if c}
 
     # -- constructors ------------------------------------------------------
@@ -152,7 +143,7 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def leading(self) -> tuple[Monomial, int | Fraction]:
+    def leading(self) -> tuple[tuple, int | Fraction]:
         """Lex-largest term; errors on zero."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
@@ -196,7 +187,7 @@ class LaurentPoly:
                 eq, et = aq + bq, at + bt
                 if type(eq) is not int or type(et) is not int:  # two Fractions may sum to k/1
                     eq, et = _exact(eq), _exact(et)
-                m = Monomial(eq, et)
+                m = (eq, et)
                 s = out.get(m)
                 if s is None:
                     out[m] = c1 * c2
@@ -208,13 +199,14 @@ class LaurentPoly:
                         del out[m]
         return _poly(_norm(out))
 
-    def mul_term(self, coeff, mono: Monomial) -> "LaurentPoly":
-        """self * coeff * mono, for a nonzero coeff."""
+    def mul_term(self, coeff, mono: tuple) -> "LaurentPoly":
+        """self * coeff * mono, for a nonzero coeff and an exponent pair mono."""
         coeff = _exact(coeff)
-        if type(mono.exp_q) is not int or type(mono.exp_t) is not int:
+        mq, mt = mono
+        if type(mq) is not int or type(mt) is not int:
             return self * _poly({mono: coeff})  # __mul__ normalizes summed Fractions
-        return _poly(_norm({Monomial(m.exp_q + mono.exp_q, m.exp_t + mono.exp_t): c * coeff
-                            for m, c in self._terms.items()}))
+        return _poly(_norm({(eq + mq, et + mt): c * coeff
+                            for (eq, et), c in self._terms.items()}))
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division of a nonzero self; ArithmeticError when divisor
@@ -238,35 +230,34 @@ class LaurentPoly:
             raise ArithmeticError("exact_div: not a divisor")
         return _unintize(
             Q, dq, dt, _div(ps, ds),
-            Monomial(_exact(psh.exp_q - dsh.exp_q), _exact(psh.exp_t - dsh.exp_t)),
+            (_exact(psh[0] - dsh[0]), _exact(psh[1] - dsh[1])),
         )
 
     # -- structure ---------------------------------------------------------
 
-    def map_exponents(self, f: Callable[[Monomial], Monomial]) -> "LaurentPoly":
-        """self with each monomial m moved to f(m), for an f that is one to one
-        on the support and keeps exponents in normal form (a sign flip does)."""
+    def map_exponents(self, f) -> "LaurentPoly":
+        """self with each exponent pair m moved to the pair f(m), for an f that is
+        one to one on the support and keeps exponents in normal form (a sign
+        flip does)."""
         return _poly({f(m): c for m, c in self._terms.items()})
 
-    def content_monomial(self) -> Monomial:
+    def content_monomial(self) -> tuple:
         """Componentwise minimum of exponents (the dividing monomial)."""
         if not self._terms:
             raise ValueError("zero polynomial has no content")
-        return Monomial(
-            min(m.exp_q for m in self._terms),
-            min(m.exp_t for m in self._terms),
-        )
+        qs, ts = zip(*self._terms)
+        return min(qs), min(ts)
 
     def t_degree_range(self) -> tuple[Fraction, Fraction]:
         if not self._terms:
             raise ValueError("t_degree_range of zero polynomial")
-        degs = [m.exp_t for m in self._terms]
+        degs = [et for _, et in self._terms]
         return min(degs), max(degs)
 
     def q_degree_range(self) -> tuple[Fraction, Fraction]:
         if not self._terms:
             raise ValueError("q_degree_range of zero polynomial")
-        degs = [m.exp_q for m in self._terms]
+        degs = [eq for eq, _ in self._terms]
         return min(degs), max(degs)
 
     # -- identity ----------------------------------------------------------
@@ -283,9 +274,8 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         parts = []
-        for m in sorted(self._terms, reverse=True):
-            c = self._terms[m]
-            body = f"q^({m.exp_q})*t^({m.exp_t})"
+        for (eq, et), c in sorted(self._terms.items(), reverse=True):
+            body = f"q^({eq})*t^({et})"
             if not parts:
                 parts.append(f"{c}*{body}")
             elif c < 0:
@@ -302,7 +292,8 @@ class LaurentPoly:
 
 
 def _poly(terms: dict) -> LaurentPoly:
-    """Wrap a term dict that is already clean: Monomial keys, no zero coefficients."""
+    """Wrap a term dict that is already clean: keys are exponent pairs
+    (exp_q, exp_t) in normal form, no coefficient is zero."""
     r = LaurentPoly.__new__(LaurentPoly)
     r._terms = terms
     return r
@@ -347,17 +338,17 @@ _ONE = _poly({_UNIT: 1})  # shared: no method mutates _terms
 def _intize(p: LaurentPoly, dq: int, dt: int):
     """Clear p to a primitive integer dict {(u, v): int}.
 
-    p == scale * q^(shift.exp_q) * t^(shift.exp_t)
+    p == scale * q^(shift[0]) * t^(shift[1])
                * sum c[(u, v)] q^(u/dq) t^(v/dt)
     with per-variable minima at 0 and integer content 1 (sign of the
     lex-leading coefficient preserved).  Returns (dict, scale, shift), the
     scale an int when p's coefficients are.
     """
     shift = p.content_monomial()
-    sq, st = shift.exp_q, shift.exp_t
+    sq, st = shift
     out = {}
-    for m, c in p._terms.items():
-        out[(int((m.exp_q - sq) * dq), int((m.exp_t - st) * dt))] = c
+    for (eq, et), c in p._terms.items():
+        out[(int((eq - sq) * dq), int((et - st) * dt))] = c
     den = 1
     if not all(type(c) is int for c in out.values()):
         den = lcm(*(c.denominator for c in out.values()))
@@ -368,14 +359,14 @@ def _intize(p: LaurentPoly, dq: int, dt: int):
     return out, _div(ic, den), shift
 
 
-def _unintize(d: dict, dq: int, dt: int, scale, shift: Monomial) -> LaurentPoly:
+def _unintize(d: dict, dq: int, dt: int, scale, shift: tuple) -> LaurentPoly:
     """Inverse of _intize: scale * q^shift * sum d[(u, v)] q^(u/dq) t^(v/dt)."""
-    sq, st = shift.exp_q, shift.exp_t
+    sq, st = shift
     terms = {}
     for (u, v), c in d.items():
         eq = sq + (u if dq == 1 else Fraction(u, dq))
         et = st + (v if dt == 1 else Fraction(v, dt))
-        terms[Monomial(_exact(eq), _exact(et))] = scale * c
+        terms[(_exact(eq), _exact(et))] = scale * c
     return _poly(terms if type(scale) is int else _norm(terms))
 
 
@@ -489,8 +480,8 @@ def _gcd_int(P: dict, Q: dict) -> tuple[dict, dict, dict]:
 
 def _exp_lcms(p: LaurentPoly, q: LaurentPoly) -> tuple[int, int]:
     terms = [*p._terms, *q._terms]
-    return (lcm(*(m.exp_q.denominator for m in terms)),
-            lcm(*(m.exp_t.denominator for m in terms)))
+    return (lcm(*(eq.denominator for eq, _ in terms)),
+            lcm(*(et.denominator for _, et in terms)))
 
 
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -537,7 +528,7 @@ def _unit_leading(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
     m, c = den.leading()
     if c == 1 and m == _UNIT:
         return num, den
-    c, m = _div(1, c), m.inv()
+    c, m = _div(1, c), (-m[0], -m[1])
     return num.mul_term(c, m), den.mul_term(c, m)
 
 
@@ -692,7 +683,7 @@ class Scalar:
         """The bar involution q -> q^(-1) (negates every q-exponent).  It is a
         ring automorphism, so it keeps num and den coprime: the image needs
         only the unit normalization, not a gcd."""
-        f = lambda m: Monomial(-m.exp_q, m.exp_t)
+        f = lambda m: (-m[0], m[1])
         return Scalar(*_unit_leading(self.num.map_exponents(f), self.den.map_exponents(f)),
                       _normalized=True)
 
@@ -715,9 +706,10 @@ class Scalar:
 # ---------------------------------------------------------------------------
 
 
-def q1q2_exponents(m: Monomial) -> tuple[Fraction, Fraction]:
+def q1q2_exponents(m: tuple) -> tuple[Fraction, Fraction]:
     """(a, b) with q^e_q t^e_t = q1^a q2^b: a = (e_q+e_t)/2, b = (e_q-e_t)/2."""
-    return Fraction(m.exp_q + m.exp_t, 2), Fraction(m.exp_q - m.exp_t, 2)
+    eq, et = m
+    return Fraction(eq + et, 2), Fraction(eq - et, 2)
 
 
 def monomial(coeff, exp_q=0, exp_t=0) -> Scalar:

@@ -275,8 +275,8 @@ def _row_terms(table) -> dict:
                     f"cannot cross a wall from a table whose entry {la}|{nu} "
                     f"is not Laurent: {val}"
                 )
-            for mono, coef in val.num.terms().items():
-                terms.append((nu, mono.exp_q, mono.exp_t, coef))
+            for (eq, et), coef in val.num.terms().items():
+                terms.append((nu, eq, et, coef))
         out[la] = terms
     return out
 

@@ -39,7 +39,7 @@ from .partitions import (
     n_stat,
     removable_ribbons,
 )
-from .scalars import LaurentPoly, Monomial, Scalar, one, q1, q2, rational, zero
+from .scalars import LaurentPoly, Scalar, one, q1, q2, rational, zero
 
 BASES = ("m", "p", "s", "Htilde")
 
@@ -205,7 +205,7 @@ def _Htilde_in_m(mu: Partition) -> dict:
     Htilde_mu with q1 and q2 swapped (t -> 1/t): one of mu, mu' is walked.
     """
     if conjugate(mu) > mu:
-        flip = lambda m: Monomial(m.exp_q, -m.exp_t)
+        flip = lambda m: (m[0], -m[1])
         return {nu: Scalar.from_laurent(c.num.map_exponents(flip))
                 for nu, c in _Htilde_in_m(conjugate(mu)).items()}
     cells = sorted(boxes(mu), key=lambda c: (-c[1], c[0]))

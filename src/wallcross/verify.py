@@ -83,8 +83,8 @@ def conjecture_check(n: int, wall) -> dict:
     order = enumerate_partitions(n)
     for row in R:
         for val in row:
-            for mono in val.num.terms():
-                if mono.exp_t != 0:
+            for _, et in val.num.terms():
+                if et != 0:
                     return _report(
                         "conjecture", params, "mismatch",
                         {"reason": "renormalized entry not t-free", "entry": str(val)},
@@ -243,15 +243,15 @@ def _series_coefficients(val: Scalar, order: int) -> dict:
     den = val.den.terms()
     if any(x.denominator != 1 for m in (*val.num.terms(), *den) for x in q1q2_exponents(m)):
         raise ValueError("fractional exponent")
-    c = min(den)
-    if any(abs(m.exp_t - c.exp_t) > m.exp_q - c.exp_q for m in den):
+    cq, ct = min(den)
+    if any(abs(et - ct) > eq - cq for eq, et in den):
         raise ValueError("denominator has no dominant corner")
 
     def cut(p, top):
-        return LaurentPoly({m: v for m, v in p.terms().items() if m.exp_q <= top})
+        return LaurentPoly({m: v for m, v in p.terms().items() if m[0] <= top})
 
     # 1/den = unit * sum_j rest^j, every term of rest of positive degree
-    unit = LaurentPoly.term(Fraction(1, den[c]), -c.exp_q, -c.exp_t)
+    unit = LaurentPoly.term(Fraction(1, den[cq, ct]), -cq, -ct)
     rest = LaurentPoly.one() - val.den * unit
     series = power = LaurentPoly.one()
     for _ in range(order):
@@ -260,7 +260,7 @@ def _series_coefficients(val: Scalar, order: int) -> dict:
             break
         series = series + power
     num = val.num * unit
-    low = min((m.exp_q for m in num.terms()), default=0)
+    low = min((eq for eq, _ in num.terms()), default=0)
     out = cut(num * series, low + order).terms()
     return {tuple(map(int, q1q2_exponents(m))): out[m] for m in sorted(out)}
 
@@ -335,7 +335,7 @@ def _normalize_top(f: SymFunc) -> SymFunc:
     cs = terms.values()
     content = Fraction(math.gcd(*(c.numerator for c in cs)),
                        math.lcm(*(c.denominator for c in cs)))
-    lead = terms[min(terms, key=lambda m: (m.exp_q, m.exp_t))]
+    lead = terms[min(terms)]
     if lead < 0:
         content = -content
     return f.scale(one() / monomial(content, amin + bmin, amin - bmin))

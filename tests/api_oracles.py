@@ -34,7 +34,6 @@ from wallcross.fock import _add_term, apply_V
 from wallcross.partitions import Partition, arm, boxes, chi, enumerate_partitions, i_nodes, leg
 from wallcross.scalars import (
     LaurentPoly,
-    Monomial,
     Scalar,
     _exact,
     monomial,
@@ -85,11 +84,11 @@ def bracket(char: LaurentPoly) -> Scalar:
     """
     out = one()
     for m, c in char.terms().items():
-        if m == Monomial(Fraction(0), Fraction(0)):
+        if m == (0, 0):
             raise ValueError("bracket of a character containing the trivial weight")
         if c.denominator != 1:
             raise ValueError(f"character multiplicity {c} of {m} is not an integer")
-        factor = one() - monomial(1, -m.exp_q, -m.exp_t)
+        factor = one() - monomial(1, -m[0], -m[1])
         out = out * factor ** int(c)
     return out
 
@@ -367,9 +366,9 @@ def change_coordinates(x: Scalar, direction: str) -> Scalar:
     round-trip inverses.
     """
     if direction == "q1q2_to_qt":
-        f = lambda m: Monomial(_exact(m.exp_q + m.exp_t), _exact(m.exp_q - m.exp_t))
+        f = lambda m: (_exact(m[0] + m[1]), _exact(m[0] - m[1]))
     elif direction == "qt_to_q1q2":
-        f = lambda m: Monomial(*map(_exact, q1q2_exponents(m)))
+        f = lambda m: tuple(map(_exact, q1q2_exponents(m)))
     else:
         raise ValueError("direction must be 'q1q2_to_qt' or 'qt_to_q1q2'")
     return Scalar(x.num.map_exponents(f), x.den.map_exponents(f))

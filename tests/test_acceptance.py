@@ -203,7 +203,7 @@ def test_criterion_4c_macdonald_stack(capsys):
                     assert d.is_laurent(), (la, mu)
                     for m, coef in d.num.terms().items():
                         assert coef > 0 and coef.denominator == 1, (la, mu)
-                        assert m.exp_q >= 0 and m.exp_t >= 0, (la, mu)
+                        assert m[0] >= 0 and m[1] >= 0, (la, mu)
         rng = random.Random(20260822)
         for n in (1, 2, 3, 4):
             for _ in range(3):

@@ -26,7 +26,7 @@ import pytest
 
 from wallcross import verify
 from wallcross.partitions import conjugate
-from wallcross.scalars import Monomial, Scalar
+from wallcross.scalars import Scalar
 from wallcross.symfunc import s_
 
 from api_oracles import nabla, omega
@@ -55,7 +55,7 @@ def standard_tableaux(la):
 
 def swap_q1_q2(c):
     # q1^x q2^y is q^(x+y) t^(x-y), so q1 <-> q2 is t -> 1/t
-    f = lambda m: Monomial(m.exp_q, -m.exp_t)
+    f = lambda m: (m[0], -m[1])
     return Scalar(c.num.map_exponents(f), c.den.map_exponents(f))
 
 

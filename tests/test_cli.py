@@ -4,6 +4,7 @@ Everything runs through subprocess so the tests see exactly what a user
 sees, including stderr diagnostics and exit codes.
 """
 
+import argparse
 import ast
 import hashlib
 import json
@@ -253,6 +254,13 @@ STDOUT_SHA256 = {
         "34b57c13e8011eedb9830fb706caeeb390fc08c7d546c2e29f6a5647b2244b75",
     ("positivity", "--n", "2", "--slope", "1/2", "--format", "csv"):
         "3599528eb6386048530ac43648dce12c36f9ed422c4c5edb276422309ee2a5cf",
+    # outputs that read monomial keys through sort orders and minima
+    ("canonical", "--n", "6", "--b", "3", "--side", "-"):
+        "17df34e4c64013d787664361178dc851fa6dce43d8a3dbc5449627558068594b",
+    ("positivity", "--n", "4", "--slope", "2/3"):
+        "d9d27648a4de463267ddd4b7265cbe2daf10d4ed4d9377433b1beab2e16f17d9",
+    ("macdonald", "--n", "4", "--format", "latex"):
+        "e3121dcb29a371a9fd78364f8c8a8649bed9b98e3069b72a681b4ff83c776a7f",
 }
 
 
@@ -320,6 +328,32 @@ def test_entry_from_other_code_is_a_miss(tmp_path):
     # the same entry under this code's own key is served
     cache.store(str(tmp_path), key, {"text": "old\n", "code": 0})
     assert run_cli("fock-bar", "--n", "2", "--b", "2", cache_dir=tmp_path).stdout == "old\n"
+
+
+# one invocation of each cached command, every parameter given a value
+CACHED_INVOCATIONS = {
+    "macdonald": ["--n", "3"],
+    "fock-bar": ["--n", "3", "--b", "2"],
+    "canonical": ["--n", "3", "--b", "2", "--side", "-"],
+    "stable": ["--n", "3", "--slope", "1/2", "--side", "-"],
+    "wallcross": ["--n", "3", "--slope", "1/2"],
+}
+
+
+def test_cache_key_names_each_parameter_of_a_cached_command():
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name for name, sp in sub.choices.items() if sp.get_default("cached")} \
+        == set(CACHED_INVOCATIONS)
+    common = {"command", "format", "cache_dir", "no_cache", "jobs", "run", "cached"}
+    for name, argv in CACHED_INVOCATIONS.items():
+        args = parser.parse_args([name, *argv])
+        own = set(vars(args)) - common
+        params = cli._cache_key(args)["params"]
+        assert set(params) == own, name
+        for p in own:
+            v = getattr(args, p)
+            assert params[p] == ([v.numerator, v.denominator] if p == "slope" else v), (name, p)
 
 
 def test_unusable_cache_dir_warns_after_output(tmp_path):

@@ -55,12 +55,21 @@ def both_kernels(compute, monkeypatch):
 
     # _exact normalizes exponents too, but the chamber code ranges over
     # integral exponents, so the reference keeps those as ints: only the
-    # coefficients are Fractions, as in the kernel before
-    monomial_new = scalars.Monomial.__new__
+    # coefficients are Fractions, as in the kernel before.  Every term dict
+    # enters a LaurentPoly through _poly or the constructor, so the keys
+    # are restored there.
+    def int_keys(terms):
+        return {tuple(e.numerator if type(e) is Fraction and e.denominator == 1 else e
+                      for e in m): c for m, c in terms.items()}
 
-    def int_exponents(cls, exp_q, exp_t):
-        return monomial_new(cls, *(e.numerator if type(e) is Fraction and e.denominator == 1
-                                   else e for e in (exp_q, exp_t)))
+    poly_new, init_new = scalars._poly, scalars.LaurentPoly.__init__
+
+    def poly_int(terms):
+        return poly_new(int_keys(terms))
+
+    def init_int(self, terms=None):
+        init_new(self, terms)
+        self._terms = int_keys(self._terms)
 
     _clear_caches()
     try:
@@ -68,7 +77,8 @@ def both_kernels(compute, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(scalars, "_exact", reference_fr)
             m.setattr(scalars, "_norm", lambda terms: terms)
-            m.setattr(scalars.Monomial, "__new__", int_exponents)
+            m.setattr(scalars, "_poly", poly_int)
+            m.setattr(scalars.LaurentPoly, "__init__", init_int)
             _clear_caches()
             ref = compute()
     finally:

@@ -32,7 +32,7 @@ import pytest
 from wallcross import stable as S
 from wallcross import symfunc
 from wallcross.partitions import arm, boxes, conjugate, dominates, enumerate_partitions, leg, n_stat
-from wallcross.scalars import LaurentPoly, Monomial, Scalar, one, q1, q2, rational, zero
+from wallcross.scalars import LaurentPoly, Scalar, one, q1, q2, rational, zero
 from wallcross.symfunc import (
     Ht_,
     SymFunc,
@@ -338,7 +338,7 @@ N6 = enumerate_partitions(6)
 
 def _swap_q1_q2(c: Scalar) -> Scalar:
     # q1 = q t and q2 = q/t, so swapping them inverts t
-    return Scalar.from_laurent(c.num.map_exponents(lambda m: Monomial(m.exp_q, -m.exp_t)))
+    return Scalar.from_laurent(c.num.map_exponents(lambda m: (m[0], -m[1])))
 
 
 def test_Htilde_conjugation_symmetry_n6():

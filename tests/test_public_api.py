@@ -14,6 +14,10 @@ the resolution, so a parameter or a local of the same spelling does not
 count.  A method counts only through an ast.Attribute, since a bare name
 cannot reach it.  Import statements, __all__ strings and docstrings are
 neither, so they never count.
+
+The same scan also reads the imports: every name that an import statement
+binds in a module must be read in that module, as an ast.Name load anywhere
+in it, annotations included.  A stale import is dead code too.
 """
 
 import ast
@@ -89,3 +93,21 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_every_private_top_level_name_has_a_caller_in_the_package():
     unused = _uncalled(private=True)
     assert not unused, f"private functions or classes with no caller in src/: {unused}"
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loads:
+                    unread.append(f"{path.stem}: {name}")
+    assert not unread, f"imported names never read in their module: {unread}"

@@ -10,7 +10,6 @@ from wallcross.fock import bar_matrix
 from wallcross.partitions import enumerate_partitions
 from wallcross.scalars import (
     LaurentPoly,
-    Monomial,
     Scalar,
     laurent_gcd,
     monomial,
@@ -105,7 +104,7 @@ def test_canonical_form_is_representation_independent(a, junk):
 def test_denominator_normalization(a):
     if a:
         m, c = a.den.leading()
-        assert c == 1 and m == Monomial(Fraction(0), Fraction(0))
+        assert c == 1 and m == (0, 0)
         assert laurent_gcd(a.num, a.den).is_one() or a.den.is_one()
     else:
         assert a.den.is_one()
@@ -127,8 +126,8 @@ def _to_sympy(x, qs, ts):
 
     def poly(p):
         acc = sympy.Integer(0)
-        for m, c in p.terms().items():
-            acc += sympy.Rational(c.numerator, c.denominator) * qs ** int(m.exp_q) * ts ** int(m.exp_t)
+        for (eq, et), c in p.terms().items():
+            acc += sympy.Rational(c.numerator, c.denominator) * qs ** int(eq) * ts ** int(et)
         return acc
 
     return poly(x.num) / poly(x.den)
@@ -216,7 +215,7 @@ def bar_by_reduction(a):
     """The route bar() took before: flip q in num and den, then rebuild the
     Scalar, which reduces the image by a gcd before normalizing it."""
     def flip(p):
-        return LaurentPoly({(-m.exp_q, m.exp_t): c for m, c in p.terms().items()})
+        return LaurentPoly({(-eq, et): c for (eq, et), c in p.terms().items()})
     return Scalar(flip(a.num), flip(a.den))
 
 
@@ -235,25 +234,22 @@ def test_bar_needs_no_gcd(a):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_constructor_normalizes_each_key_and_coefficient_once(data):
-    # distinct exponent pairs, each key spelled as ints, Fractions or a
-    # Monomial of either, so no two keys of the dict are equal
+    # distinct exponent pairs, each exponent spelled as an int or a Fraction,
+    # so no two keys of the dict are equal
     pairs = data.draw(st.lists(st.tuples(exponents, exponents), unique=True, max_size=6))
     spell = {"int": lambda e: e.numerator if e.denominator == 1 else e,
              "fraction": Fraction}
     terms = {}
     for eq, et in pairs:
         kq, kt = (spell[data.draw(st.sampled_from(sorted(spell)))] for _ in range(2))
-        key = (kq(eq), kt(et))
-        if data.draw(st.booleans()):
-            key = Monomial(*key)
-        terms[key] = data.draw(st.one_of(coeffs, st.sampled_from([0, Fraction(0)])))
+        terms[(kq(eq), kt(et))] = data.draw(st.one_of(coeffs, st.sampled_from([0, Fraction(0)])))
     p = LaurentPoly(terms)
     total = LaurentPoly()
     for (eq, et), c in terms.items():
         total = total + LaurentPoly.term(c, eq, et)
     assert p == total
     assert len(p) == sum(1 for c in terms.values() if c)
-    assert all(type(m) is Monomial for m in p.terms())
+    assert all(type(m) is tuple and len(m) == 2 for m in p.terms())
     assert all(type(e) is int or e.denominator != 1 for m in p.terms() for e in m)
     assert_normal_form(p)
 
@@ -368,11 +364,11 @@ def assert_normal_form(*xs):
 @given(laurent_polys(coeffs=int_coeffs), laurent_polys(coeffs=int_coeffs),
        laurent_polys(max_terms=3, allow_zero=False, coeffs=int_coeffs))
 def test_integer_polynomials_keep_int_coefficients(a, b, d):
-    assert_ints(a, b, d, a + b, a - b, -a, a * b, a.mul_term(-3, Monomial(0, 0)),
-                a.mul_term(2, Monomial(1, 0)))
+    assert_ints(a, b, d, a + b, a - b, -a, a * b, a.mul_term(-3, (0, 0)),
+                a.mul_term(2, (1, 0)))
     if a:  # exact_div takes a nonzero dividend
-        assert_ints((a * d).exact_div(d), (a * d).exact_div(d.mul_term(-1, Monomial(0, 0))))
-    assert_ints(d.mul_term(-1, Monomial(-2, -1)))  # d / (-q^2 t)
+        assert_ints((a * d).exact_div(d), (a * d).exact_div(d.mul_term(-1, (0, 0))))
+    assert_ints(d.mul_term(-1, (-2, -1)))  # d / (-q^2 t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,9 +384,9 @@ def test_monic_fractions_keep_int_coefficients(n1, d1, n2, d2):
 @given(scalars(), scalars(), laurent_polys(), laurent_polys(max_terms=3, allow_zero=False))
 def test_mixed_coefficients_are_fractions_only_when_not_integral(a, b, p, d):
     assert_normal_form(a, b, a + b, a - b, a * b, p, d, p + d, p - d, p * d,
-                       (p * d).exact_div(d) if p else p, p.mul_term(Fraction(2, 3), Monomial(0, 0)),
-                       p.mul_term(Fraction(3, 2), Monomial(0, 0)),
-                       p.mul_term(Fraction(1, 2), Monomial(0, 1)),
+                       (p * d).exact_div(d) if p else p, p.mul_term(Fraction(2, 3), (0, 0)),
+                       p.mul_term(Fraction(3, 2), (0, 0)),
+                       p.mul_term(Fraction(1, 2), (0, 1)),
                        a.bar(), change_coordinates(a, "qt_to_q1q2"))
     if b:
         assert_normal_form(a / b)
@@ -431,7 +427,7 @@ def test_integral_inputs_become_ints():
 
 def test_integral_exponent_sums_become_ints():
     half = LaurentPoly.term(1, Fraction(1, 2), Fraction(-3, 2))
-    for p in (half * half, half.mul_term(2, Monomial(Fraction(1, 2), Fraction(1, 2))),
+    for p in (half * half, half.mul_term(2, (Fraction(1, 2), Fraction(1, 2))),
               (half + LaurentPoly.one()) * half):
         assert all(type(e) is int or e.denominator != 1 for m in p.terms() for e in m), p
 
@@ -457,7 +453,7 @@ def scalar_pairs(draw):
         return a, draw(scalars())
     k = draw(laurent_polys(max_terms=2, allow_zero=False))
     sign = draw(st.sampled_from([1, -1]))
-    return a, Scalar(a.num * k.mul_term(sign, Monomial(0, 0)), a.den * k)
+    return a, Scalar(a.num * k.mul_term(sign, (0, 0)), a.den * k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -619,3 +615,33 @@ def test_doctests(module, examples):
     results = doctest.testmod(importlib.import_module(f"wallcross.{module}"))
     # a module that lost its examples would also report 0 failed
     assert results.failed == 0 and results.attempted >= examples
+
+
+def _pipeline_scalars():
+    """(label, Scalars) from the seed, the crossings, the Fock bar matrices,
+    a canonical basis and a printed basis: every layer that builds keys."""
+    from wallcross import stable
+    from wallcross.fock import canonical_basis
+
+    yield "seed_slope0(5)", [x for row in stable.seed_slope0(5).gamma for x in row]
+    seed, walls = stable._sweep(5)
+    yield "_sweep(5) seed", [x for row in seed.gamma for x in row]
+    for w, factor, table in walls:
+        yield f"_sweep(5) at {w}", [x for M in (factor, table.gamma) for row in M for x in row]
+    for b in range(2, 5):
+        yield f"bar_matrix(6, {b})", [x for row in bar_matrix(6, b) for x in row]
+    yield "canonical_basis(5, 3, -)", [x for row in canonical_basis(5, 3, "-") for x in row]
+    printed = stable.printed_basis(4, (Fraction(2, 3), 1))
+    yield "printed_basis(4, 2/3+)", [x for f in printed.values() for x in f.coeffs.values()]
+
+
+def test_every_key_is_a_plain_exponent_pair_in_normal_form():
+    # a monomial q^a t^b is the plain tuple (a, b), each exponent an int when
+    # integral and a Fraction only when not
+    for label, values in _pipeline_scalars():
+        assert values, label
+        for v in values:
+            for m in (*v.num.terms(), *v.den.terms()):
+                assert type(m) is tuple and len(m) == 2, (label, m)
+                assert all(type(e) is int or (type(e) is Fraction and e.denominator != 1)
+                           for e in m), (label, m)

@@ -3,7 +3,7 @@
 verify._series_coefficients expands a Schur coefficient as a (q1, q2)-power
 series with LaurentPoly arithmetic: q1^a q2^b = q^(a+b) t^(a-b), so the
 total degree of a term is its q-exponent, truncation is a filter on it and
-the denominator's corner is its least Monomial.  The route it replaced
+the denominator's corner is its least exponent pair.  The route it replaced
 converted every term to an (a, b) key and multiplied dicts; it is kept
 below verbatim (renamed series_oracle), and the two must agree exactly (dict
 equality, including the ValueError message when a coefficient is skipped)

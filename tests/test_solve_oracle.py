@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wallcross import linalg, stable
 from wallcross.partitions import content_sum, dominates, enumerate_partitions
-from wallcross.scalars import Monomial, monomial, zero
+from wallcross.scalars import monomial, zero
 from wallcross.stable import StableTable, degree_window
 
 from api_oracles import dict_layout, row_layout, unit_plus
@@ -103,7 +103,7 @@ def _solve_row(table, la, partners, target, qlo, qhi):
             if (j - tau) % 2 == 0:  # Laurent in q1, q2 forces this parity
                 unknowns.append((mu, tau, j))
     # accumulate the symbolic row: monomial -> (const, {unknown-index: coeff})
-    sym = {}  # nu -> {Monomial: [Fraction, dict]}
+    sym = {}  # nu -> {(exp_q, exp_t): [Fraction, dict]}
     for nu, val in table.gamma.get(la, {}).items():
         cell = sym.setdefault(nu, {})
         for mono, coef in val.num.terms().items():
@@ -112,14 +112,14 @@ def _solve_row(table, la, partners, target, qlo, qhi):
         for nu, val in table.gamma.get(mu, {}).items():
             cell = sym.setdefault(nu, {})
             for mono, coef in val.num.terms().items():
-                shifted = Monomial(mono.exp_q + j, mono.exp_t + tau)
+                shifted = (mono[0] + j, mono[1] + tau)
                 slot = cell.setdefault(shifted, [Fraction(0), {}])
                 slot[1][ui] = slot[1].get(ui, Fraction(0)) + coef
     rows, rhs = [], []
     for nu, cell in sym.items():
         wlo, whi = degree_window(la, nu, target)
         for mono, (const, lin) in cell.items():
-            if wlo <= mono.exp_t <= whi:
+            if wlo <= mono[1] <= whi:
                 continue
             rows.append([lin.get(ui, Fraction(0)) for ui in range(len(unknowns))])
             rhs.append(-const)

@@ -33,7 +33,7 @@ def half(side=1):
 
 
 def tranges(v):
-    es = [m.exp_t for m in v.num.terms()]
+    es = [et for _, et in v.num.terms()]
     return min(es), max(es)
 
 
@@ -455,7 +455,7 @@ def test_renormalized_entries_are_q_only():
     for row in R:
         for val in row:
             for mono in val.num.terms():
-                assert mono.exp_t == 0 and mono.exp_q == int(mono.exp_q)
+                assert mono[1] == 0 and mono[0] == int(mono[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -303,7 +303,7 @@ def test_haiman_positivity_small():
                 assert d.is_laurent(), (la, mu)
                 for m, coef in d.num.terms().items():
                     assert coef.denominator == 1 and coef > 0, (la, mu)
-                    assert m.exp_q >= 0 and m.exp_t >= 0, (la, mu)
+                    assert m[0] >= 0 and m[1] >= 0, (la, mu)
 
 
 # ---------------------------------------------------------------------------
