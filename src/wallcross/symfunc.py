@@ -1,23 +1,25 @@
 """Symmetric functions over exact (q, t) scalars.
 
-A SymFunc keeps its coefficients in its own basis, one of {m, p, s, Htilde}.
-Conversions pass through the power sums, where the classical pairings are
-diagonal, and one routine, _expand, carries both legs.  s uses the
-symmetric-group character table (ribbon recursion), m the multiplication
-rule for m_nu * p_k, both cached per degree.  Htilde's m_nu coefficient
-sums q1^inv q2^maj over the standard fillings whose inverse descent set
-lies in nu's partial sums (Haglund-Haiman-Loehr, J. AMS 18 (2005)), one
-pass over S_n per conjugate pair, so it is an integer polynomial.
-Conversions run into s and p only: nothing needs coordinates in m or Htilde.
+A SymFunc keeps its coefficients in its own basis, p or s, and one
+routine, _expand, carries a conversion either way through the
+symmetric-group character table (ribbon recursion).  m enters only as
+rows: _m_in_p(nu), m_nu in power sums from the inverse of the p -> m
+multiplication rule, and _m_in_s(nu), row nu of the inverse Kostka
+matrix, composed through p once per nu.  Both are cached tables of
+constants.  Htilde_mu's m_nu coefficient sums q1^inv q2^maj over the
+standard fillings whose inverse descent set lies in nu's partial sums
+(Haglund-Haiman-Loehr, J. AMS 18 (2005)), one pass over S_n per conjugate
+pair, so it is an integer polynomial, and Htilde_in_s(mu) contracts those
+coefficients with the inverse Kostka rows.  Htilde is never expanded in p.
 
 Localization.  The Htilde are the fixed-point classes of Hilb_n, and
 restrictions(f, n) reads f at every fixed point through the pairing in
 which the Htilde are orthogonal,
     <p_k, p_k> = (-1)^(k-1) k (1 - q1^k)(1 - q2^k),
 so restrictions(Htilde_mu, n)[la] is [T_la] when la = mu and 0 otherwise.
-It contracts Htilde's m-coefficients with f's pairings against the m_nu,
-so Htilde is never expanded in p.  The slope-0 stable-basis table is read
-this way; nothing is rebuilt from restrictions.
+It contracts Htilde's m-coefficients with f's pairings against the m_nu.
+The slope-0 stable-basis table is read this way; nothing is rebuilt from
+restrictions.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .partitions import (
 )
 from .scalars import LaurentPoly, Scalar, one, q1, q2, rational, zero
 
-BASES = ("m", "p", "s", "Htilde")
+BASES = ("p", "s")
 
 
 def z_stat(mu: Partition) -> int:
@@ -97,12 +99,9 @@ class SymFunc:
     def to_basis(self, basis: str) -> "SymFunc":
         if basis == self.basis:
             return self
-        coeffs = self.coeffs
-        if self.basis != "p":
-            coeffs = _expand(coeffs, lambda la: _to_p(self.basis, la))
-        if basis != "p":
-            coeffs = _expand(coeffs, lambda mu: _p_in_basis(basis, mu))
-        return SymFunc(basis, coeffs)
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        return SymFunc(basis, _expand(self.coeffs, _s_in_p if basis == "p" else _p_in_s))
 
     def __repr__(self):
         terms = ", ".join(f"{la}: {c}" for la, c in sorted(self.coeffs.items(), reverse=True))
@@ -125,16 +124,8 @@ def _dot(a: dict, b: dict) -> Scalar:
     return sum((c * b[k] for k, c in a.items() if k in b), zero())
 
 
-def basis_element(basis: str, la) -> SymFunc:
-    return SymFunc(basis, {tuple(la): one()})
-
-
 def s_(la):
-    return basis_element("s", la)
-
-
-def Ht_(la):
-    return basis_element("Htilde", la)
+    return SymFunc("s", {tuple(la): one()})
 
 
 # ---------------------------------------------------------------------------
@@ -236,39 +227,42 @@ def _Htilde_in_m(mu: Partition) -> dict:
     return out
 
 
-def _m_in_p(la: Partition) -> dict:
-    n = sum(la)
-    order = enumerate_partitions(n)
-    row = _m_to_p_matrix(n)[order.index(la)]
-    return {mu: c for mu, c in zip(order, row) if c}
+@lru_cache(maxsize=None)
+def _m_in_p(nu: Partition) -> dict:
+    """m_nu in power sums: row nu of the inverse of the p -> m matrix."""
+    order = enumerate_partitions(sum(nu))
+    row = _m_to_p_matrix(sum(nu))[order.index(nu)]
+    return {mu: rational(c) for mu, c in zip(order, row) if c}
 
 
 @lru_cache(maxsize=None)
-def _to_p(basis: str, la: Partition) -> dict:
-    """Expansion of the basis element indexed by la in power sums."""
-    la = tuple(la)
-    n = sum(la)
-    if basis == "m":
-        return {mu: rational(c) for mu, c in _m_in_p(la).items()}
-    if basis == "s":
-        return {
-            mu: rational(Fraction(_character(la, mu), z_stat(mu)))
-            for mu in enumerate_partitions(n)
-            if _character(la, mu)
-        }
-    if basis == "Htilde":
-        return _expand(_Htilde_in_m(la), lambda nu: _to_p("m", nu))
-    raise ValueError(f"unknown basis {basis!r}")
+def _s_in_p(la: Partition) -> dict:
+    """s_la in power sums: chi^la(mu) / z_mu."""
+    return {
+        mu: rational(Fraction(_character(la, mu), z_stat(mu)))
+        for mu in enumerate_partitions(sum(la))
+        if _character(la, mu)
+    }
 
 
-def _p_in_basis(basis: str, mu: Partition) -> dict:
-    if basis == "s":
-        return {
-            la: rational(_character(la, mu))
-            for la in enumerate_partitions(sum(mu))
-            if _character(la, mu)
-        }
-    raise ValueError(f"no conversion into the {basis!r} basis")
+def _p_in_s(mu: Partition) -> dict:
+    """p_mu in Schur functions: chi^la(mu)."""
+    return {
+        la: rational(_character(la, mu))
+        for la in enumerate_partitions(sum(mu))
+        if _character(la, mu)
+    }
+
+
+@lru_cache(maxsize=None)
+def _m_in_s(nu: Partition) -> dict:
+    """m_nu in Schur functions: row nu of the inverse Kostka matrix, integers."""
+    return _expand(_m_in_p(nu), _p_in_s)
+
+
+def Htilde_in_s(mu: Partition) -> dict:
+    """[s_la]Htilde_mu for every la: HHL's m-coefficients times inverse Kostka rows."""
+    return _expand(_Htilde_in_m(mu), _m_in_s)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +316,7 @@ def restrictions(f: SymFunc, n: int) -> dict:
     """
     weighted = _mod_weighted(f, n)
     order = enumerate_partitions(n)
-    paired = {nu: _dot(weighted, _to_p("m", nu)) for nu in order}
+    paired = {nu: _dot(weighted, _m_in_p(nu)) for nu in order}
     # prod over boxes of q1^-arm q2^-leg
     return {la: _dot(paired, _Htilde_in_m(la)) * q1(-n_stat(conjugate(la))) * q2(-n_stat(la))
             for la in order}

@@ -8,8 +8,12 @@ and the (q1, q2) frame change take part in none of that, so they live
 here, next to the tests that state their acceptance properties, and are
 built from the package's public layers and a few of its private helpers.
 
-So do the way into m (m_coefficients, from the p -> m rows) and inverse
-localization, the way into Htilde: the tangent character, its bracket
+So do the bases m and Htilde.  The package's SymFunc keeps p or s only;
+here m_nu and Htilde_mu are SymFuncs in p, built by the route that
+Htilde_in_s replaced: HHL's m-coefficients expanded through the m -> p
+rows (_to_p), and coordinates in m or Htilde are plain dicts (convert).
+The way into m is m_coefficients, from the p -> m rows, and the way into
+Htilde is inverse localization: the tangent character, its bracket
 [T_la], from_restrictions (each restriction divided by [T_la]) and the
 conversion of p into Htilde built on them.  printed_expansion
 rebuilds a printed basis element that way from its table row, applies
@@ -46,15 +50,51 @@ from wallcross.scalars import (
 )
 from wallcross.stable import StableTable, seed_normalizer
 from wallcross.symfunc import (
-    Ht_,
+    BASES,
     SymFunc,
+    _expand,
+    _Htilde_in_m,
+    _m_in_p,
     _mod_weight,
     _p_to_m_matrix,
-    basis_element,
     restrictions,
     scale_powersums,
     z_stat,
 )
+
+
+# ---------------------------------------------------------------------------
+# the bases m and Htilde, as power-sum expansions
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _to_p(basis: str, la: Partition) -> dict:
+    """The element la of the m or Htilde basis, expanded in power sums."""
+    if basis == "m":
+        return _m_in_p(la)
+    if basis == "Htilde":
+        return _expand(_Htilde_in_m(la), _m_in_p)
+    raise ValueError(f"unknown basis {basis!r}")
+
+
+def element(basis: str, coeffs: dict) -> SymFunc:
+    """sum over la of coeffs[la] times the element la of basis m, p, s or Htilde."""
+    if basis in BASES:
+        return SymFunc(basis, coeffs)
+    return SymFunc("p", _expand(coeffs, lambda la: _to_p(basis, tuple(la))))
+
+
+def m_(la) -> SymFunc:
+    return element("m", {tuple(la): one()})
+
+
+def Ht_(la) -> SymFunc:
+    return element("Htilde", {tuple(la): one()})
+
+
+def p_(la) -> SymFunc:
+    return SymFunc("p", {tuple(la): one()})
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +142,15 @@ def torus_factor(la: Partition) -> Scalar:
     return bracket(tangent_character(la))
 
 
+def Htilde_coordinates(values: dict) -> dict:
+    """f's Htilde coordinates from its fixed-point restrictions: each
+    restriction divided by [T_la]."""
+    return {tuple(la): v / torus_factor(tuple(la)) for la, v in values.items() if v}
+
+
 def from_restrictions(values: dict) -> SymFunc:
-    """Rebuild f (in the Htilde basis) from its fixed-point restrictions."""
-    out = {}
-    for la, v in values.items():
-        la = tuple(la)
-        if v:
-            out[la] = v / torus_factor(la)
-    return SymFunc("Htilde", out)
-
-
-def p_(la):
-    return basis_element("p", la)
+    """Rebuild f (in p) from its fixed-point restrictions."""
+    return element("Htilde", Htilde_coordinates(values))
 
 
 def omega(f: SymFunc) -> SymFunc:
@@ -124,7 +161,7 @@ def omega(f: SymFunc) -> SymFunc:
 
 
 def _p_in_Htilde(mu: Partition) -> dict:
-    return from_restrictions(restrictions(p_(mu), sum(mu))).coeffs
+    return Htilde_coordinates(restrictions(p_(mu), sum(mu)))
 
 
 def m_coefficients(f: SymFunc) -> dict:
@@ -141,19 +178,14 @@ def m_coefficients(f: SymFunc) -> dict:
     return {la: c for la, c in out.items() if c}
 
 
-def convert(f: SymFunc, basis: str) -> SymFunc:
-    """f.to_basis(basis), with the ways into m and Htilde the package no longer has."""
-    if basis == "m" and f.basis != "m":
-        return SymFunc("m", m_coefficients(f))
-    if basis != "Htilde" or f.basis == "Htilde":
-        return f.to_basis(basis)
-    out: dict = {}
-    for mu, c in f.to_basis("p").coeffs.items():
-        for la, d in _p_in_Htilde(mu).items():
-            acc = out.get(la)
-            v = c * d
-            out[la] = v if acc is None else acc + v
-    return SymFunc("Htilde", out)
+def convert(f: SymFunc, basis: str) -> dict:
+    """f's coefficients in basis m, p, s or Htilde, with the ways into m and
+    Htilde the package does not have."""
+    if basis == "m":
+        return m_coefficients(f)
+    if basis == "Htilde":
+        return _expand(f.to_basis("p").coeffs, _p_in_Htilde)
+    return f.to_basis(basis).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +303,6 @@ def apply_B(k: int, v: dict, b: int) -> dict:
 # pointwise products over fixed points against 1/[T].
 
 
-def m_(la):
-    return basis_element("m", la)
-
-
 def _pair_diag(f: SymFunc, g: SymFunc, weight) -> Scalar:
     a, b = f.to_basis("p").coeffs, g.to_basis("p").coeffs
     small, big = (a, b) if len(a) <= len(b) else (b, a)
@@ -334,8 +362,7 @@ def euler_form(f: SymFunc, g: SymFunc) -> Scalar:
 def nabla(f: SymFunc) -> SymFunc:
     """Diagonal on Htilde: multiplies Htilde_la by the monomial chi(la)."""
     h = convert(f, "Htilde")
-    out = {la: c * chi(la) for la, c in h.coeffs.items()}
-    return SymFunc("Htilde", out).to_basis(f.basis)
+    return element("Htilde", {la: c * chi(la) for la, c in h.items()}).to_basis(f.basis)
 
 
 def integral_form(la) -> SymFunc:

@@ -15,10 +15,11 @@ from wallcross import cache, fock, stable, verify
 from wallcross.linalg import mat_mul
 from wallcross.partitions import b_core, chi, content_sum, enumerate_partitions
 from wallcross.scalars import monomial, one, q1, q2, zero
-from wallcross.symfunc import Ht_, s_
+from wallcross.symfunc import s_
 
 import test_symfunc as sym_helpers
 from api_oracles import (
+    Ht_,
     apply_B,
     apply_e,
     change_coordinates,

@@ -119,6 +119,24 @@ def test_conjecture_check_within_budget(n, budget_s):
     assert elapsed < budget_s, f"conjecture-check --n {n} took {elapsed:.1f} s"
 
 
+def test_macdonald_n8_within_budget():
+    # a fresh process without a cache; about 1.5 s on 2 vCPU, where the
+    # command took 32-41 s through m and p.  The digest is that route's output.
+    start = time.perf_counter()
+    p = run_cli("macdonald", "--n", "8", "--no-cache")
+    elapsed = time.perf_counter() - start
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
+        "d811260d0f488c51aa5eae6f033847b5be5b54a691f5e7f75c526872f538e98c"
+    assert elapsed < 20, f"macdonald --n 8 took {elapsed:.1f} s"
+
+
+def test_conjecture_check_help_names_the_exit_code():
+    # beyond the tabulated range a mismatch exits 0: scripts read each status
+    p = run_cli("conjecture-check", "--help")
+    assert "exits 1 only for n <= 3" in " ".join(p.stdout.split())
+    assert "status" in p.stdout
+
+
 def test_appendix_check_exit_zero(tmp_path):
     p = run_cli("appendix-check", cache_dir=tmp_path)
     assert json.loads(p.stdout)["status"] == "match"
@@ -261,6 +279,14 @@ STDOUT_SHA256 = {
         "d9d27648a4de463267ddd4b7265cbe2daf10d4ed4d9377433b1beab2e16f17d9",
     ("macdonald", "--n", "4", "--format", "latex"):
         "e3121dcb29a371a9fd78364f8c8a8649bed9b98e3069b72a681b4ff83c776a7f",
+    # Htilde in s from HHL's m-coefficients and inverse Kostka rows, pinned to
+    # the output of the route through m and p that it replaced
+    ("macdonald", "--n", "6"):
+        "b87f3be7ffff8c8faedab0a328d194a4d250e5eabdc0d0d288b521525a097067",
+    ("macdonald", "--n", "5", "--format", "csv"):
+        "03a9d626f4890d647d8ad377fc3bf27a08c60b08e8582c088ccf3b49c2752b2e",
+    ("macdonald", "--n", "5", "--format", "latex"):
+        "493e414c1a8f0fcc39aa9a34deab6609508bcd9fb5781d1226cd7f375d0ef6bd",
 }
 
 

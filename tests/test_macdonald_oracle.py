@@ -19,6 +19,12 @@ weighted p-coefficients with Htilde_la expanded in p.  The p route must
 agree exactly with the library on every seed row for n <= 6 and on random
 f for n <= 4.  At n = 8 a budgeted test builds every Htilde_mu cold and
 checks its value at q1 = q2 = 1.
+
+Htilde_in_s contracts HHL's m-coefficients with rows of the inverse Kostka
+matrix.  The route it replaced, Htilde expanded through m into p and then
+into s (api_oracles.Ht_), must equal it exactly for |mu| <= 7, and the
+inverse Kostka rows must be integer rows inverse to the Kostka matrix read
+off the Schur functions' m-coefficients.
 """
 
 import math
@@ -32,21 +38,23 @@ import pytest
 from wallcross import stable as S
 from wallcross import symfunc
 from wallcross.partitions import arm, boxes, conjugate, dominates, enumerate_partitions, leg, n_stat
-from wallcross.scalars import LaurentPoly, Scalar, one, q1, q2, rational, zero
+from wallcross.scalars import LaurentPoly, Scalar, one, q1, q2, zero
 from wallcross.symfunc import (
-    Ht_,
+    Htilde_in_s,
     SymFunc,
     _Htilde_in_m,
     _m_in_p,
+    _m_in_s,
     _mod_weighted,
-    _to_p,
     restrictions,
     s_,
     scale_powersums,
 )
 
 from api_oracles import (
+    Ht_,
     _plain_weight,
+    _to_p,
     convert,
     dict_layout,
     inner_mod,
@@ -79,7 +87,7 @@ def _macdonald_P_in_p(n: int) -> dict:
     done: dict = {}
     norms: dict = {}
     for la in reversed(order):  # ascending lex: dominance-smaller mu come first
-        v = {mu: rational(c) for mu, c in _m_in_p(la).items() if c}
+        v = dict(_m_in_p(la))
         for mu in done:
             if dominates(la, mu) and mu != la:
                 num = _inner_p_plain(v, done[mu])
@@ -250,8 +258,7 @@ def test_P_matches_gram_schmidt(mu):
     "mu", [mu for n in range(6) for mu in enumerate_partitions(n)], ids=str
 )
 def test_Htilde_coordinates_match_back_substitution(mu):
-    got = convert(SymFunc("p", {mu: one()}), "Htilde")
-    assert got.coeffs == old_p_in_Htilde(mu)
+    assert convert(p_(mu), "Htilde") == old_p_in_Htilde(mu)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -317,16 +324,51 @@ def test_seed_matches_p_route(n, monkeypatch):
 
 
 def test_seed_never_expands_Htilde_in_p(monkeypatch):
-    symfunc._to_p.cache_clear()
-    real, bases = symfunc._to_p, []
+    # the seed's only expansions are its f's, from s into p: Htilde's
+    # m-coefficients enter restrictions as dot products and nothing else
+    real, tables = symfunc._expand, []
 
-    def spy(basis, la):
-        bases.append(basis)
-        return real(basis, la)
+    def spy(coeffs, table):
+        tables.append(table)
+        return real(coeffs, table)
 
-    monkeypatch.setattr(symfunc, "_to_p", spy)
+    monkeypatch.setattr(symfunc, "_expand", spy)
     S.seed_slope0(5)
-    assert bases and "Htilde" not in bases
+    assert tables and set(tables) == {symfunc._s_in_p}
+
+
+# ---------------------------------------------------------------------------
+# Htilde in s: inverse Kostka rows against the route through m and p
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mu", [mu for n in range(7) for mu in enumerate_partitions(n)], ids=str
+)
+def test_Htilde_in_s_matches_four_basis_route(mu):
+    assert Htilde_in_s(mu) == Ht_(mu).to_basis("s").coeffs
+
+
+def test_Htilde_in_s_matches_four_basis_route_n7():
+    # the slowest of these checks: about 1 s in-process on 2 vCPU
+    for mu in enumerate_partitions(7):
+        assert Htilde_in_s(mu) == Ht_(mu).to_basis("s").coeffs, mu
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_inverse_kostka_rows(n):
+    # K_la,ka = [m_ka]s_la, so sum over la of (K^-1)_nu,la K_la,ka is delta
+    order = enumerate_partitions(n)
+    kostka = {la: m_coefficients(s_(la)) for la in order}
+    for nu in order:
+        row = _m_in_s(nu)
+        for la, c in row.items():
+            terms = c.num.terms()
+            assert c.is_laurent() and list(terms) == [(0, 0)], (nu, la)
+            assert type(terms[(0, 0)]) is int, (nu, la)
+        for ka in order:
+            got = sum((c * kostka[la].get(ka, zero()) for la, c in row.items()), zero())
+            assert got == (one() if ka == nu else zero()), (nu, ka)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ from wallcross.partitions import arm, boxes, conjugate, dominates, enumerate_par
 from wallcross.scalars import monomial, one, q1, q2, rational
 from wallcross.symfunc import (
     BASES,
-    Ht_,
     SymFunc,
-    basis_element,
     restrictions,
     s_,
     scale_powersums,
@@ -28,8 +26,10 @@ from wallcross.symfunc import (
 )
 
 from api_oracles import (
+    Ht_,
     change_coordinates,
     convert,
+    element,
     euler_form,
     from_restrictions,
     inner_mod,
@@ -124,29 +124,41 @@ def test_schur_goldens():
 def test_round_trips_all_bases():
     rng = random.Random(6)
     for n in range(1, 5):
+        for src in BASES:
+            f = random_symfunc(n, rng, src)
+            tgt, = (b for b in BASES if b != src)
+            back = f.to_basis(tgt).to_basis(src)
+            assert back.basis == src and back.coeffs == f.coeffs, (src, n)
+
+
+def test_oracle_round_trips_four_bases():
+    # m and Htilde exist only on the oracle side, as power-sum expansions
+    bases = ("m", "p", "s", "Htilde")
+    rng = random.Random(6)
+    for n in range(1, 5):
         for la in enumerate_partitions(n):
-            for src in BASES:
-                f = basis_element(src, la)
-                tgt = rng.choice([b for b in BASES if b != src])
-                assert convert(convert(f, tgt), src) == f, (src, tgt, la)
+            for src in bases:
+                f = element(src, {la: one()})
+                tgt = rng.choice([b for b in bases if b != src])
+                assert convert(element(tgt, convert(f, tgt)), src) == {la: one()}, (src, tgt, la)
 
 
 def test_no_conversion_into_Htilde():
-    for basis in ("m", "p", "s"):
+    for basis in BASES:
         with pytest.raises(ValueError, match="'Htilde'"):
-            basis_element(basis, (2, 1)).to_basis("Htilde")
+            s_((2, 1)).to_basis(basis).to_basis("Htilde")
 
 
 def test_no_conversion_into_m():
-    for basis in ("p", "s", "Htilde"):
+    for basis in BASES:
         with pytest.raises(ValueError, match="'m'"):
-            basis_element(basis, (2, 1)).to_basis("m")
+            s_((2, 1)).to_basis(basis).to_basis("m")
 
 
 def test_unknown_basis_rejected():
-    assert BASES == ("m", "p", "s", "Htilde")
-    for basis in ("P", "e"):
-        with pytest.raises(ValueError, match="unknown basis"):
+    assert BASES == ("p", "s")
+    for basis in ("P", "e", "m", "Htilde"):
+        with pytest.raises(ValueError, match=f"unknown basis {basis!r}"):
             SymFunc(basis, {})
 
 
@@ -351,7 +363,7 @@ def test_restrictions_skyscraper():
 def test_localization_round_trip():
     rng = random.Random(11)
     for n in range(1, 5):
-        f = convert(random_symfunc(n, rng), "Htilde")
+        f = random_symfunc(n, rng)
         back = from_restrictions(restrictions(f, n))
         assert back == f, n
 
