@@ -3,11 +3,11 @@
 Entries only need +, -, *, /, ** -1, truthiness and ==; Fraction and Scalar
 both qualify.  Matrices are lists of row lists, and every kernel reads only
 nonzeros: mat_mul skips zero entries, mat_inverse updates each row at the
-nonzeros of the pivot row, solve_rational eliminates over sparse rows (dicts
-of their nonzeros) and returns one solution with the nullity, not a basis of
-the null space, and RankAccumulator keeps sparse vectors.  Everything here
-is deterministic: pivot choice is always the first nonzero candidate, so
-results are reproducible across runs.
+nonzeros of the pivot row, solve_rational substitutes and then eliminates
+over sparse rows (dicts of their nonzeros) and returns one solution with the
+nullity, not a basis of the null space, and RankAccumulator keeps sparse
+vectors.  Everything here is deterministic: pivot choice is always the first
+nonzero candidate, so results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -86,24 +86,76 @@ def solve_rational(A, b):
     otherwise, and nullity is the dimension of the homogeneous solution
     space, the number of columns without a pivot.  A may be non-square.
 
-    Gauss-Jordan to reduced row echelon form, pivoting on the first row with
-    a nonzero in the column, over sparse rows: each row of [A | b] is held
-    as a dict of its nonzeros (b at key len(A[0])), so elimination touches
-    only nonzeros.  Entries stay ints until a pivot other than +-1 divides.
+    Substitution first: while some equation has one unknown left, that
+    unknown is fixed and subtracted from the right-hand sides of the other
+    equations that hold it.  A wall crossing's systems are triangular, so
+    substitution alone pins them, with no fill-in; Gauss-Jordan grows
+    Fraction entries across rows that back-substitution never touches.
+    Only the equations that substitution leaves go to _eliminate, over the
+    unknowns still open, in their original order.  The result is what
+    Gauss-Jordan on the whole system gives.  A fixed unknown c has e_c in
+    the row space of A, so c is a pivot of the reduced row echelon form and
+    has one value in every solution; the other pivots are the leftover
+    system's, and the free unknowns are 0 either way.
+    """
+    cols = len(A[0]) if A else 0
+    M = [{c: x for c, x in enumerate(a) if x} for a in A]
+    rhs = list(b)
+    holders = [[] for _ in range(cols)]  # column -> the rows holding it
+    for i, row in enumerate(M):
+        for c in row:
+            holders[c].append(i)
+    particular = [0] * cols
+    fixed = 0
+    queue = [i for i, row in enumerate(M) if len(row) == 1]
+    while queue:
+        i = queue.pop()
+        if len(M[i]) != 1:  # emptied since it was queued
+            continue
+        (c, a), = M[i].items()
+        x = Fraction(rhs[i], a)
+        x = particular[c] = x.numerator if x.denominator == 1 else x
+        fixed += 1
+        rhs[i] = 0
+        for h in holders[c]:
+            f = M[h].pop(c)
+            if h != i:
+                rhs[h] -= f * x
+                if len(M[h]) == 1:
+                    queue.append(h)
+    consistent = not any(r for row, r in zip(M, rhs) if not row)
+    left = [i for i, row in enumerate(M) if row]
+    rank = 0
+    if left:
+        open_cols = sorted({c for i in left for c in M[i]})
+        pivots, rank = _eliminate([M[i] for i in left], [rhs[i] for i in left], open_cols)
+        if pivots is None:
+            consistent = False
+        else:
+            for c, x in pivots.items():
+                particular[c] = x
+    return (particular if consistent else None), cols - fixed - rank
+
+
+def _eliminate(M, rhs, cols):
+    """Gauss-Jordan on the sparse rows M (dicts of their nonzeros, consumed)
+    with right-hand sides rhs, over the columns cols in the order given.
+
+    Returns (pivots, rank): pivots maps each pivot column to its value in
+    the solution whose free unknowns are 0 (None if the system is
+    inconsistent), an int when integral.  Pivots on the first row with a
+    nonzero in the column; entries stay ints until a pivot other than +-1
+    divides.  The right-hand side rides along at key None.
     """
     one = Fraction(1)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = []
-    for i in range(rows):
-        row = {c: x for c, x in enumerate(A[i]) if x}
-        if b[i]:
-            row[cols] = b[i]
-        M.append(row)
+    for row, r in zip(M, rhs):
+        if r:
+            row[None] = r
+    n = len(M)
     pivots = []  # (row, col)
     r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if c in M[i]), None)
+    for c in cols:
+        piv = next((i for i in range(r, n) if c in M[i]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
@@ -128,16 +180,15 @@ def solve_rational(A, b):
                         del row[k]
         pivots.append((r, c))
         r += 1
-        if r == rows:
+        if r == n:
             break
-    nullity = cols - len(pivots)
-    if any(M[i] for i in range(r, rows)):  # only b can be left past the pivots
-        return None, nullity
-    particular = [0] * cols
+    if any(M[i] for i in range(r, n)):  # only the right-hand side can be left
+        return None, len(pivots)
+    values = {}
     for (pr, pc) in pivots:
-        x = M[pr].get(cols, 0)
-        particular[pc] = x if type(x) is int or x.denominator != 1 else x.numerator
-    return particular, nullity
+        x = M[pr].get(None, 0)
+        values[pc] = x if type(x) is int or x.denominator != 1 else x.numerator
+    return values, len(pivots)
 
 
 class RankAccumulator:

@@ -285,7 +285,11 @@ def _solve_row(terms, la, partners, target, qlo, qhi) -> dict:
     """One row of B's strict part, la -> {mu: Scalar}: unknowns over the
     monomial support with q-degrees qlo..qhi, kill equations for out-of-window
     t-powers of the combined row (terms as _row_terms gives them).  Raises
-    ArithmeticError unless the system has exactly one solution."""
+    ArithmeticError unless the system has exactly one solution.
+
+    The systems are triangular: at every wall up to n = 8 some equation is
+    left with one unknown at each step, so solve_rational pins them all by
+    substitution and never eliminates."""
     m, _side = target
     unknowns = []  # (mu, tau, j)
     for mu in partners:

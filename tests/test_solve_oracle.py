@@ -10,6 +10,13 @@ solutions at every candidate wall of the sweep for n <= 5, and
 solve_rational's (particular, nullity) against the dense route's
 (particular, len(nullspace)) on every system the sweeps at n = 2..5 pose and
 on random systems, rank-deficient and inconsistent ones included.
+
+solve_rational now substitutes first and hands only what is left to
+linalg._eliminate, the sparse Gauss-Jordan that used to solve each whole
+system.  Run on the whole system, _eliminate is a second oracle: it must
+agree with solve_rational on every system the sweeps at n = 2..6 pose (the
+dense route takes about 12 s at n = 6, so it stops at 5) and on the random
+systems.
 """
 
 import sys
@@ -209,6 +216,20 @@ def with_nullity(result):
     return part, len(null)
 
 
+def eliminate_whole(A, b):
+    """linalg._eliminate on the whole system, with no substitution first,
+    as (particular, nullity)."""
+    cols = len(A[0]) if A else 0
+    rows = [{c: x for c, x in enumerate(a) if x} for a in A]
+    pivots, rank = linalg._eliminate(rows, list(b), range(cols))
+    if pivots is None:
+        return None, cols - rank
+    part = [0] * cols
+    for c, x in pivots.items():
+        part[c] = x
+    return part, cols - rank
+
+
 def _recording(mp, module, solve):
     """Route module.solve_rational through solve; returns the systems seen,
     each as (A, b, solve's result)."""
@@ -246,22 +267,56 @@ def test_cross_wall_matches_dense_route(n, monkeypatch):
 
 @pytest.fixture(scope="module")
 def sweep_systems():
-    """Every system solve_rational gets from _sweep(n), n = 2..5."""
+    """Every system solve_rational gets from _sweep(n), n = 2..6, by n, and
+    how often solve_rational fell back on _eliminate meanwhile."""
     stable._sweep.cache_clear()
+    by_n, eliminations = {}, []
     with pytest.MonkeyPatch.context() as mp:
         seen = _recording(mp, stable, linalg.solve_rational)
-        for n in range(2, 6):
+        eliminate = linalg._eliminate
+
+        def spy(rows, rhs, cols):
+            eliminations.append(len(rows))
+            return eliminate(rows, rhs, cols)
+
+        mp.setattr(linalg, "_eliminate", spy)
+        for n in range(2, 7):
             stable._sweep(n)
+            by_n[n] = list(seen)
+            seen.clear()
     stable._sweep.cache_clear()
-    return seen
+    return by_n, eliminations
 
 
 def test_solve_matches_dense_on_sweep_systems(sweep_systems):
     # one system per row with partners at each wall; the candidates that
     # are not walls pose none, since the sweep steps over them unsolved
-    assert len(sweep_systems) == 1 + 5 + 14 + 35
-    for A, b, got in sweep_systems:
+    by_n, _ = sweep_systems
+    systems = [system for n in range(2, 6) for system in by_n[n]]
+    assert len(systems) == 1 + 5 + 14 + 35
+    for A, b, got in systems:
         assert got == with_nullity(solve_rational(A, b))
+
+
+def test_solve_matches_elimination_on_sweep_systems(sweep_systems):
+    by_n, _ = sweep_systems
+    assert [len(by_n[n]) for n in range(2, 7)] == [1, 5, 14, 35, 71]
+    for n, systems in by_n.items():
+        for A, b, got in systems:
+            assert got == eliminate_whole(A, b), n
+
+
+def test_sweep_systems_are_solved_by_substitution(sweep_systems):
+    """A recorded finding, not an assumption of the code: every crossing
+    system of the sweeps at n = 2..6 is pinned by substitution alone, so
+    solve_rational never falls back on _eliminate.  This mirrors the
+    Maulik-Okounkov triangularity of stable bases: the degree-window axioms
+    fix each unknown of a row once the ones below it are known.  The n = 8
+    sweep's 340 systems behave the same (measured, not tested: it takes
+    seconds).  _eliminate stays for general systems, which the random
+    systems below reach and check."""
+    _, eliminations = sweep_systems
+    assert eliminations == []
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +354,14 @@ def systems(draw):
 @example(([[0, 0], [0, 0], [0, 0]], [0, 0, 0]))
 @example(([[2, -1], [Fraction(1, 2), 3], [1, 1]], [1, 0, 5]))  # tall, inconsistent
 @example(([[0, 3, 1, 0]], [Fraction(-2, 3)]))
+@example(([[1, 0], [0, 0]], [1, 1]))  # a zero row with b != 0 and no unknown
+@example(([[1, 0, 0], [2, 0, 0], [0, 1, 1]], [1, 3, 0]))  # x0 = 1 and x0 = 3/2
+@example(([[1, 1, 0, 0], [0, 0, 0, 3], [1, 1, 2, 1], [2, 2, 0, 0]],
+          [1, 6, 3, 2]))  # x3 by substitution, the rest by elimination, nullity 1
 def test_solve_matches_dense_on_random_systems(system):
     A, b = system
     got = linalg.solve_rational(A, b)
     assert got == with_nullity(solve_rational(A, b))
+    assert got == eliminate_whole(A, b)
     # the particular solution comes in normal form: an int when integral
     assert got[0] is None or all(type(x) is int or x.denominator != 1 for x in got[0])
