@@ -3,11 +3,12 @@
 Entries only need +, -, *, /, ** -1, truthiness and ==; Fraction and Scalar
 both qualify.  Matrices are lists of row lists, and every kernel reads only
 nonzeros: mat_mul skips zero entries, mat_inverse updates each row at the
-nonzeros of the pivot row, solve_rational substitutes and then eliminates
-over sparse rows (dicts of their nonzeros) and returns one solution with the
-nullity, not a basis of the null space, and RankAccumulator keeps sparse
-vectors.  Everything here is deterministic: pivot choice is always the first
-nonzero candidate, so results are reproducible across runs.
+nonzeros of the pivot row, solve_rational substitutes over sparse rows
+(dicts of their nonzeros), raises ArithmeticError on a system that
+substitution cannot pin, and returns one solution with the nullity, not a
+basis of the null space, and RankAccumulator keeps sparse vectors.
+Everything here is deterministic: pivot choice is always the first nonzero
+candidate, so results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -79,24 +80,22 @@ def mat_inverse(A, one, zero):
 
 
 def solve_rational(A, b):
-    """Solve A x = b over Fraction or int entries.
+    """Solve A x = b over Fraction or int entries by substitution alone.
 
     Returns (particular, nullity): particular is one solution (None if the
     system is inconsistent), each entry an int when integral and a Fraction
     otherwise, and nullity is the dimension of the homogeneous solution
-    space, the number of columns without a pivot.  A may be non-square.
+    space.  A may be non-square.
 
-    Substitution first: while some equation has one unknown left, that
-    unknown is fixed and subtracted from the right-hand sides of the other
-    equations that hold it.  A wall crossing's systems are triangular, so
-    substitution alone pins them, with no fill-in; Gauss-Jordan grows
-    Fraction entries across rows that back-substitution never touches.
-    Only the equations that substitution leaves go to _eliminate, over the
-    unknowns still open, in their original order.  The result is what
-    Gauss-Jordan on the whole system gives.  A fixed unknown c has e_c in
-    the row space of A, so c is a pivot of the reduced row echelon form and
-    has one value in every solution; the other pivots are the leftover
-    system's, and the free unknowns are 0 either way.
+    While some equation has one unknown left, that unknown is fixed and
+    subtracted from the right-hand sides of the other equations that hold
+    it.  A wall crossing's systems are triangular, so this pins them with no
+    fill-in.  If an equation still holds an unknown when no equation has one
+    left, the system is not triangular and ArithmeticError says how much is
+    left.  Otherwise every equation is emptied, so the rank is the number of
+    fixed unknowns, the unknowns no equation holds are free (0 in the
+    solution), and the system is inconsistent exactly when an emptied
+    equation keeps a nonzero right-hand side.
     """
     cols = len(A[0]) if A else 0
     M = [{c: x for c, x in enumerate(a) if x} for a in A]
@@ -123,72 +122,12 @@ def solve_rational(A, b):
                 rhs[h] -= f * x
                 if len(M[h]) == 1:
                     queue.append(h)
-    consistent = not any(r for row, r in zip(M, rhs) if not row)
-    left = [i for i, row in enumerate(M) if row]
-    rank = 0
+    left = [row for row in M if row]
     if left:
-        open_cols = sorted({c for i in left for c in M[i]})
-        pivots, rank = _eliminate([M[i] for i in left], [rhs[i] for i in left], open_cols)
-        if pivots is None:
-            consistent = False
-        else:
-            for c, x in pivots.items():
-                particular[c] = x
-    return (particular if consistent else None), cols - fixed - rank
-
-
-def _eliminate(M, rhs, cols):
-    """Gauss-Jordan on the sparse rows M (dicts of their nonzeros, consumed)
-    with right-hand sides rhs, over the columns cols in the order given.
-
-    Returns (pivots, rank): pivots maps each pivot column to its value in
-    the solution whose free unknowns are 0 (None if the system is
-    inconsistent), an int when integral.  Pivots on the first row with a
-    nonzero in the column; entries stay ints until a pivot other than +-1
-    divides.  The right-hand side rides along at key None.
-    """
-    one = Fraction(1)
-    for row, r in zip(M, rhs):
-        if r:
-            row[None] = r
-    n = len(M)
-    pivots = []  # (row, col)
-    r = 0
-    for c in cols:
-        piv = next((i for i in range(r, n) if c in M[i]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        prow = M[r]
-        p = prow[c]
-        if p != 1:
-            inv = -1 if p == -1 else one / p
-            prow = M[r] = {k: x * inv for k, x in prow.items()}
-        for i, row in enumerate(M):
-            f = row.get(c)
-            if f is None or i == r:
-                continue
-            for k, x in prow.items():
-                v = row.get(k)
-                if v is None:
-                    row[k] = -f * x
-                else:
-                    v -= f * x
-                    if v:
-                        row[k] = v
-                    else:
-                        del row[k]
-        pivots.append((r, c))
-        r += 1
-        if r == n:
-            break
-    if any(M[i] for i in range(r, n)):  # only the right-hand side can be left
-        return None, len(pivots)
-    values = {}
-    for (pr, pc) in pivots:
-        x = M[pr].get(None, 0)
-        values[pc] = x if type(x) is int or x.denominator != 1 else x.numerator
-    return values, len(pivots)
+        unknowns = len(set().union(*left))
+        raise ArithmeticError(f"substitution stalls: {len(left)} equations in "
+                              f"{unknowns} unknowns are left, none with one unknown")
+    return (None if any(rhs) else particular), cols - fixed
 
 
 class RankAccumulator:

@@ -69,7 +69,7 @@ from .partitions import (
     ribbon_decomposition,
 )
 from .scalars import Scalar, _exact, monomial, one, q1, q2, zero
-from .symfunc import SymFunc, restrictions, s_, scale_powersums
+from .symfunc import SymFunc, _expand, restrictions, s_, scale_powersums
 
 __all__ = [
     "StableTable",
@@ -287,9 +287,10 @@ def _solve_row(terms, la, partners, target, qlo, qhi) -> dict:
     t-powers of the combined row (terms as _row_terms gives them).  Raises
     ArithmeticError unless the system has exactly one solution.
 
-    The systems are triangular: at every wall up to n = 8 some equation is
-    left with one unknown at each step, so solve_rational pins them all by
-    substitution and never eliminates."""
+    The systems are triangular: at every wall up to n = 10 (measured) some
+    equation is left with one unknown at each step, so solve_rational pins
+    them all by substitution.  It raises if substitution stalls, and so does
+    this, naming the wall and the row."""
     m, _side = target
     unknowns = []  # (mu, tau, j)
     for mu in partners:
@@ -332,7 +333,10 @@ def _solve_row(terms, la, partners, target, qlo, qhi) -> dict:
         rows.append(row)
         rhs.append(-const.get(key, 0))
     if unknowns and rows:
-        part, nullity = solve_rational(rows, rhs)
+        try:
+            part, nullity = solve_rational(rows, rhs)
+        except ArithmeticError as e:
+            raise ArithmeticError(f"no triangular B row for {la} at wall {m}: {e}") from e
     else:  # no unknowns: each equation is a nonzero constant; no equations: all free
         part, nullity = (None, 0) if rows else ([0] * len(unknowns), len(unknowns))
     if part is None:
@@ -549,11 +553,8 @@ def _printed_seed(nu: Partition) -> SymFunc:
 
 def printed_sum(coeffs: dict) -> SymFunc:
     """sum over nu of coeffs[nu] (1 - q2) s_nu[X/(1 - q2)], from the cached seeds."""
-    f = SymFunc("s", {})
-    for nu, c in coeffs.items():
-        if c:
-            f = f + _printed_seed(nu).scale(c)
-    return f
+    return SymFunc("s", _expand({nu: c for nu, c in coeffs.items() if c},
+                                lambda nu: _printed_seed(nu).coeffs))
 
 
 def printed_basis(n: int, slope) -> dict:

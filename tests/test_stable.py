@@ -125,6 +125,20 @@ def test_cross_wall_rejects_non_unique_row():
         S.cross_wall(row_layout(S.StableTable(3, tbl.slope, bad)), F2(1, 6))
 
 
+def test_cross_wall_names_a_stalled_row(monkeypatch):
+    # a system that substitution cannot pin is a finding: the error names
+    # the wall and the row it came from
+    below = S.stable_basis(3, half(-1))
+
+    def stalls(A, b):
+        raise ArithmeticError("substitution stalls: 2 equations in 2 unknowns are left")
+
+    monkeypatch.setattr(S, "solve_rational", stalls)
+    where = re.escape("no triangular B row for (3,) at wall 1/2: substitution stalls")
+    with pytest.raises(ArithmeticError, match=where):
+        S.cross_wall(below, F2(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # degree windows
 # ---------------------------------------------------------------------------
@@ -250,7 +264,7 @@ def test_is_wall():
     assert not S.is_wall(3, F2(5, 6))
 
 
-# For n = 2..8: each wall of the sweep in (0, 1), the conjecture's verdict
+# For n = 2..9: each wall of the sweep in (0, 1), the conjecture's verdict
 # there, and the sha256 of json.dumps(verify.matrix_entries(R), sort_keys=True)
 # for R the renormalized crossing (crossing_digest below).
 WALLS_GOLDEN = json.loads(Path(__file__).with_name("walls_golden.json").read_text())
@@ -264,18 +278,19 @@ def crossing_digest(n, w):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6,
                                pytest.param(7, marks=pytest.mark.slow),
-                               pytest.param(8, marks=pytest.mark.slow)])
+                               pytest.param(8, marks=pytest.mark.slow),
+                               pytest.param(9, marks=pytest.mark.slow)])
 def test_detected_walls_are_denominators_up_to_n(n):
     # A recorded finding, not an assumption of the code: candidate_walls
     # proposes every a/b with b <= n(n-1) that divides a content gap, and
-    # the sweep keeps those where B != 0.  Observed for n <= 8 so far, the
+    # the sweep keeps those where B != 0.  Observed for n <= 9 so far, the
     # kept ones are exactly the a/b in (0, 1) with 2 <= b <= n.
     detected = [w for w, _, _ in S._sweep(n)[1]]
     expected = sorted({F2(a, b) for b in range(2, n + 1) for a in range(1, b)})
     assert detected == expected
     if n > 2:
         assert len(S.candidate_walls(n, 0, 1)) > len(detected)
-    # every detected wall matches the bar involution, which at n = 6..8 is
+    # every detected wall matches the bar involution, which at n = 6..9 is
     # the conjecture's evidence beyond the n <= 5 acceptance sweep; the
     # walls, verdicts and renormalized crossings are pinned in the golden file
     record = [{"wall": f"{w.numerator}/{w.denominator}",
