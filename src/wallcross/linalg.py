@@ -14,6 +14,7 @@ candidate, so results are reproducible across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 __all__ = [
     "mat_mul",
@@ -85,7 +86,7 @@ def solve_rational(A, b):
     Returns (particular, nullity): particular is one solution (None if the
     system is inconsistent), each entry an int when integral and a Fraction
     otherwise, and nullity is the dimension of the homogeneous solution
-    space.  A may be non-square.
+    space.  A may be non-square; the solve reads only its nonzeros.
 
     While some equation has one unknown left, that unknown is fixed and
     subtracted from the right-hand sides of the other equations that hold
@@ -98,7 +99,7 @@ def solve_rational(A, b):
     equation keeps a nonzero right-hand side.
     """
     cols = len(A[0]) if A else 0
-    M = [{c: x for c, x in enumerate(a) if x} for a in A]
+    M = [{c: a[c] for c in compress(range(cols), a)} for a in A]
     rhs = list(b)
     holders = [[] for _ in range(cols)]  # column -> the rows holding it
     for i, row in enumerate(M):

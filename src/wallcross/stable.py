@@ -135,9 +135,13 @@ def _diagonal_t_range(mu: Partition) -> tuple:
     return diagonal_value(mu).t_degree_range()
 
 
-def _phi_prime(f):
-    # p_k -> p_k/(1 - q2^k), the X/(1-q2) plethysm on power sums
-    return scale_powersums(f, lambda k: one() / (one() - q2(k)))
+@functools.cache
+def _phi_factor(k: int) -> Scalar:
+    return one() / (one() - q2(k))  # once per k, not once per power-sum part
+
+
+def _phi_prime(f):  # p_k -> p_k/(1 - q2^k), the X/(1-q2) plethysm on power sums
+    return scale_powersums(f, _phi_factor)
 
 
 def seed_normalizer(la: Partition) -> Scalar:
@@ -290,40 +294,44 @@ def _solve_row(terms, la, partners, target, qlo, qhi) -> dict:
     The systems are triangular: at every wall up to n = 10 (measured) some
     equation is left with one unknown at each step, so solve_rational pins
     them all by substitution.  It raises if substitution stalls, and so does
-    this, naming the wall and the row."""
+    this, naming the wall and the row.
+
+    Whether a term of mu's row shifted by q^j t^tau leaves its window depends
+    on its nu and t-degree, not on j: the window test runs once per partner
+    term, and every q-shift j reuses the short list of terms that leave."""
     m, _side = target
-    unknowns = []  # (mu, tau, j)
-    for mu in partners:
-        # window width equals the mu-diagonal width, so the t-degree of
-        # B_la^mu is forced: (c_la - c_mu) + m*(c_mu - c_la), an integer
-        # because partners have m*(c_la - c_mu) integral
-        dc = content_sum(mu) - content_sum(la)
-        tau = int(-dc + m * dc)
-        for j in range(qlo, qhi + 1):
-            if (j - tau) % 2 == 0:  # Laurent in q1, q2 forces this parity
-                unknowns.append((mu, tau, j))
     # the combined row, keyed by (nu, exp_q, exp_t): its constant part and
     # its linear part {unknown index: coeff}; in-window keys pin nothing
-    nus = {nu for mu in {la, *(mu for mu, _, _ in unknowns)}
-           for nu, _, _, _ in terms.get(mu, ())}
+    nus = {nu for mu in (la, *partners) for nu, _, _, _ in terms.get(mu, ())}
     window = {nu: degree_window(la, nu, target) for nu in nus}
     const = {}
     for nu, eq, et, coef in terms.get(la, ()):
         lo, hi = window[nu]
         if not lo <= et <= hi:
             const[nu, eq, et] = coef
-    lin = {}
-    for ui, (mu, tau, j) in enumerate(unknowns):
+    unknowns, lin = [], {}  # unknowns are (mu, tau, j)
+    for mu in partners:
+        # window width equals the mu-diagonal width, so the t-degree of
+        # B_la^mu is forced: (c_la - c_mu) + m*(c_mu - c_la), an integer
+        # because partners have m*(c_la - c_mu) integral
+        dc = content_sum(mu) - content_sum(la)
+        tau = int(-dc + m * dc)
+        outside = []  # mu's terms shifted by tau that leave their window
         for nu, eq, et, coef in terms.get(mu, ()):
             lo, hi = window[nu]
-            et += tau
-            if lo <= et <= hi:
+            if not lo <= et + tau <= hi:
+                outside.append((nu, eq, et + tau, coef))
+        for j in range(qlo, qhi + 1):
+            if (j - tau) % 2:  # Laurent in q1, q2 forces this parity
                 continue
-            slot = lin.get((nu, eq + j, et))
-            if slot is None:
-                lin[nu, eq + j, et] = {ui: coef}
-            else:
-                slot[ui] = coef  # one row's shifted terms are distinct keys
+            ui = len(unknowns)
+            unknowns.append((mu, tau, j))
+            for nu, eq, et, coef in outside:
+                slot = lin.get((nu, eq + j, et))
+                if slot is None:
+                    lin[nu, eq + j, et] = {ui: coef}
+                else:
+                    slot[ui] = coef  # one row's shifted terms are distinct keys
     # the order of the equations does not change the reduced row echelon form
     rows, rhs = [], []
     for key in [*const, *(key for key in lin if key not in const)]:

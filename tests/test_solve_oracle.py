@@ -19,6 +19,12 @@ with solve_rational on every system the sweeps at n = 2..6 pose (the dense
 route takes about 12 s at n = 6, so it stops at 5) and on the random systems
 that substitution pins.  On a random system, solve_rational raises exactly
 when peeling (below) finds that substitution stalls.
+
+Until the window test was hoisted out of the q-shifts, stable._solve_row
+tested every shifted term of every unknown (mu, tau, j) against its window.
+That body is kept here verbatim as solve_row_per_shift, and on every row of
+the sweeps at n = 2..7 the package must hand solve_rational exactly the
+system it does: the same columns, the same equations in the same order.
 """
 
 import sys
@@ -207,6 +213,82 @@ def cross_wall(table: StableTable, w) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# the per-shift route, verbatim
+# ---------------------------------------------------------------------------
+
+
+def solve_row_per_shift(terms, la, partners, target, qlo, qhi) -> dict:
+    """One row of B's strict part, la -> {mu: Scalar}: unknowns over the
+    monomial support with q-degrees qlo..qhi, kill equations for out-of-window
+    t-powers of the combined row (terms as _row_terms gives them).  Raises
+    ArithmeticError unless the system has exactly one solution.
+
+    The systems are triangular: at every wall up to n = 10 (measured) some
+    equation is left with one unknown at each step, so solve_rational pins
+    them all by substitution.  It raises if substitution stalls, and so does
+    this, naming the wall and the row."""
+    m, _side = target
+    unknowns = []  # (mu, tau, j)
+    for mu in partners:
+        # window width equals the mu-diagonal width, so the t-degree of
+        # B_la^mu is forced: (c_la - c_mu) + m*(c_mu - c_la), an integer
+        # because partners have m*(c_la - c_mu) integral
+        dc = content_sum(mu) - content_sum(la)
+        tau = int(-dc + m * dc)
+        for j in range(qlo, qhi + 1):
+            if (j - tau) % 2 == 0:  # Laurent in q1, q2 forces this parity
+                unknowns.append((mu, tau, j))
+    # the combined row, keyed by (nu, exp_q, exp_t): its constant part and
+    # its linear part {unknown index: coeff}; in-window keys pin nothing
+    nus = {nu for mu in {la, *(mu for mu, _, _ in unknowns)}
+           for nu, _, _, _ in terms.get(mu, ())}
+    window = {nu: degree_window(la, nu, target) for nu in nus}
+    const = {}
+    for nu, eq, et, coef in terms.get(la, ()):
+        lo, hi = window[nu]
+        if not lo <= et <= hi:
+            const[nu, eq, et] = coef
+    lin = {}
+    for ui, (mu, tau, j) in enumerate(unknowns):
+        for nu, eq, et, coef in terms.get(mu, ()):
+            lo, hi = window[nu]
+            et += tau
+            if lo <= et <= hi:
+                continue
+            slot = lin.get((nu, eq + j, et))
+            if slot is None:
+                lin[nu, eq + j, et] = {ui: coef}
+            else:
+                slot[ui] = coef  # one row's shifted terms are distinct keys
+    # the order of the equations does not change the reduced row echelon form
+    rows, rhs = [], []
+    for key in [*const, *(key for key in lin if key not in const)]:
+        row = [0] * len(unknowns)
+        for ui, coef in lin.get(key, {}).items():
+            row[ui] = coef
+        rows.append(row)
+        rhs.append(-const.get(key, 0))
+    if unknowns and rows:
+        try:
+            part, nullity = solve_rational(rows, rhs)
+        except ArithmeticError as e:
+            raise ArithmeticError(f"no triangular B row for {la} at wall {m}: {e}") from e
+    else:  # no unknowns: each equation is a nonzero constant; no equations: all free
+        part, nullity = (None, 0) if rows else ([0] * len(unknowns), len(unknowns))
+    if part is None:
+        raise ArithmeticError(f"axioms unsatisfiable: no B row for {la} at wall {m} "
+                              f"over q-degrees [{qlo}, {qhi}]")
+    if nullity:
+        raise ArithmeticError(f"uniqueness failure at wall {m}, row {la}: solution "
+                              f"space has dimension {nullity}")
+    brow = {}
+    for ui, (mu, tau, j) in enumerate(unknowns):
+        if part[ui]:
+            brow[mu] = brow.get(mu, zero()) + monomial(part[ui], j, tau)
+    return {mu: v for mu, v in brow.items() if v}
+
+
+# ---------------------------------------------------------------------------
 # the sweep: cross_wall and the systems it poses
 # ---------------------------------------------------------------------------
 
@@ -337,6 +419,35 @@ def test_cross_wall_matches_dense_route(n, monkeypatch):
         tbl = new
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_row_systems_match_per_shift_route(n, monkeypatch):
+    # each _solve_row call of the sweep runs solve_row_per_shift too; both
+    # must hand solve_rational the same dense system: the same unknowns as
+    # columns, the same equations in the same order, the same right-hand
+    # side, and both must return the same row of B
+    new_systems = _recording(monkeypatch, stable, linalg.solve_rational)
+    old_systems = _recording(monkeypatch, sys.modules[__name__], linalg.solve_rational)
+    package_row, compared = stable._solve_row, []
+
+    def both(terms, la, partners, target, qlo, qhi):
+        want = solve_row_per_shift(terms, la, partners, target, qlo, qhi)
+        got = package_row(terms, la, partners, target, qlo, qhi)
+        assert got == want, (la, target)
+        assert new_systems == old_systems, (la, target)
+        compared.extend(new_systems)
+        new_systems.clear()
+        old_systems.clear()
+        return got
+
+    monkeypatch.setattr(stable, "_solve_row", both)
+    stable._sweep.cache_clear()
+    try:
+        stable._sweep(n)
+    finally:
+        stable._sweep.cache_clear()
+    assert compared
+
+
 @pytest.fixture(scope="module")
 def sweep_systems():
     """Every system solve_rational gets from _sweep(n), n = 2..6, by n."""
@@ -451,6 +562,8 @@ def triangular_systems(draw):
 @example(([[1, 0, 0], [2, 0, 0], [0, 1, 1]], [1, 3, 0]))  # x0 = 3/2 and x0 = 1, then it stalls
 @example(([[1, 1, 0, 0], [0, 0, 0, 3], [1, 1, 2, 1], [2, 2, 0, 0]],
           [1, 6, 3, 2]))  # x3 by substitution, then it stalls
+@example(([[0] * 137 + [Fraction(-3, 2)] + [0] * 62], [5]))  # one nonzero in 200 columns
+@example(([[1, 2, 0], [0, 0, 0], [0, 1, 0]], [4, 0, 1]))  # a zero row between nonzero rows
 def test_solve_matches_dense_on_random_systems(system):
     A, b = system
     if stalls(A):
