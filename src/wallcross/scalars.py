@@ -210,8 +210,8 @@ class LaurentPoly:
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division of a nonzero self; ArithmeticError when divisor
-        does not divide.  Callers divide by a gcd other than 1 of multi-term
-        polynomials, which has more than one term; a monomial is mul_term's.
+        does not divide.  Its one caller, Scalar.__mul__, divides by a gcd
+        other than 1 of two multi-term polynomials, which has several terms.
 
         Runs at the integer level: both sides are cleared to primitive
         polynomials over Z (common exponent denominators, minima at 0), where
@@ -486,7 +486,7 @@ def _exp_lcms(p: LaurentPoly, q: LaurentPoly) -> tuple[int, int]:
 
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """gcd of nonzero p and q up to units, canonicalized: min exponents 0,
-    leading coefficient 1."""
+    leading coefficient 1.  Scalar.__mul__ is the one caller."""
     if p.is_term() or q.is_term():
         return LaurentPoly.one()
 
@@ -575,32 +575,13 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def _combine(self, other: "Scalar", subtract: bool) -> "Scalar":
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if d1 == d2:
-            num = n1 - n2 if subtract else n1 + n2
-            return Scalar(num, d1)
-        g = laurent_gcd(d1, d2)
-        if g.is_one():
-            a, b = d1, d2  # den = d1*d2; nothing to split off
-        else:
-            a, b = d1.exact_div(g), d2.exact_div(g)
-        lhs, rhs = n1 * b, n2 * a
-        # num != 0: self = +-other would give d1 == d2, as equal values have
-        # equal canonical denominators
-        num = lhs - rhs if subtract else lhs + rhs
-        # any common factor of num and den = g*a*b divides g: a prime of a
-        # (or b) dividing num would divide n1 (or n2), contradicting
-        # reducedness, since a, b and the opposite numerator avoid it
-        if not g.is_one():
-            g2 = laurent_gcd(num, g)
-            if not g2.is_one():
-                num = num.exact_div(g2)
-                g = g.exact_div(g2)
-            a = g * a
-        # with g = 1, d1 and d2 are coprime and lead with the unit term, so
-        # their product is reduced against num and already leads with it
-        return Scalar(*_unit_leading(num, a * b), _normalized=True)
+            return Scalar(n1 - n2 if subtract else n1 + n2, d1)
+        n1, n2 = n1 * d2, n2 * d1  # cross-multiply; the constructor reduces once
+        # beside a Laurent summand, the other's denominator is already reduced
+        return Scalar(n1 - n2 if subtract else n1 + n2, d1 * d2,
+                      _normalized=d1.is_one() or d2.is_one())
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):

@@ -553,16 +553,31 @@ def renormalized_crossing(n: int, w) -> list:
     return _rescale(R, [renorm_factor(la, w) for la in enumerate_partitions(n)])
 
 
+def _poch(u, n: int) -> Scalar:
+    """(u; u)_n = prod over k <= n of (1 - u(k)), u(k) the monomial u^k."""
+    return math.prod((one() - u(k) for k in range(1, n + 1)), start=one())
+
+
+def _cleared_schur(nu: Partition, u) -> SymFunc:
+    """(u; u)_n s_nu[X/(1 - u)] in s, n = |nu|, u(k) the monomial u^k, scaled
+    in p: prod_i (1 - u^mu_i) divides (u; u)_n for every mu |- n (a
+    q-multinomial quotient), so the p -> s step adds Laurent polynomials."""
+    f = scale_powersums(s_(nu), lambda k: one() / (one() - u(k)))
+    return f.scale(_poch(u, sum(nu))).to_basis("s")
+
+
 @functools.cache
 def _printed_seed(nu: Partition) -> SymFunc:
-    """(1 - q2) s_nu[X/(1 - q2)]: the printed element nu at slope 0, in s."""
-    return _phi_prime(s_(nu)).scale(one() - q2(1)).to_basis("s")
+    """The printed element nu at slope 0 times (q2; q2)_n / (1 - q2), in s."""
+    return _cleared_schur(nu, q2)
 
 
 def printed_sum(coeffs: dict) -> SymFunc:
-    """sum over nu of coeffs[nu] (1 - q2) s_nu[X/(1 - q2)], from the cached seeds."""
-    return SymFunc("s", _expand({nu: c for nu, c in coeffs.items() if c},
-                                lambda nu: _printed_seed(nu).coeffs))
+    """sum over nu of coeffs[nu] (1 - q2) s_nu[X/(1 - q2)]: Laurent coeffs add
+    without a gcd against the Laurent seeds, and each sum is divided once."""
+    coeffs = {nu: c for nu, c in coeffs.items() if c}
+    total = SymFunc("s", _expand(coeffs, lambda nu: _printed_seed(nu).coeffs))
+    return total.scale((one() - q2(1)) / _poch(q2, sum(next(iter(coeffs), ()))))
 
 
 def printed_basis(n: int, slope) -> dict:

@@ -21,7 +21,7 @@ from . import fock, stable
 from .linalg import mat_mul
 from .partitions import content_sum, enumerate_partitions, hook_partitions
 from .scalars import LaurentPoly, Scalar, monomial, one, q1, q1q2_exponents, q2, zero
-from .symfunc import SymFunc, s_, scale_powersums
+from .symfunc import SymFunc, s_
 
 __all__ = [
     "conjecture_check",
@@ -304,13 +304,12 @@ def positivity_report(n: int, slope, order: int = 8) -> dict:
 
 
 def verma_character(m, la) -> SymFunc:
-    """t^(-m c_la) (1-t) s_la[X/(1-t)], the graded standard character."""
-    m = Fraction(m)
+    """t^(-m c_la) (1-t) s_la[X/(1-t)], the graded standard character: the
+    Laurent Schur coefficients of (t; t)_n s_la[X/(1-t)], each divided once."""
     la = tuple(la)
-    t = monomial(1, 0, 1)
-    f = scale_powersums(s_(la), lambda k: one() / (one() - monomial(1, 0, k)))
-    pref = monomial(1, 0, -m * content_sum(la)) * (one() - t)
-    return f.scale(pref).to_basis("s")
+    t = lambda k: monomial(1, 0, k)
+    pref = monomial(1, 0, -Fraction(m) * content_sum(la)) * (one() - t(1))
+    return stable._cleared_schur(la, t).scale(pref / stable._poch(t, sum(la)))
 
 
 def _normalize_top(f: SymFunc) -> SymFunc:

@@ -134,6 +134,21 @@ def test_macdonald_n8_within_budget():
     assert elapsed < 20, f"macdonald --n 8 took {elapsed:.1f} s"
 
 
+@pytest.mark.slow
+def test_positivity_n7_within_budget():
+    # a fresh process without a cache; 2.7-3.4 s on 2 vCPU, where the command
+    # took 4.7-5.5 s with a gcd for each addition of printed coefficients
+    start = time.perf_counter()
+    p = run_cli("positivity", "--n", "7", "--slope", "8/7", "--no-cache")
+    elapsed = time.perf_counter() - start
+    assert json.loads(p.stdout) == {
+        "check": "positivity",
+        "params": {"m": "8/7", "n": 7, "order": 8, "side": 1},
+        "status": "match",
+    }
+    assert elapsed < 15, f"positivity --n 7 --slope 8/7 took {elapsed:.1f} s"
+
+
 def test_conjecture_check_help_names_the_exit_code():
     # beyond the tabulated range a mismatch exits 0: scripts read each status
     p = run_cli("conjecture-check", "--help")

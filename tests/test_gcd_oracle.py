@@ -1,4 +1,4 @@
-"""Differential oracle for the heuristic gcd in `scalars._gcd_int`.
+"""Differential oracles for the gcd in `scalars`: `_gcd_int` and the sums.
 
 Before the heuristic gcd, `_gcd_int` was Brown's modular gcd: over 61-bit
 prime fields it evaluated v, took univariate gcds in u, interpolated the
@@ -6,17 +6,25 @@ images, lifted the candidate symmetrically and verified it by exact
 division, repairing unlucky primes by CRT with the next prime.  That code
 is kept here verbatim, and the heuristic gcd must return exactly the same
 dict: the primitive gcd with a positive lex-leading coefficient.
+
+Before sums cross-multiplied, `Scalar._combine` split the gcd of the two
+denominators off, cross-multiplied by the cofactors only, and cancelled
+what the sum still shared with that gcd.  Its body is kept here verbatim
+too, and a + b and a - b must carry exactly its num and den dicts.
 """
 
 import random
+from fractions import Fraction
 from math import gcd as _igcd
 
 import pytest
+from hypothesis import example, given, settings
 
 from wallcross import fock, scalars, stable
-from wallcross.scalars import _gcd_int, _idiv
+from wallcross.scalars import Scalar, _gcd_int, _idiv, _unit_leading, laurent_gcd, one, rational
 
-from test_scalars import gcd_pairs_once_refused
+from api_oracles import q, t
+from test_scalars import gcd_pairs_once_refused, scalar_pairs
 
 # ---------------------------------------------------------------------------
 # Brown's modular gcd
@@ -356,3 +364,66 @@ def test_planted_pairs_match_sympy():
         ref = sympy.Poly.from_dict(P, u, v).gcd(sympy.Poly.from_dict(Q, u, v)).as_dict()
         sign = 1 if ref[max(ref)] > 0 else -1
         assert _gcd_int(P, Q)[0] == {k: sign * int(c) for k, c in ref.items()}
+
+
+# ---------------------------------------------------------------------------
+# sums: the gcd route of Scalar._combine
+# ---------------------------------------------------------------------------
+
+
+def combine_by_gcd(self, other, subtract):
+    """The former body of Scalar._combine, verbatim."""
+    n1, d1 = self.num, self.den
+    n2, d2 = other.num, other.den
+    if d1 == d2:
+        num = n1 - n2 if subtract else n1 + n2
+        return Scalar(num, d1)
+    g = laurent_gcd(d1, d2)
+    if g.is_one():
+        a, b = d1, d2  # den = d1*d2; nothing to split off
+    else:
+        a, b = d1.exact_div(g), d2.exact_div(g)
+    lhs, rhs = n1 * b, n2 * a
+    # num != 0: self = +-other would give d1 == d2, as equal values have
+    # equal canonical denominators
+    num = lhs - rhs if subtract else lhs + rhs
+    # any common factor of num and den = g*a*b divides g: a prime of a
+    # (or b) dividing num would divide n1 (or n2), contradicting
+    # reducedness, since a, b and the opposite numerator avoid it
+    if not g.is_one():
+        g2 = laurent_gcd(num, g)
+        if not g2.is_one():
+            num = num.exact_div(g2)
+            g = g.exact_div(g2)
+        a = g * a
+    # with g = 1, d1 and d2 are coprime and lead with the unit term, so
+    # their product is reduced against num and already leads with it
+    return Scalar(*_unit_leading(num, a * b), _normalized=True)
+
+
+def _typed(p):
+    """p's terms with the type of every exponent and coefficient, so that an
+    int and an equal Fraction count as different."""
+    return {tuple((type(e), e) for e in m): (type(c), c) for m, c in p.terms().items()}
+
+
+_X = (one() + q()) * (one() - t())  # a two-factor denominator
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_pairs())
+@example((one() / (one() + q()), t() / _X))                       # d1 divides d2
+@example((one() / _X, q() / ((one() + q()) * (one() + t()))))  # one shared factor
+@example((one() / (one() + q()), q(Fraction(1, 2)) / (one() + t())))  # coprime
+# the sum cancels the shared factor 1 + q: (2 + q + t) - (1 + t) = 1 + q
+@example((one() / ((one() + q()) * (one() + t())),
+          -one() / ((one() + q()) * (rational(2) + q() + t()))))
+@example((one() / _X, one() / _X))                                # a - b is zero
+@example((one() / _X, -one() / _X))                               # a + b is zero
+@example((q(-1) * t(2), rational(2) * q(Fraction(1, 2))))         # one-term denominators
+@example((q(-1) * t(2), one() / (one() + t())))                   # one of them one-term
+def test_sums_match_the_gcd_route(pair):
+    a, b = pair
+    for got, subtract in ((a + b, False), (a - b, True)):
+        want = combine_by_gcd(a, b, subtract)
+        assert (_typed(got.num), _typed(got.den)) == (_typed(want.num), _typed(want.den))

@@ -459,9 +459,9 @@ def scalar_pairs(draw):
 @settings(max_examples=100, deadline=None)
 @given(scalar_pairs())
 def test_fractions_with_different_denominators_never_cancel(pair):
-    # Scalar._combine does not test its numerator for zero: equal values
-    # have equal canonical denominators, so a - b and a + b are nonzero
-    # whenever the denominators differ (the +-a pairs pin the canonical form)
+    # equal values have equal canonical denominators, so a sum or difference
+    # of two fractions whose denominators differ is never zero (the +-a
+    # pairs, rebuilt from another fraction, pin the canonical form)
     a, b = pair
     if a.den != b.den:
         assert a + b and a - b

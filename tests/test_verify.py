@@ -6,8 +6,9 @@ from fractions import Fraction as F2
 import pytest
 
 from wallcross import cli, fock, stable, verify
+from wallcross.partitions import content_sum, enumerate_partitions
 from wallcross.scalars import monomial, one, q1, q2, rational
-from wallcross.symfunc import SymFunc, s_
+from wallcross.symfunc import SymFunc, s_, scale_powersums
 
 from api_oracles import p_
 
@@ -223,6 +224,26 @@ def test_verma_row_two():
         (2,): pref * half * (one() - t) / (one() - monomial(1, 0, 2)),
     }
     assert got.coeffs == want
+
+
+def verma_by_powersums(m, la):
+    """verma_character before its Schur coefficients were put over (t; t)_n:
+    the prefactor times s_la[X/(1-t)] in p, then p -> s over Q(q, t)."""
+    m = F2(m)
+    la = tuple(la)
+    t = monomial(1, 0, 1)
+    f = scale_powersums(s_(la), lambda k: one() / (one() - monomial(1, 0, k)))
+    pref = monomial(1, 0, -m * content_sum(la)) * (one() - t)
+    return f.scale(pref).to_basis("s")
+
+
+@pytest.mark.parametrize("m", [F2(3, 2), F2(8, 7)])
+def test_verma_character_matches_the_powersum_route(m):
+    for n in range(1, 7):
+        for la in enumerate_partitions(n):
+            got, want = verify.verma_character(m, la), verma_by_powersums(m, la)
+            assert got.basis == want.basis == "s"
+            assert got.coeffs == want.coeffs, (m, la)
 
 
 def test_finite_class_b2_goldens():
