@@ -7,10 +7,10 @@ rows: _m_in_p(nu), m_nu in power sums from the inverse of the p -> m
 multiplication rule, and _m_in_s(nu), row nu of the inverse Kostka
 matrix, composed through p once per nu.  Both are cached tables of
 constants.  Htilde_mu's m_nu coefficient sums q1^inv q2^maj over the
-standard fillings whose inverse descent set lies in nu's partial sums
-(Haglund-Haiman-Loehr, J. AMS 18 (2005)), one pass over S_n per conjugate
-pair, so it is an integer polynomial, and Htilde_in_s(mu) contracts those
-coefficients with the inverse Kostka rows.  Htilde is never expanded in p.
+fillings of content nu (Haglund-Haiman-Loehr, J. AMS 18 (2005)), placed one
+letter at a time over the filled sets of boxes, so it is an integer
+polynomial, and Htilde_in_s(mu) contracts those coefficients with the
+inverse Kostka rows.  Htilde is never expanded in p.
 
 Localization.  The Htilde are the fixed-point classes of Hilb_n, and
 restrictions(f, n) reads f at every fixed point through the pairing in
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import combinations
 from math import factorial, prod
 
 from .linalg import mat_inverse
@@ -188,12 +188,11 @@ def _Htilde_in_m(mu: Partition) -> dict:
     descent is a box larger than the box below it, and adds leg + 1 to maj
     and -arm to inv.
 
-    Standardizing (numbering the boxes 0..n-1 by letter, equal letters left
-    to right in reading order) keeps inv and maj, and maps the fillings of
-    content nu one to one onto the permutations whose inverse descent set D
-    (k is in D when k + 1 is read before k) holds only k with k + 1 a partial
-    sum of nu.  So S_n is walked once, bucketed by D.  Htilde_mu' is
-    Htilde_mu with q1 and q2 swapped (t -> 1/t): one of mu, mu' is walked.
+    The letters are placed in increasing order, each as a set B of empty
+    boxes, over states S: the filled sets, as bitmasks.  Equal letters count
+    nothing, so a pair counts when its second box is filled: u in B inverts
+    with each box of S that it attacks and is read before, and descends
+    over a box of S.  Htilde_mu' is Htilde_mu with q1, q2 swapped (t -> 1/t).
     """
     if conjugate(mu) > mu:
         flip = lambda m: (m[0], -m[1])
@@ -201,29 +200,30 @@ def _Htilde_in_m(mu: Partition) -> dict:
                 for nu, c in _Htilde_in_m(conjugate(mu)).items()}
     cells = sorted(boxes(mu), key=lambda c: (-c[1], c[0]))
     pos = {c: i for i, c in enumerate(cells)}
-    attacks = [(pos[u], pos[v]) for u in cells for v in cells
-               if pos[u] < pos[v] and (u[1] == v[1] or (u[1] == v[1] + 1 and u[0] > v[0]))]
-    descents = [(pos[(x, y)], pos[(x, y - 1)], arm(mu, x, y), leg(mu, x, y) + 1)
-                for x, y in cells if y > 0]
-    buckets = defaultdict(Counter)
-    for w in permutations(range(len(cells))):
-        inv = sum(1 for i, j in attacks if w[i] > w[j])
-        maj = 0
-        for i, j, a, l1 in descents:
-            if w[i] > w[j]:
-                inv -= a
-                maj += l1
-        seen = D = 0
-        for v in w:
-            if seen >> v & 2:  # v + 1 was read before v
-                D |= 1 << v
-            seen |= 1 << v
-        buckets[D][inv + maj, inv - maj] += 1  # q1^inv q2^maj in the (q, t) frame
+    after = [sum(1 << pos[v] for v in cells[pos[u] + 1:]
+                 if u[1] == v[1] or (u[1] == v[1] + 1 and u[0] > v[0])) for u in cells]
+    below = [(1 << pos[(x, y - 1)] if y else 0, leg(mu, x, y) + 1, arm(mu, x, y))
+             for x, y in cells]
     out = {}
     for nu in enumerate_partitions(len(cells)):
-        allowed = sum(1 << (s - 1) for s in accumulate(nu))
-        terms = sum((c for D, c in buckets.items() if not D & ~allowed), Counter())
-        out[nu] = Scalar.from_laurent(LaurentPoly(terms))
+        states = {0: Counter({(0, 0): 1})}
+        for k in nu:
+            nxt = defaultdict(Counter)
+            for S, counts in states.items():
+                for B in combinations([i for i in range(len(cells)) if not S >> i & 1], k):
+                    T, inv, maj = S, 0, 0
+                    for u in B:
+                        T |= 1 << u
+                        inv += (after[u] & S).bit_count()
+                        bit, l1, a = below[u]
+                        if bit & S:
+                            inv, maj = inv - a, maj + l1
+                    dq, dt = inv + maj, inv - maj  # q1^inv q2^maj in the (q, t) frame
+                    target = nxt[T]
+                    for (eq, et), c in counts.items():
+                        target[eq + dq, et + dt] += c
+            states = nxt
+        out[nu] = Scalar.from_laurent(LaurentPoly(states[(1 << len(cells)) - 1]))
     return out
 
 

@@ -111,8 +111,10 @@ def test_conjecture_check_times_each_wall_on_stderr(tmp_path):
                                          pytest.param(8, 20, marks=pytest.mark.slow),
                                          pytest.param(9, 60, marks=pytest.mark.slow)])
 def test_conjecture_check_within_budget(n, budget_s):
-    # a fresh process without a cache; about 1.0, 1.2-1.7 and 6-8 s on 2 vCPU
-    # (n = 8 took 28 s when every crossing system went through Gauss-Jordan)
+    # a fresh process without a cache; about 0.4-0.8, 1.1, 4.2 and 12 s on
+    # 2 vCPU (n = 8 took 28 s when every crossing system went through
+    # Gauss-Jordan, and n = 9 took 28-29 s when HHL walked the 9! standard
+    # fillings)
     golden = json.loads(Path(__file__).with_name("walls_golden.json").read_text())
     start = time.perf_counter()
     p = run_cli("conjecture-check", "--n", str(n), "--no-cache")
@@ -124,7 +126,7 @@ def test_conjecture_check_within_budget(n, budget_s):
 
 
 def test_macdonald_n8_within_budget():
-    # a fresh process without a cache; about 1.5 s on 2 vCPU, where the
+    # a fresh process without a cache; about 0.6-0.8 s on 2 vCPU, where the
     # command took 32-41 s through m and p.  The digest is that route's output.
     start = time.perf_counter()
     p = run_cli("macdonald", "--n", "8", "--no-cache")
@@ -132,6 +134,19 @@ def test_macdonald_n8_within_budget():
     assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
         "d811260d0f488c51aa5eae6f033847b5be5b54a691f5e7f75c526872f538e98c"
     assert elapsed < 20, f"macdonald --n 8 took {elapsed:.1f} s"
+
+
+@pytest.mark.slow
+def test_macdonald_n9_within_budget():
+    # a fresh process without a cache; about 2.3-2.5 s on 2 vCPU, where the
+    # walk over the 9! standard fillings took 17-22 s.  The digest is the
+    # walk's output.
+    start = time.perf_counter()
+    p = run_cli("macdonald", "--n", "9", "--no-cache")
+    elapsed = time.perf_counter() - start
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
+        "0a7cb8d30b6886e21a5c30dea9c4df4ebf30d97ca44b537262ec16c6e2713fc3"
+    assert elapsed < 10, f"macdonald --n 9 took {elapsed:.1f} s"
 
 
 @pytest.mark.slow

@@ -1,7 +1,7 @@
 """Gram-Schmidt Macdonald polynomials as the reference for the HHL layer.
 
 The library builds Htilde from the Haglund-Haiman-Loehr filling formula,
-one pass over the standard fillings per conjugate pair, and restricts to
+by a dynamic program over the filled sets of boxes, and restricts to
 fixed points by contracting Htilde's m-coefficients with f's pairings
 against each m_nu, and api_oracles reads Htilde coordinates off those
 restrictions.  The routes these replaced are kept here: P by Gram-Schmidt
@@ -14,11 +14,13 @@ reference is too slow, properties that need no reference stand in.
 
 Between the two sit the word route, which fills every word of each content
 nu into mu's boxes and must equal the library's m-coefficients exactly for
-|mu| <= 7, and the p route, the restriction as one dot product of f's
-weighted p-coefficients with Htilde_la expanded in p.  The p route must
-agree exactly with the library on every seed row for n <= 6 and on random
-f for n <= 4.  At n = 8 a budgeted test builds every Htilde_mu cold and
-checks its value at q1 = q2 = 1.
+|mu| <= 7, the walk over the n! standard fillings that the dynamic program
+replaced, which must equal it exactly for |mu| <= 8, and the p route, the
+restriction as one dot product of f's weighted p-coefficients with
+Htilde_la expanded in p.  The p route must agree exactly with the library
+on every seed row for n <= 6 and on random f for n <= 4.  At n = 8 a
+budgeted test builds every Htilde_mu cold and checks its value at
+q1 = q2 = 1.
 
 Htilde_in_s contracts HHL's m-coefficients with rows of the inverse Kostka
 matrix.  The route it replaced, Htilde expanded through m into p and then
@@ -30,8 +32,9 @@ off the Schur functions' m-coefficients.
 import math
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
+from itertools import accumulate, permutations
 
 import pytest
 
@@ -218,6 +221,47 @@ def word_Htilde_in_m(mu) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def walk_Htilde_in_m(mu) -> dict:
+    """HHL by one walk over S_n per conjugate pair: [m_nu]Htilde_mu.
+
+    Standardizing (numbering the boxes 0..n-1 by letter, equal letters left
+    to right in reading order) keeps inv and maj, and maps the fillings of
+    content nu one to one onto the permutations whose inverse descent set D
+    (k is in D when k + 1 is read before k) holds only k with k + 1 a partial
+    sum of nu.  So S_n is walked once, bucketed by D.  Htilde_mu' is
+    Htilde_mu with q1 and q2 swapped (t -> 1/t): one of mu, mu' is walked.
+    """
+    if conjugate(mu) > mu:
+        return {nu: _swap_q1_q2(c) for nu, c in walk_Htilde_in_m(conjugate(mu)).items()}
+    cells = sorted(boxes(mu), key=lambda c: (-c[1], c[0]))
+    pos = {c: i for i, c in enumerate(cells)}
+    attacks = [(pos[u], pos[v]) for u in cells for v in cells
+               if pos[u] < pos[v] and (u[1] == v[1] or (u[1] == v[1] + 1 and u[0] > v[0]))]
+    descents = [(pos[(x, y)], pos[(x, y - 1)], arm(mu, x, y), leg(mu, x, y) + 1)
+                for x, y in cells if y > 0]
+    buckets = defaultdict(Counter)
+    for w in permutations(range(len(cells))):
+        inv = sum(1 for i, j in attacks if w[i] > w[j])
+        maj = 0
+        for i, j, a, l1 in descents:
+            if w[i] > w[j]:
+                inv -= a
+                maj += l1
+        seen = D = 0
+        for v in w:
+            if seen >> v & 2:  # v + 1 was read before v
+                D |= 1 << v
+            seen |= 1 << v
+        buckets[D][inv + maj, inv - maj] += 1  # q1^inv q2^maj in the (q, t) frame
+    out = {}
+    for nu in enumerate_partitions(len(cells)):
+        allowed = sum(1 << (s - 1) for s in accumulate(nu))
+        terms = sum((c for D, c in buckets.items() if not D & ~allowed), Counter())
+        out[nu] = Scalar.from_laurent(LaurentPoly(terms))
+    return out
+
+
 def _restrict_weighted(weighted: dict, la) -> Scalar:
     acc = zero()
     for mu, d in _to_p("Htilde", la).items():
@@ -291,6 +335,17 @@ def test_seed_matches_old_route(n):
 )
 def test_Htilde_matches_word_route(mu):
     assert _Htilde_in_m(mu) == word_Htilde_in_m(mu)
+
+
+# ---------------------------------------------------------------------------
+# new against the walk over S_n, n <= 8
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_Htilde_matches_walk(n):
+    for mu in enumerate_partitions(n):
+        assert _Htilde_in_m(mu) == walk_Htilde_in_m(mu), mu
 
 
 # ---------------------------------------------------------------------------

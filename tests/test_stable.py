@@ -264,7 +264,7 @@ def test_is_wall():
     assert not S.is_wall(3, F2(5, 6))
 
 
-# For n = 2..9: each wall of the sweep in (0, 1), the conjecture's verdict
+# For n = 2..10: each wall of the sweep in (0, 1), the conjecture's verdict
 # there, and the sha256 of json.dumps(verify.matrix_entries(R), sort_keys=True)
 # for R the renormalized crossing (crossing_digest below).
 WALLS_GOLDEN = json.loads(Path(__file__).with_name("walls_golden.json").read_text())
@@ -279,18 +279,19 @@ def crossing_digest(n, w):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6,
                                pytest.param(7, marks=pytest.mark.slow),
                                pytest.param(8, marks=pytest.mark.slow),
-                               pytest.param(9, marks=pytest.mark.slow)])
+                               pytest.param(9, marks=pytest.mark.slow),
+                               pytest.param(10, marks=pytest.mark.slow)])
 def test_detected_walls_are_denominators_up_to_n(n):
     # A recorded finding, not an assumption of the code: candidate_walls
     # proposes every a/b with b <= n(n-1) that divides a content gap, and
-    # the sweep keeps those where B != 0.  Observed for n <= 9 so far, the
+    # the sweep keeps those where B != 0.  Observed for n <= 10 so far, the
     # kept ones are exactly the a/b in (0, 1) with 2 <= b <= n.
     detected = [w for w, _, _ in S._sweep(n)[1]]
     expected = sorted({F2(a, b) for b in range(2, n + 1) for a in range(1, b)})
     assert detected == expected
     if n > 2:
         assert len(S.candidate_walls(n, 0, 1)) > len(detected)
-    # every detected wall matches the bar involution, which at n = 6..9 is
+    # every detected wall matches the bar involution, which at n = 6..10 is
     # the conjecture's evidence beyond the n <= 5 acceptance sweep; the
     # walls, verdicts and renormalized crossings are pinned in the golden file
     record = [{"wall": f"{w.numerator}/{w.denominator}",
