@@ -13,7 +13,6 @@ observe a partial file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -30,6 +29,8 @@ def default_dir() -> str:
 
 
 def _digest(obj) -> str:
+    import hashlib  # here, not at the top: uncached commands never load OpenSSL
+
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 

@@ -15,8 +15,6 @@ exponents permit).
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import io
 import json
 import os
@@ -25,9 +23,12 @@ import sys
 import time
 from fractions import Fraction
 
+# A fresh interpreter runs each command, and start-up is most of a small one,
+# so what only some commands use is imported inside them: the report layer
+# (wallcross.reports), csv, and hashlib for the disk cache's keys.
 from . import __version__, cache, fock, stable, verify
 from .partitions import enumerate_partitions
-from .scalars import Scalar, q1q2_exponents, zero
+from .scalars import zero
 from .symfunc import Htilde_in_s
 
 
@@ -165,6 +166,8 @@ def _emit_json(doc: dict) -> str:
 
 def _emit_csv_flat(doc: dict) -> str:
     """Fallback CSV: depth-first flatten to (path, value) rows."""
+    import csv
+
     rows = []
 
     def walk(prefix, node):
@@ -185,60 +188,6 @@ def _emit_csv_flat(doc: dict) -> str:
     return out.getvalue()
 
 
-def _latex_monomial(m) -> str:
-    a, b = q1q2_exponents(m)
-    if a.denominator == 1 and b.denominator == 1:
-        pairs = [("q_1", int(a)), ("q_2", int(b))]
-    else:
-        pairs = [("q", m[0]), ("t", m[1])]
-    body = " ".join(
-        var if e == 1 else f"{var}^{{{e}}}" for var, e in pairs if e
-    )
-    return body
-
-
-def _latex_scalar(v: Scalar) -> str:
-    def poly(L):
-        parts = []
-        for mono, c in sorted(L.terms().items(), reverse=True):
-            body = _latex_monomial(mono)
-            mag = abs(c)
-            if mag.denominator != 1:
-                coef = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-            elif mag == 1 and body:
-                coef = ""
-            else:
-                coef = str(mag)
-            piece = coef + (" " if coef and body else "") + body
-            parts.append(("-" if c < 0 else "+", piece or "1"))
-        if not parts:
-            return "0"
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, piece in parts[1:]:
-            text += f" {sign} {piece}"
-        return text
-
-    if v.den.is_one():
-        return poly(v.num)
-    return f"\\frac{{{poly(v.num)}}}{{{poly(v.den)}}}"
-
-
-def _latex_sym(coeffs: dict) -> str:
-    keys = sorted(coeffs, key=lambda la: (len(la), tuple(-p for p in la)))
-    parts = []
-    for la in keys:
-        sub = "".join(str(p) for p in la)
-        c = _latex_scalar(coeffs[la])
-        if c == "1":
-            parts.append(f"s_{{{sub}}}")
-        elif any(op in c for op in (" + ", " - ")) or c.startswith("\\frac"):
-            parts.append(f"\\left({c}\\right) s_{{{sub}}}")
-        else:
-            parts.append(f"{c} \\, s_{{{sub}}}")
-    return " + ".join(parts) if parts else "0"
-
-
 def _emit(doc: dict, args) -> str:
     return _emit_json(doc) if args.format == "json" else _emit_csv_flat(doc)
 
@@ -247,11 +196,15 @@ def _emit_matrix(args, header: dict, order, M, key="entries") -> str:
     """M as a pmatrix, as one CSV row per nonzero entry, or as the JSON
     document header + {"order": ..., key: nonzero entries}."""
     if args.format == "latex":
-        rows = (" & ".join(_latex_scalar(v) for v in row) for row in M)
+        from . import reports
+
+        rows = (" & ".join(reports._latex_scalar(v) for v in row) for row in M)
         return "\\begin{pmatrix}\n" + " \\\\\n".join(rows) + "\n\\end{pmatrix}\n"
     entries = verify.matrix_entries(M, order)
     if args.format == "json":
         return _emit_json({**header, "order": [list(la) for la in order], key: entries})
+    import csv
+
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["row", "col", "value"])
@@ -290,8 +243,10 @@ def cmd_fock_bar(args) -> tuple:
 
 
 def cmd_canonical(args) -> tuple:
+    from . import reports
+
     order = enumerate_partitions(args.n)
-    M = fock.canonical_basis(args.n, args.b, args.side)
+    M = reports.canonical_basis(args.n, args.b, args.side)
     header = {"n": args.n, "b": args.b, "sign": args.side}
     return _emit_matrix(args, header, order, M), 0
 
@@ -330,28 +285,34 @@ def cmd_conjecture_check(args) -> tuple:
 
 
 def cmd_appendix_check(args) -> tuple:
-    r = _logged("appendix", verify.appendix_check)
+    from . import reports
+
+    r = _logged("appendix", reports.appendix_check)
     return _emit(r, args), 0 if r["status"] == "match" else 1
 
 
 def cmd_positivity(args) -> tuple:
+    from . import reports
+
     side = 1 if args.side == "+" else -1
-    r = _logged("positivity", verify.positivity_report,
+    r = _logged("positivity", reports.positivity_report,
                 args.n, (args.slope, side), args.order)
     # conjectural, report-only: a negative coefficient is a finding
     return _emit(r, args), 0
 
 
 def cmd_characters(args) -> tuple:
+    from . import reports
+
     m = args.slope
     if m <= 0:
         raise ValueError("characters need a positive slope a/b")
-    raw, normalized = verify.finite_dimensional_class(m.numerator, m.denominator)
-    verma = None if args.verma is None else verify.verma_character(m, args.verma)
+    raw, normalized = reports.finite_dimensional_class(m.numerator, m.denominator)
+    verma = None if args.verma is None else reports.verma_character(m, args.verma)
     if args.format == "latex":
-        lines = ["[L] \\propto " + _latex_sym(normalized.coeffs)]
+        lines = ["[L] \\propto " + reports._latex_sym(normalized.coeffs)]
         if verma is not None:
-            lines.append("\\mathrm{ch}\\, M = " + _latex_sym(verma.coeffs))
+            lines.append("\\mathrm{ch}\\, M = " + reports._latex_sym(verma.coeffs))
         return "\n".join(lines) + "\n", 0
     doc = {"slope": _slope_doc(m, "+")}
     parts = {"finite_raw": raw, "finite_normalized": normalized, "verma": verma}
@@ -363,6 +324,8 @@ def cmd_characters(args) -> tuple:
 
 def _source_digest() -> str:
     """sha256 over the package's .py sources, so other code never shares a key."""
+    import hashlib  # here, not at the top: uncached commands never load OpenSSL
+
     h = hashlib.sha256()
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):

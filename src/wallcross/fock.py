@@ -16,8 +16,9 @@ Nothing is inverted over Q(q): at one integer point q = xi, T(1/xi) is
 inverted over Fraction and A(xi) is one product of integer matrices over a
 common denominator, each entry is read back from its balanced base-xi
 digits, and a coefficient bound on A T(1/q) - T proves the result exact
-(or xi is squared and the point retried).  canonical_basis reads the global
-canonical bases G^+/G^- off A in one triangular pass down each column.
+(or xi is squared and the point retried).  reports.canonical_basis reads
+the global canonical bases G^+/G^- off A in one triangular pass down each
+column.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "apply_f",
     "apply_V",
     "bar_matrix",
-    "canonical_basis",
     "lt_property_check",
 ]
 
@@ -322,56 +322,3 @@ def lt_property_check(A: list, n: int, b: int) -> list:
             if a != sym:
                 bad.append(f"(d) a[{la}][{mu}] != a[{mu}'][{la}']")
     return bad
-
-
-# ---------------------------------------------------------------------------
-# global canonical bases
-# ---------------------------------------------------------------------------
-
-
-def _antisymmetric_parts(c: Scalar) -> dict:
-    """coefficients c_k of c = sum_k c_k (q^k - q^(-k)); errors if not odd."""
-    if not c.is_laurent():
-        raise ArithmeticError(f"canonical recursion hit a non-polynomial entry {c}")
-    terms = {eq: coef for (eq, _), coef in c.num.terms().items()}
-    if terms.get(0):
-        raise ArithmeticError(f"no antisymmetric splitting for {c}: constant term")
-    pos = {k: v for k, v in terms.items() if k > 0}
-    for k, v in pos.items():
-        if terms.get(-k) != -v:
-            raise ArithmeticError(f"no antisymmetric splitting for {c}")
-    return pos
-
-
-def canonical_basis(n: int, b: int, sign: str) -> list:
-    """d-matrix of the global canonical basis G^sign, same layout as bar_matrix.
-
-    Column mu holds G(mu) = sum_la d_la |la>: bar-invariant, d_mu = 1, every
-    other d_la in q Z[q] (sign '+') or 1/q Z[1/q] (sign '-').  A[la][nu] is 0
-    unless nu = la (where it is 1) or nu strictly dominates la, so
-    bar-invariance reads d_la - bar(d_la) = r_la = sum_(nu != la) A[la][nu]
-    bar(d_nu), over la < nu <= mu.  enumerate_partitions order refines
-    dominance, so one pass down the column knows r_la on reaching la, and
-    d_la is the q-positive part of r_la ('+') or minus its q-negative part
-    ('-'); ArithmeticError if r_la is not antisymmetric.  Coordinates before
-    mu vanish by A's support, so each column is exactly bar-invariant.
-    """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    s = 1 if sign == "+" else -1
-    A = bar_matrix(n, b)
-    N = len(A)
-    D = [[one() if i == j else zero() for j in range(N)] for i in range(N)]
-    for j in range(N):
-        bars = {j: one()}  # row -> bar of its nonzero entry in column j
-        for i in range(j + 1, N):
-            r = zero()
-            for k, c in bars.items():
-                if A[i][k]:
-                    r = r + A[i][k] * c
-            parts = _antisymmetric_parts(r)
-            if parts:
-                D[i][j] = Scalar.from_laurent(
-                    LaurentPoly({(s * k, 0): s * c for k, c in parts.items()}))
-                bars[i] = D[i][j].bar()
-    return D

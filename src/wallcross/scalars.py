@@ -210,8 +210,9 @@ class LaurentPoly:
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division of a nonzero self; ArithmeticError when divisor
-        does not divide.  Its one caller, Scalar.__mul__, divides by a gcd
-        other than 1 of two multi-term polynomials, which has several terms.
+        does not divide.  Scalar.__mul__ divides by a gcd other than 1 of two
+        multi-term polynomials, which has several terms, and
+        reports._poch_quotient divides (u; u)_n by a product of 1 - u^k.
 
         Runs at the integer level: both sides are cleared to primitive
         polynomials over Z (common exponent denominators, minima at 0), where
@@ -474,8 +475,12 @@ def _heu_gcd(P: dict, Q: dict, var: int) -> tuple[dict, dict, dict]:
 
 
 def _gcd_int(P: dict, Q: dict) -> tuple[dict, dict, dict]:
-    """(G, P/G, Q/G) for primitive dicts {(u,v): int}, G's lex-leading coefficient positive."""
-    return _heu_gcd(P, Q, 1)
+    """(G, P/G, Q/G) for primitive dicts {(u,v): int}, G's lex-leading coefficient positive.
+
+    The evaluation starts at the highest variable that occurs: a t-free
+    pair (every gcd of the Fock layer) is a gcd in Z[u] alone."""
+    t_free = not any(v for _, v in P) and not any(v for _, v in Q)
+    return _heu_gcd(P, Q, 0 if t_free else 1)
 
 
 def _exp_lcms(p: LaurentPoly, q: LaurentPoly) -> tuple[int, int]:

@@ -13,9 +13,9 @@ Schur index), which is what makes them dominance-triangular; the printed
 basis of the literature applies omega and a per-row scalar rho_la =
 c_la/(1-q2) on top, which at slope 0 gives (1-q2) s_la[X/(1-q2)].
 Transition matrices are emitted in the printed frame, columns indexing the
-expanded basis element; printed_basis expands the printed elements at any
-slope over those at slope 0 by one such matrix, and rebuilds no class
-from its table.
+expanded basis element; reports.printed_basis expands the printed elements
+at any slope over those at slope 0 by one such matrix, and rebuilds no
+class from its table.
 
 Wall crossing is a linear solve: the unknown unitriangular matrix B couples
 rows within blocks where w*(c_la - c_mu) is an integer, and is pinned by
@@ -69,7 +69,7 @@ from .partitions import (
     ribbon_decomposition,
 )
 from .scalars import Scalar, _exact, monomial, one, q1, q2, zero
-from .symfunc import SymFunc, _expand, restrictions, s_, scale_powersums
+from .symfunc import restrictions, s_, scale_powersums
 
 __all__ = [
     "StableTable",
@@ -83,8 +83,6 @@ __all__ = [
     "seed_normalizer",
     "transition_matrix",
     "renormalized_crossing",
-    "printed_sum",
-    "printed_basis",
     "is_wall",
 ]
 
@@ -551,50 +549,3 @@ def renormalized_crossing(n: int, w) -> list:
     conjecturally Laurent in q alone."""
     R = transition_matrix(n, (w, -1), (w, 1))
     return _rescale(R, [renorm_factor(la, w) for la in enumerate_partitions(n)])
-
-
-def _poch(u, n: int) -> Scalar:
-    """(u; u)_n = prod over k <= n of (1 - u(k)), u(k) the monomial u^k."""
-    return math.prod((one() - u(k) for k in range(1, n + 1)), start=one())
-
-
-def _cleared_schur(nu: Partition, u) -> SymFunc:
-    """(u; u)_n s_nu[X/(1 - u)] in s, n = |nu|, u(k) the monomial u^k, scaled
-    in p: prod_i (1 - u^mu_i) divides (u; u)_n for every mu |- n (a
-    q-multinomial quotient), so the p -> s step adds Laurent polynomials."""
-    f = scale_powersums(s_(nu), lambda k: one() / (one() - u(k)))
-    return f.scale(_poch(u, sum(nu))).to_basis("s")
-
-
-@functools.cache
-def _printed_seed(nu: Partition) -> SymFunc:
-    """The printed element nu at slope 0 times (q2; q2)_n / (1 - q2), in s."""
-    return _cleared_schur(nu, q2)
-
-
-def printed_sum(coeffs: dict) -> SymFunc:
-    """sum over nu of coeffs[nu] (1 - q2) s_nu[X/(1 - q2)]: Laurent coeffs add
-    without a gcd against the Laurent seeds, and each sum is divided once."""
-    coeffs = {nu: c for nu, c in coeffs.items() if c}
-    total = SymFunc("s", _expand(coeffs, lambda nu: _printed_seed(nu).coeffs))
-    return total.scale((one() - q2(1)) / _poch(q2, sum(next(iter(coeffs), ()))))
-
-
-def printed_basis(n: int, slope) -> dict:
-    """The printed-frame basis elements at the slope point, {la: Schur expansion}.
-
-    P_la = sum over nu of T[nu][la] (1 - q2) s_nu[X/(1 - q2)], with
-    T = transition_matrix(n, slope, (0, +1)).  The identity is exact.
-    Restriction to the fixed points is linear and injective, so the class
-    behind a table row at the slope is the same combination of the seed
-    classes that its row is of the seed rows, and T is that combination in
-    the printed frame.  The printed seed element is
-    (1 - q2) omega(s_nu'[X/(1 - q2)]), the seed class c_nu s_nu'[X/(1 - q2)]
-    with omega applied and rho_nu = c_nu/(1 - q2) divided out, and it equals
-    (1 - q2) s_nu[X/(1 - q2)]: omega commutes with p_k -> p_k/(1 - q2^k),
-    both maps being diagonal on power sums.
-    """
-    order = enumerate_partitions(n)
-    T = transition_matrix(n, slope, (Fraction(0), 1))
-    return {la: printed_sum({nu: T[i][j] for i, nu in enumerate(order)})
-            for j, la in enumerate(order)}

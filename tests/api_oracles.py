@@ -18,7 +18,7 @@ Htilde is inverse localization: the tangent character, its bracket
 conversion of p into Htilde built on them.  printed_expansion
 rebuilds a printed basis element that way from its table row, applies
 omega and divides by rho_la = c_la/(1 - q2); it is the differential oracle
-of stable.printed_basis, which reads the elements off the chain of wall
+of reports.printed_basis, which reads the elements off the chain of wall
 factors instead.
 
 The package keeps restriction tables and wall factors as p(n) x p(n) row

@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction as F2
 
-from wallcross import cache, fock, stable, verify
+from wallcross import cache, fock, reports, stable, verify
 from wallcross.linalg import mat_mul
 from wallcross.partitions import b_core, chi, content_sum, enumerate_partitions
 from wallcross.scalars import monomial, one, q1, q2, zero
@@ -76,7 +76,7 @@ def detected_walls(n):
 
 def test_criterion_1_tabulated_matrices_exact(capsys):
     with criterion(capsys, "1 tabulated matrices, exact", budget=5) as c:
-        r = verify.appendix_check()
+        r = reports.appendix_check()
         assert r["status"] == "match", r.get("witness")
         c.note(f"{r['params']['checks']} byte-exact comparisons")
 
@@ -90,7 +90,7 @@ def test_criterion_2_fock_goldens(capsys):
     with criterion(capsys, "2 Fock goldens", budget=1):
         A = fock.bar_matrix(2, 2)
         assert A == [[one(), zero()], [qq(1) - qq(-1), one()]]
-        D = fock.canonical_basis(2, 2, "+")
+        D = reports.canonical_basis(2, 2, "+")
         assert D == [[one(), zero()], [qq(1), one()]]
         w = fock.apply_f(1, fock.apply_f(0, fock.vacuum(), 2), 2)
         assert w == {(2,): one(), (1, 1): qq(1)}
@@ -108,15 +108,15 @@ def test_criterion_3_conjecture_n_le_4(capsys):
         findings = []
         for n in range(1, 5):
             walls = detected_walls(n)
-            reports = [verify.conjecture_check(n, w) for w in walls]
-            for r in reports:
+            results = [verify.conjecture_check(n, w) for w in walls]
+            for r in results:
                 if r["status"] != "match":
                     if n <= 3:
                         raise AssertionError(f"hard failure: {r}")
                     findings.append(r)
             c.note(
                 f"n={n}: walls {[str(w) for w in walls]} all "
-                + ("match" if not any(r['status'] != 'match' for r in reports)
+                + ("match" if not any(r['status'] != 'match' for r in results)
                    else "NOT matching")
             )
         assert detected_walls(2) == [F2(1, 2)]
@@ -263,9 +263,9 @@ def test_criterion_4d_stable_stack(capsys):
 
 def test_criterion_5_characters(capsys):
     with criterion(capsys, "5 finite-dimensional characters", budget=1):
-        _, l_half = verify.finite_dimensional_class(1, 2)
+        _, l_half = reports.finite_dimensional_class(1, 2)
         assert l_half == s_((2,))
-        _, l_three_halves = verify.finite_dimensional_class(3, 2)
+        _, l_three_halves = reports.finite_dimensional_class(3, 2)
         assert l_three_halves == s_((2,)).scale(q1(1) + q2(1)) + s_((1, 1))
 
 

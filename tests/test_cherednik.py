@@ -1,6 +1,6 @@
 """Theorems about the finite-dimensional simples of the rational Cherednik algebra.
 
-verify.finite_dimensional_class(a, b) returns the class of L_(a/b), the
+reports.finite_dimensional_class(a, b) returns the class of L_(a/b), the
 finite-dimensional simple at slope a/b, as a Schur expansion of degree b
 whose coefficients are Laurent polynomials in q1, q2; the second entry is
 normalized so that its dominance-largest coefficient is monomial-free.
@@ -30,7 +30,7 @@ from collections import Counter
 
 import pytest
 
-from wallcross import verify
+from wallcross import reports
 from wallcross.partitions import conjugate
 from wallcross.scalars import LaurentPoly, Scalar
 from wallcross.symfunc import s_
@@ -44,7 +44,7 @@ CLASSES = [(1, 2), (3, 2), (5, 2), (1, 3), (2, 3), (4, 3), (5, 3), (1, 4), (3, 4
 
 @functools.lru_cache(maxsize=None)
 def normalized_class(a, b):
-    return verify.finite_dimensional_class(a, b)[1].to_basis("s").coeffs
+    return reports.finite_dimensional_class(a, b)[1].to_basis("s").coeffs
 
 
 def at_one(c):
@@ -93,8 +93,8 @@ def test_slope_k_plus_one_over_b_is_omega_nabla_k_e_b(b, k):
     f = s_((1,) * b)
     for _ in range(k):
         f = nabla(f)
-    want = verify._normalize_top(omega(f))
-    assert verify.finite_dimensional_class(k * b + 1, b)[1] == want
+    want = reports._normalize_top(omega(f))
+    assert reports.finite_dimensional_class(k * b + 1, b)[1] == want
 
 
 def least_height(a, b, x):

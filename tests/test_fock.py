@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallcross import fock as F
+from wallcross import reports as R
 from wallcross.linalg import mat_inverse, mat_mul
 from wallcross.partitions import conjugate, enumerate_partitions, i_nodes
 from wallcross.scalars import monomial, one, zero
@@ -448,18 +449,18 @@ def test_bar_vector_roundtrip():
 
 
 def test_canonical_n2_b2_plus():
-    D = F.canonical_basis(2, 2, "+")
+    D = R.canonical_basis(2, 2, "+")
     assert D == [[one(), zero()], [qq(1), one()]]
 
 
 def test_canonical_n2_b2_minus():
-    D = F.canonical_basis(2, 2, "-")
+    D = R.canonical_basis(2, 2, "-")
     assert D == [[one(), zero()], [-qq(-1), one()]]
 
 
 def test_canonical_sign_validation():
     with pytest.raises(ValueError):
-        F.canonical_basis(2, 2, "plus")
+        R.canonical_basis(2, 2, "plus")
 
 
 @pytest.mark.parametrize("b", [1, 0])
@@ -467,7 +468,7 @@ def test_level_below_two_rejected(b):
     with pytest.raises(ValueError, match="at least 2"):
         F.bar_matrix(3, b)
     with pytest.raises(ValueError, match="at least 2"):
-        F.canonical_basis(3, b, "+")
+        R.canonical_basis(3, b, "+")
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -475,7 +476,7 @@ def test_level_below_two_rejected(b):
 def test_canonical_columns_bar_invariant(n, b, sign):
     order = enumerate_partitions(n)
     A = F.bar_matrix(n, b)
-    D = F.canonical_basis(n, b, sign)
+    D = R.canonical_basis(n, b, sign)
     for j, mu in enumerate(order):
         col = {la: D[i][j] for i, la in enumerate(order) if D[i][j]}
         assert not vsub(bar_vector(col, A, n), col), mu
@@ -499,7 +500,7 @@ FOCK_CASES = [(n, b) for n in range(2, 9) for b in range(2, n + 1)]
 
 @functools.lru_cache(maxsize=None)
 def cached_canonical(n, b, sign):
-    return F.canonical_basis(n, b, sign)
+    return R.canonical_basis(n, b, sign)
 
 
 @pytest.mark.parametrize("n,b", FOCK_CASES)

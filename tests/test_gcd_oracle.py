@@ -7,6 +7,12 @@ division, repairing unlucky primes by CRT with the next prime.  That code
 is kept here verbatim, and the heuristic gcd must return exactly the same
 dict: the primitive gcd with a positive lex-leading coefficient.
 
+Before it started at the highest variable that occurs, `_gcd_int` evaluated
+every pair at v first, a t-free one too, and took the gcd one level down.
+On t-free pairs, the Fock layer's recorded traffic and planted ones, the
+one-level route must return the same gcd and cofactors as that two-level
+route, `two_level_gcd` below.
+
 Before sums cross-multiplied, `Scalar._combine` split the gcd of the two
 denominators off, cross-multiplied by the cofactors only, and cancelled
 what the sum still shared with that gcd.  Its body is kept here verbatim
@@ -307,21 +313,23 @@ def _normal(P: dict) -> dict:
     return {(u - su, v - sv): x // c for (u, v), x in P.items()}
 
 
-def _random_poly(rng, bound):
+def _random_poly(rng, bound, vdeg=3):
     terms = rng.randint(1, 4)
-    out = {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-bound, bound) for _ in range(terms)}
+    out = {(rng.randint(0, 3), rng.randint(0, vdeg)): rng.randint(-bound, bound)
+           for _ in range(terms)}
     out = {k: c for k, c in out.items() if c}
     return out or {(0, 0): 1}
 
 
-def planted_pairs(count, seed=12):
-    """(P, Q, G): P and Q normalized multiples of G, coefficients of each factor up to 10^6."""
+def planted_pairs(count, seed=12, vdeg=3):
+    """(P, Q, G): P and Q normalized multiples of G, coefficients of each factor
+    up to 10^6, v-degree of each factor up to vdeg (0: t-free)."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        G = _random_poly(rng, rng.choice((1, 10, 10**6)))
-        P = _normal(_mul(G, _random_poly(rng, rng.choice((1, 10**6)))))
-        Q = _normal(_mul(G, _random_poly(rng, rng.choice((1, 10**6)))))
+        G = _random_poly(rng, rng.choice((1, 10, 10**6)), vdeg)
+        P = _normal(_mul(G, _random_poly(rng, rng.choice((1, 10**6)), vdeg)))
+        Q = _normal(_mul(G, _random_poly(rng, rng.choice((1, 10**6)), vdeg)))
         if len(P) > 1 and len(Q) > 1:
             out.append((P, Q, _normal(G)))
     return out
@@ -355,6 +363,24 @@ def test_pairs_once_refused_match_brown():
         g, p, q = _gcd_int(P, Q)
         assert g == brown_gcd_int(P, Q)
         assert _mul(g, p) == P and _mul(g, q) == Q
+
+
+def two_level_gcd(P: dict, Q: dict) -> tuple[dict, dict, dict]:
+    """_gcd_int before it started at the highest variable that occurs."""
+    return scalars._heu_gcd(P, Q, 1)
+
+
+def _t_free(P: dict) -> bool:
+    return not any(v for _, v in P)
+
+
+def test_t_free_pairs_match_the_two_level_route(recorded):
+    pairs = [(P, Q) for P, Q in recorded if _t_free(P) and _t_free(Q)]
+    assert len(pairs) >= 100
+    planted = [(P, Q) for P, Q, _ in planted_pairs(2000, seed=14, vdeg=0)]
+    assert all(_t_free(P) and _t_free(Q) for P, Q in planted)
+    for P, Q in pairs + planted:
+        assert _gcd_int(P, Q) == two_level_gcd(P, Q)
 
 
 def test_planted_pairs_match_sympy():

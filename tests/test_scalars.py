@@ -620,8 +620,7 @@ def test_doctests(module, examples):
 def _pipeline_scalars():
     """(label, Scalars) from the seed, the crossings, the Fock bar matrices,
     a canonical basis and a printed basis: every layer that builds keys."""
-    from wallcross import stable
-    from wallcross.fock import canonical_basis
+    from wallcross import reports, stable
 
     yield "seed_slope0(5)", [x for row in stable.seed_slope0(5).gamma for x in row]
     seed, walls = stable._sweep(5)
@@ -630,8 +629,8 @@ def _pipeline_scalars():
         yield f"_sweep(5) at {w}", [x for M in (factor, table.gamma) for row in M for x in row]
     for b in range(2, 5):
         yield f"bar_matrix(6, {b})", [x for row in bar_matrix(6, b) for x in row]
-    yield "canonical_basis(5, 3, -)", [x for row in canonical_basis(5, 3, "-") for x in row]
-    printed = stable.printed_basis(4, (Fraction(2, 3), 1))
+    yield "canonical_basis(5, 3, -)", [x for row in reports.canonical_basis(5, 3, "-") for x in row]
+    printed = reports.printed_basis(4, (Fraction(2, 3), 1))
     yield "printed_basis(4, 2/3+)", [x for f in printed.values() for x in f.coeffs.values()]
 
 

@@ -1,6 +1,6 @@
 """The positivity series on LaurentPoly against the (q1, q2) dict route.
 
-verify._series_coefficients expands a Schur coefficient as a (q1, q2)-power
+reports._series_coefficients expands a Schur coefficient as a (q1, q2)-power
 series with LaurentPoly arithmetic: q1^a q2^b = q^(a+b) t^(a-b), so the
 total degree of a term is its q-exponent, truncation is a filter on it and
 the denominator's corner is its least exponent pair.  The route it replaced
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross import stable, verify
+from wallcross import reports
 from wallcross.scalars import Scalar, monomial, one, q1, q1q2_exponents, q2
 
 F2 = Fraction
@@ -94,7 +94,7 @@ def outcome(series, val, order):
 
 
 def coefficients(n):
-    return [c for slope in SLOPES for f in stable.printed_basis(n, slope).values()
+    return [c for slope in SLOPES for f in reports.printed_basis(n, slope).values()
             for c in f.coeffs.values()]
 
 
@@ -105,7 +105,7 @@ def test_series_matches_dict_route_on_printed_coefficients(n):
     for order in ORDERS:
         for val in vals:
             want = outcome(series_oracle, val, order)
-            assert outcome(verify._series_coefficients, val, order) == want, (val, order)
+            assert outcome(reports._series_coefficients, val, order) == want, (val, order)
 
 
 def test_series_matches_dict_route_on_small_inputs():
@@ -121,4 +121,4 @@ def test_series_matches_dict_route_on_small_inputs():
     for order in ORDERS:
         for val in vals:
             want = outcome(series_oracle, val, order)
-            assert outcome(verify._series_coefficients, val, order) == want, (val, order)
+            assert outcome(reports._series_coefficients, val, order) == want, (val, order)

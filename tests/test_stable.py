@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from wallcross import fock as F
+from wallcross import reports as R
 from wallcross import stable as S
 from wallcross import verify
 from wallcross.linalg import identity, mat_mul
@@ -78,7 +79,7 @@ def test_seed_normalizer_closed_form(n):
 
 
 def test_seed_printed_expansion_n2():
-    printed = S.printed_basis(2, (F2(0), 1))
+    printed = R.printed_basis(2, (F2(0), 1))
     den = one() - q2(2)
     assert printed[(2,)] == s_((2,)).scale(one() / den) + s_(
         (1, 1)
@@ -366,17 +367,17 @@ def test_cumulative_n2():
 
 def test_printed_expansions_n2_crossed():
     den = one() - q2(2)
-    up = S.printed_basis(2, half(+1))
+    up = R.printed_basis(2, half(+1))
     assert up[(2,)] == s_((2,)).scale(
         one() + q2(1) / (q1(1) * den)
     ) + s_((1, 1)).scale(one() / (q1(1) * den))
     # the bottom row never moves: its block is a singleton at every wall
-    assert up[(1, 1)] == S.printed_basis(2, (F2(0), 1))[(1, 1)]
-    up32 = S.printed_basis(2, (F2(3, 2), 1))
+    assert up[(1, 1)] == R.printed_basis(2, (F2(0), 1))[(1, 1)]
+    up32 = R.printed_basis(2, (F2(3, 2), 1))
     assert up32[(2,)] == s_((2,)).scale(
         one() + q2(1) * q1(-1) + q2(2) / (q1(2) * den)
     ) + s_((1, 1)).scale(q1(-1) + q2(1) / (q1(2) * den))
-    assert up32[(1, 1)] == S.printed_basis(2, (F2(0), 1))[(1, 1)]
+    assert up32[(1, 1)] == R.printed_basis(2, (F2(0), 1))[(1, 1)]
 
 
 # ---------------------------------------------------------------------------

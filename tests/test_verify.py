@@ -5,7 +5,7 @@ from fractions import Fraction as F2
 
 import pytest
 
-from wallcross import cli, fock, stable, verify
+from wallcross import cli, fock, reports, stable, verify
 from wallcross.partitions import content_sum, enumerate_partitions
 from wallcross.scalars import monomial, one, q1, q2, rational
 from wallcross.symfunc import SymFunc, s_, scale_powersums
@@ -73,14 +73,14 @@ def test_conjecture_check_all_n3(capsys):
 
 
 def test_appendix_check_matches():
-    r = verify.appendix_check()
+    r = reports.appendix_check()
     assert r["status"] == "match", r.get("witness")
     assert r["params"]["checks"] == 14
 
 
 def test_golden_tables_are_selfconsistent():
     # the embedded 3/2 matrix equals the 1/2 matrix plus the extra summand
-    g = verify._golden_tables()
+    g = reports._golden_tables()
     extra = g["n2 matrix 3/2"][1][0] - g["n2 matrix 1/2"][1][0]
     assert extra == q2(2) * q1(-1) - q2(1) * q1(-2)
 
@@ -92,26 +92,26 @@ def test_golden_tables_are_selfconsistent():
 
 def test_series_geometric():
     val = one() / (one() - q2(1))
-    got = verify._series_coefficients(val, 5)
+    got = reports._series_coefficients(val, 5)
     assert got == {(0, k): F2(1) for k in range(6)}
 
 
 def test_series_detects_negative():
     val = (one() - q1(1)) / (one() - q2(1))
-    got = verify._series_coefficients(val, 3)
+    got = reports._series_coefficients(val, 3)
     assert got[(1, 0)] == F2(-1)
     assert got[(0, 2)] == F2(1)
 
 
 def test_series_no_dominant_corner():
     with pytest.raises(ValueError):
-        verify._series_coefficients(one() / (q1(1) - q2(1)), 4)
+        reports._series_coefficients(one() / (q1(1) - q2(1)), 4)
 
 
 def test_series_laurent_prefactor():
     # q1^-1/(1 - q2) expands with the monomial carried along
     val = q1(-1) / (one() - q2(1))
-    got = verify._series_coefficients(val, 3)
+    got = reports._series_coefficients(val, 3)
     assert got == {(-1, k): F2(1) for k in range(4)}
 
 
@@ -121,7 +121,7 @@ def test_series_matches_sympy():
 
     s, x, y = sympy.symbols("s x y")
     val = (one() + q1(1)) / (one() - q1(1) - q2(2))
-    got = verify._series_coefficients(val, 6)
+    got = reports._series_coefficients(val, 6)
     ref = sympy.series((1 + s * x) / (1 - s * x - s**2 * y**2), s, 0, 7).removeO()
     mine = sum(
         sympy.Rational(c.numerator, c.denominator) * (s * x) ** a * (s * y) ** b
@@ -132,7 +132,7 @@ def test_series_matches_sympy():
 
 def test_positivity_small_slopes():
     for n, m in [(2, F2(1, 2)), (2, F2(3, 2)), (3, F2(1, 3))]:
-        r = verify.positivity_report(n, (m, 1), 6)
+        r = reports.positivity_report(n, (m, 1), 6)
         assert r["status"] == "match", r
 
 
@@ -141,9 +141,9 @@ def test_positivity_witness_is_first_in_partition_order(monkeypatch):
     neg = -one()
     f = SymFunc("s", {(1, 1): neg, (2,): neg})
     assert list(f.coeffs) == [(1, 1), (2,)]
-    monkeypatch.setattr(verify.stable, "printed_basis",
+    monkeypatch.setattr(reports, "printed_basis",
                         lambda n, slope: {(2,): f, (1, 1): s_((1, 1))})
-    r = verify.positivity_report(2, (F2(1, 2), 1), 4)
+    r = reports.positivity_report(2, (F2(1, 2), 1), 4)
     assert r["status"] == "mismatch"
     assert r["witness"]["la"] == [2] and r["witness"]["mu"] == [2]
 
@@ -157,9 +157,9 @@ def built_in_order(*parts):
 
 def positivity_of(monkeypatch, coef):
     f = SymFunc("s", {(2,): coef})
-    monkeypatch.setattr(verify.stable, "printed_basis",
+    monkeypatch.setattr(reports, "printed_basis",
                         lambda n, slope: {(2,): f, (1, 1): s_((1, 1))})
-    return verify.positivity_report(2, (F2(1, 2), 1), 4)
+    return reports.positivity_report(2, (F2(1, 2), 1), 4)
 
 
 def test_positivity_witness_is_lowest_degree_then_lowest_q1(monkeypatch):
@@ -173,7 +173,7 @@ def test_positivity_witness_is_lowest_degree_then_lowest_q1(monkeypatch):
     assert list(forward.num.terms()) != list(backward.num.terms())
     witnesses = []
     for coef in (forward, backward):
-        series = verify._series_coefficients(coef, 4)
+        series = reports._series_coefficients(coef, 4)
         assert sum(v < 0 for v in series.values()) >= 2
         r = positivity_of(monkeypatch, coef)
         assert r["status"] == "mismatch"
@@ -185,7 +185,7 @@ def test_positivity_witness_is_lowest_degree_then_lowest_q1(monkeypatch):
 
 def test_series_terms_ordered_by_total_then_q1_degree():
     val = built_in_order(q1(3), q2(1), q1(1) * q2(1), q1(1)) / (one() - q1(1))
-    keys = list(verify._series_coefficients(val, 5))
+    keys = list(reports._series_coefficients(val, 5))
     assert keys == sorted(keys, key=lambda ab: (ab[0] + ab[1], ab[0]))
 
 
@@ -199,7 +199,7 @@ def test_positivity_skips_half_integral_exponent(monkeypatch):
 
 
 def test_positivity_rejects_nonpositive_slope():
-    r = verify.positivity_report(2, (F2(0), 1), 4)
+    r = reports.positivity_report(2, (F2(0), 1), 4)
     assert r["status"] == "skipped"
     assert "witness" in r
 
@@ -210,13 +210,13 @@ def test_positivity_rejects_nonpositive_slope():
 
 
 def test_verma_single_box():
-    assert verify.verma_character(F2(1, 2), (1,)) == p_((1,))
+    assert reports.verma_character(F2(1, 2), (1,)) == p_((1,))
 
 
 def test_verma_row_two():
     # t^(-m) (1-t) s_2[X/(1-t)] in the power sum basis
     t = monomial(1, 0, 1)
-    got = verify.verma_character(F2(1, 2), (2,)).to_basis("p")
+    got = reports.verma_character(F2(1, 2), (2,)).to_basis("p")
     pref = monomial(1, 0, F2(-1, 2))
     half = rational(F2(1, 2))
     want = {
@@ -241,18 +241,18 @@ def verma_by_powersums(m, la):
 def test_verma_character_matches_the_powersum_route(m):
     for n in range(1, 7):
         for la in enumerate_partitions(n):
-            got, want = verify.verma_character(m, la), verma_by_powersums(m, la)
+            got, want = reports.verma_character(m, la), verma_by_powersums(m, la)
             assert got.basis == want.basis == "s"
             assert got.coeffs == want.coeffs, (m, la)
 
 
 def test_finite_class_b2_goldens():
-    raw, norm = verify.finite_dimensional_class(1, 2)
+    raw, norm = reports.finite_dimensional_class(1, 2)
     assert norm == s_((2,))
     top = raw.coeffs[(2,)]
     assert top.is_laurent() and top.num.is_term()  # raw differs by one overall monomial
 
-    raw, norm = verify.finite_dimensional_class(3, 2)
+    raw, norm = reports.finite_dimensional_class(3, 2)
     assert norm == s_((2,)).scale(q1(1) + q2(1)) + s_((1, 1))
 
 
@@ -260,14 +260,14 @@ def test_normalize_top_refuses_a_non_laurent_top_coefficient():
     # the classes have Laurent coefficients; anything else is an error
     f = s_((2,)).scale(one() / (one() - q1(1))) + s_((1, 1))
     with pytest.raises(ArithmeticError, match="not Laurent"):
-        verify._normalize_top(f)
-    assert verify._normalize_top(s_((2,)).scale(q1(1) + q2(1))) == s_((2,)).scale(q1(1) + q2(1))
+        reports._normalize_top(f)
+    assert reports._normalize_top(s_((2,)).scale(q1(1) + q2(1))) == s_((2,)).scale(q1(1) + q2(1))
 
 
 def test_finite_class_b3_positive():
     # report-only invariant: the class is a Schur-positive polynomial
     for a in (1, 2, 4):
-        _, norm = verify.finite_dimensional_class(a, 3)
+        _, norm = reports.finite_dimensional_class(a, 3)
         for la, c in norm.to_basis("s").coeffs.items():
             assert c.is_laurent(), (a, la)
             for coef in c.num.terms().values():
@@ -275,7 +275,7 @@ def test_finite_class_b3_positive():
 
 
 def test_finite_class_b3_slope_one_third():
-    _, norm = verify.finite_dimensional_class(1, 3)
+    _, norm = reports.finite_dimensional_class(1, 3)
     assert norm == s_((3,))
 
 
@@ -289,4 +289,4 @@ def test_characters_bundle_keys(capsys):
 
 def test_finite_class_needs_positive_slope():
     with pytest.raises(ValueError):
-        verify.finite_dimensional_class(-1, 2)
+        reports.finite_dimensional_class(-1, 2)
