@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 
 SCHEMA_VERSION = 1
 
@@ -66,6 +65,8 @@ def load(root: str, key: dict):
 
 def store(root: str, key: dict, payload) -> str:
     """Write payload under key atomically; returns the entry path."""
+    import tempfile  # here, not at the top: only a cache write needs it
+
     os.makedirs(root, exist_ok=True)
     doc = {
         "schema": SCHEMA_VERSION,

@@ -28,8 +28,8 @@ The solver demands existence and uniqueness and treats anything else as a
 falsified axiom, not a soft failure.
 
 One chamber sweep per n serves every slope: seed slope 0, walk the
-candidate walls in (0, 1) in increasing order, keep (w, I + B, table above
-w) for each wall with I + B != I, and check nabla-periodicity, that the last
+candidate walls in (0, 1) in increasing order, keep the seed and (w, I + B)
+for each wall with I + B != I, and check nabla-periodicity, that the last
 table is nabla_shift(seed, 1): F G0 = D^-1 G0 D with G0 the seed table,
 D = diag(chi) and F the ordered product of all factors I + B.  So the
 table at k + r (k an integer, 0 <= r < 1) is D^-k L_r G0 D^k, L_r the
@@ -42,10 +42,14 @@ renormalization) is one _rescale.
 The tables therefore sit on one chain.  With W walls in (0, 1), slope
 k + r is at position k*W + p, p the number of walls below (r, side), and
 the factor from position k*W + p to the next is D^-k F_p D^k, F_p the
-I + B of wall p, numbered from 0.  A transition matrix G1 G2^-1 is the
-ordered product of the factors between the two positions, or of their
-inverses when slope1 lies below slope2; only single unitriangular wall
-factors are ever inverted, each once per process.
+I + B of wall p, numbered from 0.  The sweep keeps the seed, the factors
+and the table above the last wall, which its nabla check proved equal to
+the seed shifted once.  The table at k*W + p is the seed times the p
+factors below, shifted k periods; as k*W + W is (k + 1)*W + 0, a top
+chamber replays no factor, and for k >= 0 it is the last table shifted k.  A
+transition matrix G1 G2^-1 is the ordered product of the factors between
+the two positions, or of their inverses when slope1 lies below slope2; only
+single unitriangular wall factors are ever inverted, each once per process.
 """
 
 from __future__ import annotations
@@ -409,7 +413,8 @@ def nabla_shift(table: StableTable, k: int) -> StableTable:
 
 @functools.cache
 def _sweep(n: int) -> tuple:
-    """(seed, [(w, I + B, table above w) for each wall in (0, 1)]), once per n.
+    """(seed, [(w, I + B) for each wall in (0, 1)], table above the last
+    wall), once per n: no table is kept per wall.
 
     A candidate w whose table already meets the windows at (w, +) is
     stepped over: B = 0 is then a solution of the crossing, and the only
@@ -432,10 +437,10 @@ def _sweep(n: int) -> tuple:
             tbl = StableTable(n, (w, 1), tbl.gamma)
             continue
         tbl, factor = cross_wall(tbl, w)
-        walls.append((w, factor, tbl))
+        walls.append((w, factor))
     if tbl != nabla_shift(seed, 1):
         raise ArithmeticError(f"nabla-periodicity fails at n={n}")
-    return (seed, walls)
+    return (seed, walls, tbl)
 
 
 @functools.cache
@@ -449,25 +454,26 @@ def _position(n: int, slope) -> int:
     m, side = slope
     k = math.floor(m)
     walls = _sweep(n)[1]
-    below = sum(1 for w, _, _ in walls if w < m - k or (w == m - k and side == 1))
+    below = sum(1 for w, _ in walls if w < m - k or (w == m - k and side == 1))
     return k * len(walls) + below
 
 
 def is_wall(n: int, w) -> bool:
     """Whether crossing w has a factor other than I: w mod 1 is among the swept walls."""
-    return any(x[0] == Fraction(w) % 1 for x in _sweep(n)[1])
+    return any(x == Fraction(w) % 1 for x, _ in _sweep(n)[1])
 
 
 def stable_basis(n: int, slope) -> StableTable:
-    """The table at any slope point: its chamber in the sweep, shifted by nabla."""
+    """The table at any slope point, read off the chain (see the module
+    docstring); position k*W + 0 with k > 0 is (k - 1)*W + W, a top chamber."""
     m, side = _slope(slope)
-    seed, walls = _sweep(n)
-    k = math.floor(m)
-    p = _position(n, (m, side)) - k * len(walls)
-    tbl = walls[p - 1][2] if p else seed
-    if k:
-        tbl = nabla_shift(tbl, k)
-    return StableTable(n, (m, side), tbl.gamma)
+    seed, walls, top = _sweep(n)
+    k, p = divmod(_position(n, (m, side)), len(walls)) if walls else (0, 0)
+    gamma, k = (top.gamma, k - 1) if k > 0 and not p else (seed.gamma, k)
+    for _, factor in walls[:p]:
+        gamma = mat_mul(factor, gamma)
+    tbl = StableTable(n, (m - k, side), gamma)
+    return nabla_shift(tbl, k) if k else tbl
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +531,7 @@ def transition_matrix(n: int, slope1, slope2):
     slope1, slope2 = _slope(slope1), _slope(slope2)
     order = enumerate_partitions(n)
     chis = [chi(la) for la in order]
-    factors = [factor for _, factor, _ in _sweep(n)[1]]
+    factors = [factor for _, factor in _sweep(n)[1]]
     pos1, pos2 = _position(n, slope1), _position(n, slope2)
     lo, hi = sorted((pos1, pos2))
     M = identity(len(order), one(), zero())

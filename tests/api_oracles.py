@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from wallcross.fock import _add_term, apply_V
+from wallcross.linalg import mat_mul
 from wallcross.partitions import Partition, arm, boxes, chi, enumerate_partitions, i_nodes, leg
 from wallcross.scalars import (
     LaurentPoly,
@@ -48,7 +49,7 @@ from wallcross.scalars import (
     rational,
     zero,
 )
-from wallcross.stable import StableTable, seed_normalizer
+from wallcross.stable import StableTable, _sweep, seed_normalizer
 from wallcross.symfunc import (
     BASES,
     SymFunc,
@@ -220,6 +221,17 @@ def strict_part(n: int, factor: list) -> dict:
     order = enumerate_partitions(n)
     return {la: {mu: v for mu, v in zip(order, row) if v and mu != la}
             for la, row in zip(order, factor)}
+
+
+def chain_tables(n: int) -> list:
+    """[(w, I + B, table above w)] for the walls of stable._sweep(n), the
+    tables rebuilt by one replay of the wall factors from the seed."""
+    seed, walls, _ = _sweep(n)
+    gamma, out = seed.gamma, []
+    for w, factor in walls:
+        gamma = mat_mul(factor, gamma)
+        out.append((w, factor, StableTable(n, (w, 1), gamma)))
+    return out
 
 
 def printed_expansion(table: StableTable, la):

@@ -19,6 +19,12 @@ above it, reading only the block entries.  sweep_oracle is the sweep as it
 was before, calling cross_wall at every candidate; it must give the same
 walls, factors and tables, and the block check must agree with the full
 window check at every candidate.
+
+The sweep records the seed and the wall factors, and stable_basis reads
+every table off that chain.  table_sweep is the sweep as it was while it
+kept each wall's table next to its factor, and table_sweep_basis the
+stable_basis that read those tables; every table read off the chain must
+equal theirs exactly.
 """
 
 import functools
@@ -40,9 +46,9 @@ from wallcross.stable import (
     seed_normalizer,
 )
 
-from api_oracles import dict_layout, row_layout, strict_part
+from api_oracles import chain_tables, dict_layout, row_layout, strict_part
 
-WALLS = {2: [F2(1, 2)], 3: [F2(1, 3), F2(1, 2), F2(2, 3)],
+WALLS = {0: [], 1: [], 2: [F2(1, 2)], 3: [F2(1, 3), F2(1, 2), F2(2, 3)],
          4: [F2(1, 4), F2(1, 3), F2(1, 2), F2(2, 3), F2(3, 4)]}
 
 # the seed is the same function on both routes; computing it once keeps
@@ -85,8 +91,9 @@ def grid(n):
                      (F2(7, 2), 1), (F2(-10, 3), -1)]
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_tables_match_replay(n):
+    # at n <= 1 there are no walls, and every slope reads the seed
     for m, side in grid(n):
         assert S.stable_basis(n, (m, side)).gamma == replay_table(n, m, side).gamma
 
@@ -130,9 +137,9 @@ def test_n4_factors_and_cumulatives_match_replay():
 
 def factor_product(n, r, side):
     """L_r: the ordered product of the factors I + B of the walls below (r, side)."""
-    seed, walls = S._sweep(n)
+    seed, walls, _ = S._sweep(n)
     out = identity(len(seed.gamma), one(), zero())
-    for w, factor, _ in walls:
+    for w, factor in walls:
         if w < r or (w == r and side == 1):
             out = mat_mul(factor, out)
     return out
@@ -176,7 +183,7 @@ def flag_transition_matrix(n: int, slope1, slope2, renormalized: bool = False):
     slope1, slope2 = _slope(slope1), _slope(slope2)
     order = enumerate_partitions(n)
     chis = [chi(la) for la in order]
-    factors = [factor for _, factor, _ in _sweep(n)[1]]
+    factors = [factor for _, factor in _sweep(n)[1]]
     pos1, pos2 = _position(n, slope1), _position(n, slope2)
     lo, hi = sorted((pos1, pos2))
     M = identity(len(order), one(), zero())
@@ -211,7 +218,7 @@ def flag_transition_matrix(n: int, slope1, slope2, renormalized: bool = False):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_renormalized_crossing_matches_flag_route(n):
     start = (F2(0), 1)
-    for w, _, _ in S._sweep(n)[1]:
+    for w, _ in S._sweep(n)[1]:
         for m in (w, w + 1):
             assert (S.renormalized_crossing(n, m)
                     == flag_transition_matrix(n, (m, -1), (m, 1), renormalized=True)), m
@@ -229,7 +236,7 @@ def chain_pairs(w):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_transition_matrices_match_factor_products(n):
-    for w, _, _ in S._sweep(n)[1]:
+    for w, _ in S._sweep(n)[1]:
         for s1, s2 in chain_pairs(w):
             assert S.transition_matrix(n, s1, s2) == product_transition(n, s1, s2), (s1, s2)
         below, above = (w, -1), (w, 1)
@@ -263,11 +270,11 @@ def sweep_oracle(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_sweep_matches_every_candidate_oracle(n):
-    seed, walls = S._sweep(n)
+    seed, walls, _ = S._sweep(n)
     seed_ref, walls_ref = sweep_oracle(n)
     assert seed == seed_ref
-    assert [w for w, _, _ in walls] == [w for w, _, _ in walls_ref]
-    for (w, factor, tbl), (_, factor_ref, tbl_ref) in zip(walls, walls_ref):
+    assert [w for w, _ in walls] == [w for w, _, _ in walls_ref]
+    for (w, factor, tbl), (_, factor_ref, tbl_ref) in zip(chain_tables(n), walls_ref):
         assert factor == factor_ref, w
         assert tbl.gamma == tbl_ref.gamma and tbl.slope == tbl_ref.slope == (w, 1), w
 
@@ -277,7 +284,7 @@ def test_block_check_is_the_full_window_check(n):
     # along the sweep: the table below each candidate passes the block check
     # exactly when the full window check at (w, +) passes, and that is
     # exactly at the candidates that are not walls
-    walls = {w for w, _, _ in S._sweep(n)[1]}
+    walls = {w for w, _ in S._sweep(n)[1]}
     for w in S.candidate_walls(n, 0, 1):
         below = S.stable_basis(n, (w, -1))
         fast = S._window_violation(below, (w, 1), block=w) is None
@@ -335,3 +342,57 @@ def test_candidates_hold_every_content_gap_denominator(n):
     gaps = {abs(a - c) for a in contents for c in contents} - {0}
     expected = {F2(a, g) for g in gaps for a in range(1, g)}
     assert expected <= set(S.candidate_walls(n, 0, 1))
+
+
+@functools.cache
+def table_sweep(n):
+    """stable._sweep while it kept each wall's table: (seed, [(w, I + B, table above w)])."""
+    seed = tbl = _seed(n)
+    walls = []
+    for w in S.candidate_walls(n, 0, 1):
+        if S._window_violation(tbl, (w, 1), block=w) is None:
+            tbl = S.StableTable(n, (w, 1), tbl.gamma)
+            continue
+        tbl, factor = S.cross_wall(tbl, w)
+        walls.append((w, factor, tbl))
+    if tbl != S.nabla_shift(seed, 1):
+        raise ArithmeticError(f"nabla-periodicity fails at n={n}")
+    return (seed, walls)
+
+
+def table_sweep_basis(n, slope):
+    """stable.stable_basis while it read the tables table_sweep kept."""
+    m, side = _slope(slope)
+    seed, walls = table_sweep(n)
+    k = math.floor(m)
+    p = sum(1 for w, _, _ in walls if w < m - k or (w == m - k and side == 1))
+    tbl = walls[p - 1][2] if p else seed
+    if k:
+        tbl = S.nabla_shift(tbl, k)
+    return S.StableTable(n, (m, side), tbl.gamma)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_tables_read_off_the_chain_match_the_stored_tables(n):
+    # each wall +-eps, in the period below, at and above (0, 1)
+    walls = S._sweep(n)[1]
+    assert [w for w, _ in walls] == [w for w, _, _ in table_sweep(n)[1]]
+    for w, _ in walls:
+        for slope in [(w + k, side) for k in (-1, 0, 1) for side in (-1, 1)]:
+            tbl, ref = S.stable_basis(n, slope), table_sweep_basis(n, slope)
+            assert tbl.gamma == ref.gamma and tbl.slope == ref.slope, slope
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_top_chamber_is_the_seed_shifted(n, monkeypatch):
+    # position k*W + W is (k + 1)*W + 0: no factor is replayed
+    seed = S._sweep(n)[0]
+
+    def replayed(*args):
+        raise AssertionError("a wall factor was replayed")
+
+    monkeypatch.setattr(S, "mat_mul", replayed)
+    for (m, side), k in [((F2(19, 20), 1), 0), ((F2(1), -1), 0), ((F2(-1, 20), 1), -1),
+                         ((F2(39, 20), 1), 1), ((F2(-21, 20), 1), -2)]:
+        tbl = S.stable_basis(n, (m, side))
+        assert tbl == S.nabla_shift(seed, k + 1) and tbl.slope == (m, side), (m, side)

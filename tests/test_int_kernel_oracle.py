@@ -17,6 +17,8 @@ import pytest
 from wallcross import fock, scalars, stable, symfunc
 from wallcross.partitions import enumerate_partitions
 
+from api_oracles import chain_tables
+
 
 def fraction_fr(x) -> Fraction:
     """Coerce int | str | Fraction to Fraction (exact)."""
@@ -114,10 +116,10 @@ def test_seed_and_chamber_tables_same_bytes(n, monkeypatch):
     order = enumerate_partitions(n)
 
     def compute():
-        seed, walls = stable._sweep(n)
+        seed = stable._sweep(n)[0]
         texts = [table_text(seed, order)]
         values = [x for row in seed.gamma for x in row]
-        for w, factor, tbl in walls:
+        for w, factor, tbl in chain_tables(n):
             texts += [str(w), matrix_text(factor), table_text(tbl, order)]
             values += [x for row in factor for x in row]
         return "\n\n".join(texts), values

@@ -20,7 +20,7 @@ from wallcross.scalars import (
     zero,
 )
 
-from api_oracles import change_coordinates, q, t
+from api_oracles import chain_tables, change_coordinates, q, t
 
 # ---------------------------------------------------------------------------
 # strategies: small exact scalars.  Exponents mix integers and halves/thirds
@@ -623,9 +623,8 @@ def _pipeline_scalars():
     from wallcross import reports, stable
 
     yield "seed_slope0(5)", [x for row in stable.seed_slope0(5).gamma for x in row]
-    seed, walls = stable._sweep(5)
-    yield "_sweep(5) seed", [x for row in seed.gamma for x in row]
-    for w, factor, table in walls:
+    yield "_sweep(5) seed", [x for row in stable._sweep(5)[0].gamma for x in row]
+    for w, factor, table in chain_tables(5):
         yield f"_sweep(5) at {w}", [x for M in (factor, table.gamma) for row in M for x in row]
     for b in range(2, 5):
         yield f"bar_matrix(6, {b})", [x for row in bar_matrix(6, b) for x in row]

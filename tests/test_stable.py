@@ -24,7 +24,7 @@ from wallcross.partitions import b_core, chi, content_sum, dominates, enumerate_
 from wallcross.scalars import monomial, one, q1, q2, zero
 from wallcross.symfunc import s_
 
-from api_oracles import dict_layout, row_layout, strict_part, unit_plus
+from api_oracles import chain_tables, dict_layout, row_layout, strict_part, unit_plus
 
 F2 = Fraction
 
@@ -206,14 +206,29 @@ def test_nonwall_crossing_is_identity():
     assert crossed.gamma == base.gamma
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_sweep_records_the_seed_and_the_wall_factors_only(n):
+    # no table is kept per wall: each record is the pair (w, I + B), and the
+    # one table kept besides the seed is the one above the last wall, which
+    # the nabla check compared with the seed shifted once
+    seed, walls, top = S._sweep(n)
+    assert isinstance(seed, S.StableTable) and top == S.nabla_shift(seed, 1)
+    for record in walls:
+        assert type(record) is tuple and len(record) == 2, record
+        w, factor = record
+        assert type(w) is F2 and 0 < w < 1
+        assert type(factor) is list and len(factor) == len(seed.gamma)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sweep_tables_are_partition_ordered_row_lists(n):
-    # every table along the sweep is a p(n) x p(n) list of rows, rows and
-    # columns in enumerate_partitions order: the pinned diagonal sits at
-    # [i][i] and nothing is stored above dominance
+    # every table along the sweep, as stable_basis reads it off the chain,
+    # is a p(n) x p(n) list of rows, rows and columns in enumerate_partitions
+    # order: the pinned diagonal sits at [i][i] and nothing is stored above
+    # dominance
     order = enumerate_partitions(n)
-    seed, walls = S._sweep(n)
-    for tbl in [seed, *(t for _, _, t in walls)]:
+    seed, walls, _ = S._sweep(n)
+    for tbl in [seed, *(S.stable_basis(n, (w, 1)) for w, _ in walls)]:
         assert type(tbl.gamma) is list and len(tbl.gamma) == len(order)
         for i, (la, row) in enumerate(zip(order, tbl.gamma)):
             assert type(row) is list and len(row) == len(order)
@@ -245,9 +260,10 @@ def test_cross_wall_factor_is_unit_plus_solved_rows(n, monkeypatch):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_every_candidate_failing_the_block_check_is_a_wall(n):
     # _sweep keeps every factor it crosses to: a candidate that fails the
-    # block check gets B != 0.  The sweep's checks are replayed on its tables.
-    seed, walls = S._sweep(n)
-    crossed = {w: (factor, tbl) for w, factor, tbl in walls}
+    # block check gets B != 0.  The sweep's checks are replayed on its
+    # tables, rebuilt by one replay of its factors.
+    seed = S._sweep(n)[0]
+    crossed = {w: (factor, tbl) for w, factor, tbl in chain_tables(n)}
     unit = identity(len(seed.gamma), one(), zero())
     tbl = seed
     for w in S.candidate_walls(n, 0, 1):
@@ -287,7 +303,7 @@ def test_detected_walls_are_denominators_up_to_n(n):
     # proposes every a/b with b <= n(n-1) that divides a content gap, and
     # the sweep keeps those where B != 0.  Observed for n <= 10 so far, the
     # kept ones are exactly the a/b in (0, 1) with 2 <= b <= n.
-    detected = [w for w, _, _ in S._sweep(n)[1]]
+    detected = [w for w, _ in S._sweep(n)[1]]
     expected = sorted({F2(a, b) for b in range(2, n + 1) for a in range(1, b)})
     assert detected == expected
     if n > 2:
@@ -332,7 +348,7 @@ def test_wall_factors_join_equal_cores(n):
     # of I + B at w = a/b only joins partitions with the same b-core
     order = enumerate_partitions(n)
     joined = 0
-    for w, factor, _ in S._sweep(n)[1]:
+    for w, factor in S._sweep(n)[1]:
         b = w.denominator
         for i, la in enumerate(order):
             for j, mu in enumerate(order):
@@ -481,7 +497,7 @@ def test_renormalized_entries_are_q_only():
 def test_renormalized_exponents_are_in_normal_form(n):
     # renorm_factor monomials have Fraction exponents whose sums can be
     # integral; an integral exponent must come out as an int, not k/1
-    for w, _, _ in S._sweep(n)[1]:
+    for w, _ in S._sweep(n)[1]:
         for row in S.renormalized_crossing(n, w):
             for val in row:
                 for mono in [*val.num.terms(), *val.den.terms()]:
